@@ -85,6 +85,8 @@ pub struct LuWorkspace {
     topo: Vec<usize>,
     /// original row -> step at which it became pivotal (factorize only).
     row_step: Vec<usize>,
+    /// `(nonzero count, basis position)` sort keys (factorize only).
+    keys: Vec<(usize, usize)>,
 }
 
 impl LuWorkspace {
@@ -142,9 +144,11 @@ impl LuFactors {
         // artificial singletons eliminate for free). The `(len, i)` key
         // makes the unstable sort reproduce stable-sort tie order without
         // the merge-sort scratch allocation.
+        ws.keys.clear();
+        ws.keys.extend((0..m).map(|i| (col(i).len(), i)));
+        ws.keys.sort_unstable();
         self.colorder.clear();
-        self.colorder.extend(0..m);
-        self.colorder.sort_unstable_by_key(|&i| (col(i).len(), i));
+        self.colorder.extend(ws.keys.iter().map(|&(_, i)| i));
 
         self.lends.clear();
         self.lentries.clear();
@@ -157,6 +161,19 @@ impl LuFactors {
 
         for k in 0..m {
             let a = col(self.colorder[k]);
+            // A singleton in a row no earlier step claimed (every slack
+            // and artificial of a typical basis) is its own pivot: nothing
+            // to eliminate, no fill.
+            if let [(r, v)] = *a {
+                if ws.row_step[r] == usize::MAX && v.abs() >= pivot_tol {
+                    self.udiag[k] = v;
+                    self.prow[k] = r;
+                    ws.row_step[r] = k;
+                    self.lends.push(self.lentries.len());
+                    self.uends.push(self.uentries.len());
+                    continue;
+                }
+            }
             // --- symbolic: reachable steps, topological order ---
             ws.generation += 1;
             let generation = ws.generation;
@@ -322,9 +339,10 @@ impl LuFactors {
         }
         // U solve (backward, step space)
         for k in (0..self.m).rev() {
-            let yk = ws.step[k] / self.udiag[k];
-            ws.step[k] = yk;
-            if yk != 0.0 {
+            // right-hand sides are sparse columns: most steps carry zero
+            if ws.step[k] != 0.0 {
+                let yk = ws.step[k] / self.udiag[k];
+                ws.step[k] = yk;
                 for &(j, uv) in self.ucol(k) {
                     ws.step[j] -= uv * yk;
                 }
@@ -348,7 +366,7 @@ impl LuFactors {
             for &(j, uv) in self.ucol(k) {
                 v -= uv * ws.step[j];
             }
-            ws.step[k] = v / self.udiag[k];
+            ws.step[k] = if v != 0.0 { v / self.udiag[k] } else { 0.0 };
         }
         // Lᵀ solve (backward): rows in L column `k` are pivotal at steps
         // > k, so their dual values are already final at step k.

@@ -3,6 +3,7 @@
 use crate::simplex::{solve_simplex, SimplexOptions};
 use crate::solution::LpSolution;
 use crate::time::Deadline;
+use std::sync::{Arc, OnceLock};
 
 /// Index of a variable within an [`LpModel`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -27,6 +28,74 @@ pub(crate) struct Row {
     pub(crate) rhs: f64,
 }
 
+/// The column-major computational form `A x + s = b` the simplex pivots
+/// on: structural columns `0..n`, then the unit slack column of row `i` at
+/// `n + i`, in one flat entry pool. It depends on the rows only, so
+/// [`LpModel`] builds it once and every later solve — each
+/// branch-and-bound node of a MIP, which only overwrites bounds — reuses it.
+#[derive(Debug)]
+pub(crate) struct ColumnForm {
+    /// Start offset of each column in `entries`, plus the end sentinel.
+    starts: Vec<usize>,
+    /// `(row, coefficient)` pairs, rows increasing within a column.
+    entries: Vec<(usize, f64)>,
+    /// Right-hand side per row.
+    pub(crate) b: Vec<f64>,
+    /// Slack bounds encoding each row's sense.
+    pub(crate) slack_lower: Vec<f64>,
+    pub(crate) slack_upper: Vec<f64>,
+}
+
+impl ColumnForm {
+    fn build(model: &LpModel) -> Self {
+        let (n, m) = (model.num_vars(), model.num_rows());
+        // counting sort of the row-major coefficients into columns
+        let mut starts = vec![0usize; n + m + 1];
+        for row in &model.rows {
+            for &(j, _) in &row.coeffs {
+                starts[j + 1] += 1;
+            }
+        }
+        for j in 0..n + m {
+            // slack columns hold one entry each
+            starts[j + 1] = starts[j] + if j < n { starts[j + 1] } else { 1 };
+        }
+        let mut entries = vec![(0usize, 0.0f64); starts[n + m]];
+        let mut cursor = starts[..n].to_vec();
+        let mut b = Vec::with_capacity(m);
+        let mut slack_lower = Vec::with_capacity(m);
+        let mut slack_upper = Vec::with_capacity(m);
+        for (i, row) in model.rows.iter().enumerate() {
+            for &(j, a) in &row.coeffs {
+                entries[cursor[j]] = (i, a);
+                cursor[j] += 1;
+            }
+            entries[starts[n + i]] = (i, 1.0);
+            b.push(row.rhs);
+            let (sl, su) = match row.sense {
+                RowSense::Le => (0.0, f64::INFINITY),
+                RowSense::Ge => (f64::NEG_INFINITY, 0.0),
+                RowSense::Eq => (0.0, 0.0),
+            };
+            slack_lower.push(sl);
+            slack_upper.push(su);
+        }
+        ColumnForm {
+            starts,
+            entries,
+            b,
+            slack_lower,
+            slack_upper,
+        }
+    }
+
+    /// Column `j` (structural or slack).
+    #[inline]
+    pub(crate) fn col(&self, j: usize) -> &[(usize, f64)] {
+        &self.entries[self.starts[j]..self.starts[j + 1]]
+    }
+}
+
 /// A linear program in *maximization* form:
 ///
 /// `max cᵀx  s.t.  rows,  l <= x <= u`.
@@ -39,6 +108,9 @@ pub struct LpModel {
     pub(crate) lower: Vec<f64>,
     pub(crate) upper: Vec<f64>,
     pub(crate) rows: Vec<Row>,
+    /// Cached [`ColumnForm`]; dropped whenever a variable or row is added,
+    /// kept across bound changes.
+    form: OnceLock<Arc<ColumnForm>>,
 }
 
 impl LpModel {
@@ -57,6 +129,7 @@ impl LpModel {
         assert!(!lower.is_nan() && !upper.is_nan(), "NaN bound");
         assert!(lower <= upper, "lower bound {lower} > upper bound {upper}");
         assert!(obj.is_finite(), "objective coefficient must be finite");
+        self.form.take();
         self.objective.push(obj);
         self.lower.push(lower);
         self.upper.push(upper);
@@ -89,7 +162,13 @@ impl LpModel {
             *merged.entry(v.0).or_insert(0.0) += a;
         }
         let coeffs: Vec<(usize, f64)> = merged.into_iter().filter(|(_, a)| *a != 0.0).collect();
+        self.form.take();
         self.rows.push(Row { coeffs, sense, rhs });
+    }
+
+    /// The computational form of the current rows, built on first use.
+    pub(crate) fn column_form(&self) -> &ColumnForm {
+        self.form.get_or_init(|| Arc::new(ColumnForm::build(self)))
     }
 
     /// Shorthand for a `<=` row.
@@ -200,15 +279,34 @@ impl LpModel {
 
     /// Solve with an optional warm-start basis exported by a previous
     /// [`LpSolution::basis`](crate::LpSolution::basis) of a same-shaped
-    /// model. Falls back to a cold start when the basis does not validate;
-    /// see [`crate::solution::Basis`].
+    /// model. A basis that is still primal-feasible continues with the
+    /// primal simplex, one that is only dual-feasible (the state a bound
+    /// change leaves an optimal basis in) is repaired by the dual simplex,
+    /// and anything else falls back to a cold start; see
+    /// [`crate::solution::Basis`].
     pub fn solve_warm(
         &self,
         options: &SimplexOptions,
         deadline: Deadline,
         warm: Option<&crate::solution::Basis>,
     ) -> LpSolution {
-        crate::simplex::solve_simplex_warm(self, options, deadline, warm)
+        self.solve_warm_above(options, deadline, warm, f64::NEG_INFINITY)
+    }
+
+    /// [`solve_warm`](Self::solve_warm) for a caller that only cares about
+    /// optima above `cutoff` (branch-and-bound passes its incumbent): the
+    /// dual simplex walks down from an upper bound on the optimum, and the
+    /// solve stops with [`LpStatus::Cutoff`](crate::LpStatus::Cutoff) as
+    /// soon as that bound is at or below `cutoff`. A solve that never runs
+    /// the dual simplex ignores `cutoff`.
+    pub fn solve_warm_above(
+        &self,
+        options: &SimplexOptions,
+        deadline: Deadline,
+        warm: Option<&crate::solution::Basis>,
+        cutoff: f64,
+    ) -> LpSolution {
+        crate::simplex::solve_simplex_above(self, options, deadline, warm, cutoff)
     }
 }
 

@@ -32,13 +32,19 @@ pub struct SimplexStats {
     pub bland_activations: usize,
     /// Iterations spent driving artificials out (phase 1).
     pub phase1_iterations: usize,
-    /// Iterations spent on the true objective (phase 2).
+    /// Primal iterations spent on the true objective (phase 2).
     pub phase2_iterations: usize,
-    /// A supplied warm-start basis was validated and used (phase 1 skipped).
+    /// Dual-simplex iterations spent repairing a warm-start basis that was
+    /// dual-feasible but primal-infeasible (always 0 on a cold solve and in
+    /// the dense reference kernel).
+    pub dual_iterations: usize,
+    /// A supplied warm-start basis was used: either primal-feasible as it
+    /// stood, or repaired by the dual simplex (phase 1 skipped either way).
     pub warm_accepted: bool,
-    /// A supplied warm-start basis was rejected (wrong shape, singular, or
-    /// primal-infeasible under the current bounds) and the solve fell back
-    /// to a cold two-phase start.
+    /// A supplied warm-start basis was rejected (wrong shape, singular,
+    /// neither primal- nor dual-feasible under the current model, or the
+    /// dual repair failed numerically) and the solve fell back to a cold
+    /// two-phase start.
     pub warm_rejected: bool,
 }
 
@@ -53,8 +59,20 @@ pub struct SimplexStats {
 /// of the *same-shaped* model (same variable and row counts) via
 /// [`LpModel::solve_warm`](crate::LpModel::solve_warm), even after bounds,
 /// objective, or right-hand sides changed. The solver re-validates it and
-/// silently falls back to a cold start when it no longer yields a feasible
-/// starting point.
+/// picks the cheapest way to use it:
+///
+/// * still primal-feasible (objective or column changes) → the primal
+///   simplex continues from it;
+/// * primal-infeasible but dual-feasible (tightened bounds or moved
+///   right-hand sides — every branch-and-bound child of an optimal parent)
+///   → the dual simplex repairs it, then the primal simplex confirms;
+///   boxed nonbasic variables are moved to whichever bound makes their
+///   reduced cost dual-feasible first;
+/// * misshapen, singular, feasible in neither sense, or numerically
+///   troublesome during the repair → a cold two-phase start.
+///
+/// Which of these happened is reported in
+/// [`SimplexStats::warm_accepted`] / [`SimplexStats::warm_rejected`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Basis {
     /// `basic[i]` is the column basic in row `i` (length = number of rows).
@@ -76,6 +94,11 @@ pub enum LpStatus {
     /// The iteration or wall-clock budget ran out; `x` holds the best
     /// feasible iterate if phase 1 finished, otherwise it is meaningless.
     IterationLimit,
+    /// The dual simplex proved the optimum is at or below the caller's
+    /// cutoff ([`LpModel::solve_warm_above`](crate::LpModel::solve_warm_above))
+    /// and stopped; `objective` holds the bound it reached, `x` is not
+    /// feasible.
+    Cutoff,
 }
 
 /// Result of solving an [`LpModel`](crate::LpModel).

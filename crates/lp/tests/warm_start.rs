@@ -1,7 +1,8 @@
 //! Warm-start basis tests: a re-solve seeded with the final basis of a
 //! previous solve must skip phase 1, survive perturbations of bounds /
-//! objective / right-hand sides, and fall back to a cold start when the
-//! basis no longer validates.
+//! objective / right-hand sides — by primal simplex while the basis stays
+//! primal-feasible, by dual simplex when only dual feasibility is left —
+//! and fall back to a cold start when the basis no longer validates.
 
 use rasa_lp::{Basis, Deadline, LpModel, LpStatus, SimplexOptions};
 
@@ -130,12 +131,14 @@ fn invalid_basis_falls_back_to_cold_start() {
 }
 
 #[test]
-fn infeasible_basis_under_new_bounds_is_rejected() {
+fn infeasible_basis_under_new_bounds_is_repaired() {
     let base = covering_lp();
     let basis = base.solve().basis.expect("basis");
 
     // Tighten bounds so the recorded basic values become infeasible: force
-    // x to a band that excludes the previous optimum entirely.
+    // x to a band that excludes the previous optimum entirely. The basis
+    // is still dual-feasible (the objective did not move), so the dual
+    // simplex repairs it instead of the solve starting cold.
     let mut tight = LpModel::new();
     let x = tight.add_var(8.0, 10.0, -2.0);
     let y = tight.add_var(0.0, 10.0, -3.0);
@@ -146,6 +149,50 @@ fn infeasible_basis_under_new_bounds_is_rejected() {
     let reference = tight.solve();
     assert_eq!(warm.status, reference.status);
     assert!((warm.objective - reference.objective).abs() < TOL);
+    assert!(warm.stats.warm_accepted && !warm.stats.warm_rejected);
+    assert_eq!(warm.stats.phase1_iterations, 0);
+    assert!(
+        warm.stats.dual_iterations > 0,
+        "the repair is the dual simplex"
+    );
+
+    // Bounds nothing can satisfy: the dual ratio test proves it, still
+    // without a cold start.
+    let mut empty = LpModel::new();
+    let x = empty.add_var(0.0, 1.0, -2.0);
+    let y = empty.add_var(0.0, 1.0, -3.0);
+    empty.add_row_ge(vec![(x, 1.0), (y, 1.0)], 4.0);
+    empty.add_row_ge(vec![(x, 1.0), (y, 3.0)], 6.0);
+    let warm = empty.solve_warm(&SimplexOptions::default(), Deadline::none(), Some(&basis));
+    assert_eq!(warm.status, LpStatus::Infeasible);
+    assert_eq!(empty.solve().status, LpStatus::Infeasible);
+    assert!(warm.stats.warm_accepted && !warm.stats.warm_rejected);
+}
+
+#[test]
+fn basis_feasible_in_neither_sense_falls_back_to_cold_start() {
+    // max x + y ; x + y <= 4 ; x, y >= 0 and unbounded above. Hand the
+    // solver the all-slack basis of a model whose row it violates and whose
+    // objective it does not maximize: x nonbasic at its (only) lower bound
+    // with a positive reduced cost cannot be flipped, so neither simplex
+    // can start from it.
+    let mut m = LpModel::new();
+    let x = m.add_var(0.0, f64::INFINITY, 1.0);
+    let y = m.add_var(1.0, f64::INFINITY, 1.0);
+    m.add_row_le(vec![(x, 1.0), (y, 1.0)], 4.0);
+    m.add_row_ge(vec![(x, 1.0), (y, 1.0)], 2.0);
+    let slack_basis = Basis {
+        basic: vec![2, 3],
+        at_upper: vec![false; 4],
+    };
+    let sol = m.solve_warm(
+        &SimplexOptions::default(),
+        Deadline::none(),
+        Some(&slack_basis),
+    );
+    assert_eq!(sol.status, LpStatus::Optimal);
+    assert!((sol.objective - 4.0).abs() < TOL);
+    assert!(sol.stats.warm_rejected && !sol.stats.warm_accepted);
 }
 
 #[test]

@@ -2,9 +2,10 @@
 
 use crate::model::MipModel;
 use crate::solution::{MipSolution, MipStatus};
-use rasa_lp::{Deadline, LpModel, LpStatus, SimplexOptions};
+use rasa_lp::{Basis, Deadline, LpModel, LpStatus, SimplexOptions};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 /// Options for [`MipModel::solve_with`].
 #[derive(Clone, Debug)]
@@ -46,6 +47,11 @@ struct Node {
     /// Overridden bounds: `(var index, lower, upper)`.
     changes: Vec<(usize, f64, f64)>,
     depth: usize,
+    /// The parent's optimal basis, shared with the sibling. One branching
+    /// bound away from this node's LP it is still dual-feasible, so the
+    /// relaxation re-solves from it by dual simplex in a few pivots.
+    /// `None` when the parent's solve exported no basis.
+    basis: Option<Rc<PackedBasis>>,
 }
 
 impl PartialEq for Node {
@@ -66,6 +72,46 @@ impl Ord for Node {
             .partial_cmp(&other.bound)
             .unwrap_or(Ordering::Equal)
             .then(self.depth.cmp(&other.depth))
+    }
+}
+
+/// A [`Basis`] as the open-node heap holds it: thousands of nodes may be
+/// waiting on an LP with over a thousand rows, so it is two bits per column
+/// — is it basic, and does it rest at its upper bound — instead of a word
+/// per row and a byte per column. Which row a basic column is assigned to
+/// is not kept: any assignment describes the same basis matrix.
+struct PackedBasis {
+    basic: Box<[u64]>,
+    at_upper: Box<[u64]>,
+}
+
+impl PackedBasis {
+    fn pack(basis: &Basis) -> Self {
+        let words = basis.at_upper.len().div_ceil(64);
+        let mut basic = vec![0u64; words];
+        for &j in &basis.basic {
+            basic[j / 64] |= 1 << (j % 64);
+        }
+        let mut at_upper = vec![0u64; words];
+        for (j, _) in basis.at_upper.iter().enumerate().filter(|(_, &up)| up) {
+            at_upper[j / 64] |= 1 << (j % 64);
+        }
+        PackedBasis {
+            basic: basic.into(),
+            at_upper: at_upper.into(),
+        }
+    }
+
+    /// Expand into `out`, which keeps its allocations between nodes.
+    fn unpack_into(&self, out: &mut Basis) {
+        out.basic.clear();
+        for (j, up) in out.at_upper.iter_mut().enumerate() {
+            let bit = 1 << (j % 64);
+            if self.basic[j / 64] & bit != 0 {
+                out.basic.push(j);
+            }
+            *up = self.at_upper[j / 64] & bit != 0;
+        }
     }
 }
 
@@ -200,6 +246,16 @@ struct BnbCounters {
     /// Times the incumbent was set or improved (heuristics and integral
     /// nodes alike).
     incumbent_updates: u64,
+    /// Node relaxations re-solved from the parent's basis.
+    warm_nodes: u64,
+    /// Warm nodes that ended up solved cold after all: the LP rejected the
+    /// basis or abandoned the dual repair, or the warm solve failed and the
+    /// node was retried.
+    warm_fallbacks: u64,
+    /// Node relaxations that failed (iteration cap, singular basis, or an
+    /// impossible `Unbounded`) with time left, even cold; each ends the
+    /// solve as `Feasible`.
+    node_lp_failures: u64,
 }
 
 /// Solve `model` by branch-and-bound. See [`MipOptions`] for knobs;
@@ -220,6 +276,9 @@ pub fn solve_branch_and_bound(
         obs.add("bnb.pruned_infeasible", counters.pruned_infeasible);
         obs.add("bnb.pruned_bound", counters.pruned_bound);
         obs.add("bnb.incumbent_updates", counters.incumbent_updates);
+        obs.add("bnb.warm_nodes", counters.warm_nodes);
+        obs.add("bnb.warm_fallbacks", counters.warm_fallbacks);
+        obs.add("bnb.node_lp_failures", counters.node_lp_failures);
         if sol.gap.is_finite() {
             obs.record("bnb.final_gap", sol.gap);
         }
@@ -306,6 +365,7 @@ fn solve_bnb_impl(
                 lp_iterations,
             };
         }
+        LpStatus::Cutoff => unreachable!("the root is solved without a cutoff"),
         LpStatus::Optimal => {}
     }
 
@@ -345,12 +405,19 @@ fn solve_bnb_impl(
         }
     }
 
+    let share = |basis: &Option<Basis>| basis.as_ref().map(|b| Rc::new(PackedBasis::pack(b)));
     let mut heap: BinaryHeap<Node> = BinaryHeap::new();
     heap.push(Node {
         bound: root.objective,
         changes: Vec::new(),
         depth: 0,
+        basis: share(&root.basis),
     });
+    // the popped node's basis, unpacked (allocated once)
+    let mut warm = Basis {
+        basic: Vec::with_capacity(lp.num_rows()),
+        at_upper: vec![false; lp.num_vars() + lp.num_rows()],
+    };
 
     let finish = |status: MipStatus,
                   incumbent: Option<(Vec<f64>, f64)>,
@@ -444,15 +511,53 @@ fn solve_bnb_impl(
             lp.set_bounds(rasa_lp::VarId(j), l, u);
         }
 
-        let relax = lp.solve_with(&options.lp, deadline);
+        // Re-solve from the parent's basis; only an optimum that can beat
+        // the incumbent is of interest, so the dual simplex may stop as soon
+        // as its falling bound says otherwise.
+        let cutoff = incumbent
+            .as_ref()
+            .map_or(f64::NEG_INFINITY, |(_, inc_obj)| inc_obj + options.gap_tol);
+        let mut relax = match &node.basis {
+            Some(packed) => {
+                counters.warm_nodes += 1;
+                packed.unpack_into(&mut warm);
+                lp.solve_warm_above(&options.lp, deadline, Some(&warm), cutoff)
+            }
+            None => lp.solve_with(&options.lp, deadline),
+        };
         lp_iterations += relax.iterations;
+        if node.basis.is_some() {
+            // the LP may already have given the basis up for a cold start
+            let mut fell_back = relax.stats.warm_rejected;
+            if !fell_back
+                && matches!(relax.status, LpStatus::IterationLimit | LpStatus::Unbounded)
+                && !deadline.expired()
+            {
+                // numerical trouble on the warm path: once more from scratch
+                relax = lp.solve_with(&options.lp, deadline);
+                lp_iterations += relax.iterations;
+                fell_back = true;
+            }
+            counters.warm_fallbacks += u64::from(fell_back);
+        }
         match relax.status {
             LpStatus::Infeasible => {
                 counters.pruned_infeasible += 1;
                 continue;
             }
-            LpStatus::IterationLimit => {
-                // deadline mid-node: return what we have
+            LpStatus::Cutoff => {
+                counters.pruned_bound += 1;
+                continue;
+            }
+            LpStatus::IterationLimit | LpStatus::Unbounded => {
+                // Out of time mid-node, or this node's LP cannot be solved
+                // (a bounded root with tightened bounds is never truly
+                // unbounded). Either way the subtree stays unexplored:
+                // return what we have, with this node's inherited bound —
+                // the largest still open — as the proven bound.
+                if !deadline.expired() {
+                    counters.node_lp_failures += 1;
+                }
                 return finish(
                     MipStatus::Feasible,
                     incumbent,
@@ -460,11 +565,6 @@ fn solve_bnb_impl(
                     nodes,
                     lp_iterations,
                 );
-            }
-            LpStatus::Unbounded => {
-                // Bounded root + tightened bounds cannot become unbounded;
-                // treat defensively as a numerical failure of this node.
-                continue;
             }
             LpStatus::Optimal => {}
         }
@@ -504,6 +604,7 @@ fn solve_bnb_impl(
                 }
                 let v = relax.x[j];
                 let floor = v.floor();
+                let basis = share(&relax.basis);
                 // down child: x_j <= floor
                 let mut down = node.changes.clone();
                 let (cur_l, cur_u) = lp.bounds(rasa_lp::VarId(j));
@@ -513,6 +614,7 @@ fn solve_bnb_impl(
                         bound: relax.objective,
                         changes: down,
                         depth: node.depth + 1,
+                        basis: basis.clone(),
                     });
                 }
                 // up child: x_j >= floor + 1
@@ -523,6 +625,7 @@ fn solve_bnb_impl(
                         bound: relax.objective,
                         changes: up,
                         depth: node.depth + 1,
+                        basis,
                     });
                 }
             }
@@ -552,6 +655,21 @@ mod tests {
             None,
             "continuous vars ignored"
         );
+    }
+
+    #[test]
+    fn packed_basis_round_trips_up_to_row_order() {
+        let basis = Basis {
+            basic: vec![70, 3, 64],
+            at_upper: (0..130).map(|j| j % 7 == 0).collect(),
+        };
+        let mut out = Basis {
+            basic: vec![9; 5],
+            at_upper: vec![true; 130],
+        };
+        PackedBasis::pack(&basis).unpack_into(&mut out);
+        assert_eq!(out.basic, vec![3, 64, 70]);
+        assert_eq!(out.at_upper, basis.at_upper);
     }
 
     #[test]

@@ -167,8 +167,12 @@ pub struct SoakReport {
     pub rounds_executed: u64,
     /// Campaign wall time in seconds, drain included.
     pub wall_seconds: f64,
-    /// Per-action counts.
+    /// Per-action counts of the seed-drawn schedule (replay-identical).
     pub actions: ActionTally,
+    /// Extra starved deltas the breaker epilogue needed before a request
+    /// was served stale. How many that takes depends on timing, so they
+    /// are kept out of `actions`.
+    pub epilogue_starved_deltas: u64,
     /// Per-status counts.
     pub responses: ResponseTally,
     /// `200` responses that carried `"stale":true` (breaker-open serving).
@@ -479,7 +483,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
         if report.stale_served > 0 {
             break;
         }
-        report.actions.starved_deltas += 1;
+        report.epilogue_starved_deltas += 1;
         let body = delta_json(&mut rng, 40);
         tally_response(
             &mut report,

@@ -352,7 +352,11 @@ impl ColumnGeneration {
         deadline: Deadline,
     ) -> Option<(Pattern, f64)> {
         let mut mip = MipModel::new();
-        let mut p_vars: HashMap<ServiceId, rasa_mip::VarId> = HashMap::new();
+        // pattern variables in `active` order, plus a by-service index for
+        // the rows below: the model is the same in every process and the
+        // pricing loop does no hashing
+        let mut p_vars: Vec<(ServiceId, rasa_mip::VarId)> = Vec::with_capacity(active.len());
+        let mut var_of: Vec<Option<rasa_mip::VarId>> = vec![None; problem.services.len()];
         for &s in active {
             let svc = &problem.services[s.idx()];
             if !svc.required_features.subset_of(g.features) {
@@ -363,7 +367,9 @@ impl ColumnGeneration {
                 continue;
             }
             let price = -pi.get(&s).copied().unwrap_or(0.0);
-            p_vars.insert(s, mip.add_int_var(0.0, f64::from(cap1), price));
+            let v = mip.add_int_var(0.0, f64::from(cap1), price);
+            p_vars.push((s, v));
+            var_of[s.idx()] = Some(v);
         }
         if p_vars.is_empty() {
             return None;
@@ -372,7 +378,7 @@ impl ColumnGeneration {
         for r in 0..NUM_RESOURCES {
             let coeffs: Vec<_> = p_vars
                 .iter()
-                .filter_map(|(&s, &v)| {
+                .filter_map(|&(s, v)| {
                     let dem = problem.services[s.idx()].demand.0[r];
                     (dem > 0.0).then_some((v, dem))
                 })
@@ -386,7 +392,7 @@ impl ColumnGeneration {
             let coeffs: Vec<_> = rule
                 .services
                 .iter()
-                .filter_map(|s| p_vars.get(s).map(|&v| (v, 1.0)))
+                .filter_map(|s| var_of[s.idx()].map(|v| (v, 1.0)))
                 .collect();
             if !coeffs.is_empty() {
                 mip.add_row_le(coeffs, f64::from(rule.max_per_machine));
@@ -394,7 +400,7 @@ impl ColumnGeneration {
         }
         // affinity epigraph
         for e in &problem.affinity_edges {
-            let (Some(&va), Some(&vb)) = (p_vars.get(&e.a), p_vars.get(&e.b)) else {
+            let (Some(va), Some(vb)) = (var_of[e.a.idx()], var_of[e.b.idx()]) else {
                 continue;
             };
             let da = f64::from(problem.services[e.a.idx()].replicas);
@@ -409,17 +415,14 @@ impl ColumnGeneration {
         if !sol.has_incumbent() {
             return None;
         }
-        let counts: Vec<(ServiceId, u32)> = {
-            let mut c: Vec<_> = p_vars
-                .iter()
-                .filter_map(|(&s, &v)| {
-                    let n = sol.x[v.0].round().max(0.0) as u32;
-                    (n > 0).then_some((s, n))
-                })
-                .collect();
-            c.sort_by_key(|&(s, _)| s);
-            c
-        };
+        let mut counts: Vec<(ServiceId, u32)> = p_vars
+            .iter()
+            .filter_map(|&(s, v)| {
+                let n = sol.x[v.0].round().max(0.0) as u32;
+                (n > 0).then_some((s, n))
+            })
+            .collect();
+        counts.sort_by_key(|&(s, _)| s);
         if counts.is_empty() {
             return None;
         }
