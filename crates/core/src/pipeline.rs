@@ -26,8 +26,9 @@ use rasa_partition::{
 };
 use rasa_select::{portfolio_features, PoolAlgorithm, SampleLog, SelectionSample};
 use rasa_solver::{
-    complete_placement, CgOptions, CgWarmStart, ColumnGeneration, GreedyScheduler, MipBased,
-    MipBasedOptions, PopOptions, PopStrategy, ScheduleOutcome, Scheduler,
+    complete_placement, solver_threads, wave_slice, CgOptions, CgWarmStart, ColumnGeneration,
+    GreedyScheduler, MipBased, MipBasedOptions, PopOptions, PopStrategy, ScheduleOutcome,
+    Scheduler,
 };
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -559,51 +560,12 @@ impl RasaPipeline {
         )
     }
 
-    /// A fair per-subproblem slice of the global budget, measured from the
-    /// *live* remaining budget at call time. Re-measuring per subproblem
-    /// (instead of slicing a snapshot taken before the loop) means an
-    /// overrunning early solve shrinks the later slices, so the global
-    /// deadline holds even when individual solvers overshoot their slice.
-    fn slice_deadline(deadline: Deadline, remaining_subs: usize) -> Deadline {
-        match deadline.remaining() {
-            Some(rem) => deadline.min_with(rem / remaining_subs.max(1) as u32),
-            None => Deadline::none(),
-        }
-    }
-
-    /// The parallel counterpart of [`Self::slice_deadline`], giving both
-    /// paths the same fairness guarantee: no subproblem may consume budget
-    /// that later queue entries still need. Workers pull indices from a
-    /// shared queue, so when subproblem `index` starts, the `total - index`
-    /// entries not yet started will run in about
-    /// `ceil((total - index) / threads)` more waves across the pool; this
-    /// slot's slice is the live remaining budget divided by that wave
-    /// count. With one thread this reduces exactly to the sequential
-    /// formula, and like it, re-measuring the live remaining budget means
-    /// an overrunning early wave shrinks the later slices instead of
-    /// pushing the run past the global deadline.
-    fn parallel_slice_deadline(
-        deadline: Deadline,
-        index: usize,
-        total: usize,
-        threads: usize,
-    ) -> Deadline {
-        let waves = total
-            .saturating_sub(index)
-            .div_ceil(threads.max(1))
-            .max(1);
-        match deadline.remaining() {
-            Some(rem) => deadline.min_with(rem / waves as u32),
-            None => Deadline::none(),
-        }
-    }
-
     fn solve_sequential(&self, jobs: &[PendingJob<'_>], deadline: Deadline) -> Vec<GuardedOutcome> {
         let mut out = Vec::with_capacity(jobs.len());
         for (pos, job) in jobs.iter().enumerate() {
             // slice by queue position: the deadline budget is split over
             // the jobs actually being solved, not the full partition
-            let slice = Self::slice_deadline(deadline, jobs.len() - pos);
+            let slice = wave_slice(deadline, pos, jobs.len(), 1);
             out.push(self.solve_one(job, slice));
         }
         out
@@ -613,10 +575,7 @@ impl RasaPipeline {
         if jobs.is_empty() {
             return Vec::new();
         }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(jobs.len());
+        let threads = solver_threads().min(jobs.len());
         if threads <= 1 {
             // one worker means serial execution anyway; sequential slicing
             // splits the budget fairly instead of letting the first
@@ -648,8 +607,7 @@ impl RasaPipeline {
                         // as the sequential path does — handing every worker
                         // the full deadline let one slow subproblem starve
                         // the rest of the queue
-                        let slice =
-                            Self::parallel_slice_deadline(deadline, pos, jobs.len(), threads);
+                        let slice = wave_slice(deadline, pos, jobs.len(), threads);
                         slots[pos].set(self.solve_one(&jobs[pos], slice));
                     }
                 });
@@ -828,68 +786,6 @@ mod tests {
         assert!(!run.is_degraded());
         assert!(run.errors().is_empty());
         assert_eq!(run.subproblems[0].status, SolveStatus::Ok);
-    }
-
-    #[test]
-    fn slice_deadline_remeasures_live_budget() {
-        use std::time::Duration;
-        // unlimited budget stays unlimited
-        assert!(RasaPipeline::slice_deadline(Deadline::none(), 4)
-            .remaining()
-            .is_none());
-        // a finite budget split over 2 remaining subs gives about half
-        let d = Deadline::after(Duration::from_millis(200));
-        let slice = RasaPipeline::slice_deadline(d, 2);
-        let rem = slice.remaining().expect("finite slice");
-        assert!(rem <= Duration::from_millis(101), "slice {rem:?}");
-        // after the budget is consumed, later slices are already expired
-        // instead of re-granting the original share
-        let spent = Deadline::after(Duration::ZERO);
-        assert!(RasaPipeline::slice_deadline(spent, 3).expired());
-        // zero remaining subproblems must not divide by zero
-        assert!(!RasaPipeline::slice_deadline(Deadline::none(), 0).expired());
-    }
-
-    #[test]
-    fn parallel_slice_gives_the_sequential_fairness_guarantee() {
-        use std::time::Duration;
-        let tol = Duration::from_millis(5);
-        // unlimited budget stays unlimited
-        assert!(
-            RasaPipeline::parallel_slice_deadline(Deadline::none(), 0, 8, 4)
-                .remaining()
-                .is_none()
-        );
-        let budget = Duration::from_millis(400);
-        // with one worker the parallel formula reduces exactly to the
-        // sequential one: index i of n gets remaining / (n - i)
-        for (i, n) in [(0usize, 4usize), (1, 4), (3, 4)] {
-            let par = RasaPipeline::parallel_slice_deadline(Deadline::after(budget), i, n, 1)
-                .remaining()
-                .expect("finite");
-            let seq = RasaPipeline::slice_deadline(Deadline::after(budget), n - i)
-                .remaining()
-                .expect("finite");
-            let diff = if par > seq { par - seq } else { seq - par };
-            assert!(diff <= tol, "i={i}: par={par:?} seq={seq:?}");
-        }
-        // a first-wave slot must NOT receive the full global budget while
-        // later waves still need it (the historical bug handed every worker
-        // the whole deadline): 8 subs on 2 threads = 4 waves → 1/4 each
-        let first = RasaPipeline::parallel_slice_deadline(Deadline::after(budget), 0, 8, 2)
-            .remaining()
-            .expect("finite");
-        assert!(first <= budget / 4 + tol, "first-wave slice {first:?}");
-        // the final wave gets the whole live remainder, not 1/8 of it
-        let last = RasaPipeline::parallel_slice_deadline(Deadline::after(budget), 7, 8, 2)
-            .remaining()
-            .expect("finite");
-        assert!(last > budget / 2, "last-wave slice {last:?}");
-        // consumed budget stays consumed for later slots
-        assert!(
-            RasaPipeline::parallel_slice_deadline(Deadline::after(Duration::ZERO), 0, 3, 2)
-                .expired()
-        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use rasa_lp::Deadline;
 use rasa_model::{validate, Placement, Problem, RasaError};
 use rasa_obs::flight::{self, TraceEvent};
 use rasa_select::PoolAlgorithm;
-use rasa_solver::{complete_placement, ScheduleOutcome, Scheduler};
+use rasa_solver::{complete_placement, ScheduleOutcome, Scheduler, SolverThread};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -213,6 +213,10 @@ pub fn guarded_schedule(
     deadline: Deadline,
 ) -> GuardedOutcome {
     let start = Instant::now();
+    // counts this thread as solving until the call returns or unwinds, so
+    // a column-generation round elsewhere in the process knows which of
+    // the threads its caller started are still in use
+    let _solving = SolverThread::enter();
     let mut scope = flight::begin_solve(
         "solve.subproblem",
         &[

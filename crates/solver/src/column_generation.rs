@@ -25,11 +25,13 @@
 use crate::column_cache::{CgWarmStart, PatternCounts};
 use crate::completion::complete_placement;
 use crate::formulation::per_machine_cap;
-use crate::scheduler::{ScheduleOutcome, Scheduler};
+use crate::scheduler::{BorrowedThreads, ScheduleOutcome, Scheduler};
 use rasa_lp::{Basis, Deadline, LpStatus, SimplexOptions};
 use rasa_mip::{MipModel, MipOptions};
 use rasa_model::{MachineGroup, Placement, Problem, ResourceVec, ServiceId, NUM_RESOURCES};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Options for [`ColumnGeneration`].
@@ -127,6 +129,18 @@ impl ColumnGeneration {
         problem: &Problem,
         deadline: Deadline,
     ) -> (ScheduleOutcome, CgStats) {
+        self.run(problem, deadline, None)
+    }
+
+    /// [`Self::schedule_with_stats`]; `pinned_helpers` fixes the number of
+    /// pricing helpers per round instead of borrowing released solver
+    /// threads (tests only).
+    fn run(
+        &self,
+        problem: &Problem,
+        deadline: Deadline,
+        pinned_helpers: Option<usize>,
+    ) -> (ScheduleOutcome, CgStats) {
         let start = Instant::now();
         let _fs = rasa_obs::flight::span("cg.solve");
         let mut stats = CgStats::default();
@@ -193,6 +207,7 @@ impl ColumnGeneration {
         let mut master_basis: Option<(Basis, Vec<usize>)> = None;
         let master_rows = groups.len() + active.len();
         let mut converged = false;
+        let (mut helper_rounds, mut pricing_helped) = (0u64, 0u64);
         for _round in 0..self.options.max_rounds {
             if deadline.expired() {
                 break;
@@ -218,21 +233,38 @@ impl ColumnGeneration {
             let mut added_any = false;
             let mut added_this_round = 0u64;
             let mut best_reduced_cost = f64::NEG_INFINITY;
-            for (gi, g) in groups.iter().enumerate() {
-                if deadline.expired() {
-                    break;
-                }
-                stats.pricing_solves += 1;
-                let mu = duals.group[gi];
-                if let Some((p, reduced_cost)) = self.price_pattern(
+            // The pricing MIPs of a round are independent: they run on this
+            // thread plus whatever solver threads the burst has released,
+            // and merge in group order, so the result does not depend on
+            // how many helped.
+            let most_helpers = groups.len().saturating_sub(1);
+            let borrowed = pinned_helpers
+                .is_none()
+                .then(|| BorrowedThreads::up_to(most_helpers));
+            let helpers = match &borrowed {
+                Some(b) => b.count(),
+                None => pinned_helpers.unwrap_or(0).min(most_helpers),
+            };
+            let (priced, helped) = price_groups(groups.len(), helpers, deadline, |gi| {
+                self.price_pattern(
                     problem,
-                    g,
+                    &groups[gi],
                     &active,
                     &edge_weight,
                     &duals.service,
-                    mu,
+                    duals.group[gi],
                     deadline,
-                ) {
+                )
+            });
+            drop(borrowed);
+            helper_rounds += u64::from(helpers > 0);
+            pricing_helped += helped as u64;
+            for (gi, priced) in priced.into_iter().enumerate() {
+                let Some(priced) = priced else {
+                    continue; // the deadline fired before this group's turn
+                };
+                stats.pricing_solves += 1;
+                if let Some((p, reduced_cost)) = priced {
                     best_reduced_cost = best_reduced_cost.max(reduced_cost);
                     if seen[gi].insert(p.counts.clone()) {
                         patterns[gi].push(p);
@@ -292,6 +324,8 @@ impl ColumnGeneration {
             obs.add("cg.rounds", stats.rounds as u64);
             obs.add("cg.master_solves", stats.master_solves as u64);
             obs.add("cg.pricing_solves", stats.pricing_solves as u64);
+            obs.add("cg.helper_rounds", helper_rounds);
+            obs.add("cg.pricing_helped", pricing_helped);
             obs.add("cg.patterns", stats.patterns as u64);
             if self.warm.is_some() {
                 obs.add(
@@ -510,6 +544,55 @@ impl Scheduler for ColumnGeneration {
 struct MasterDuals {
     group: Vec<f64>,
     service: HashMap<ServiceId, f64>,
+}
+
+/// Run `price(g)` for every group `g < groups` on the calling thread plus
+/// `helpers` scoped threads pulling from one queue. Slot `g` of the result
+/// holds what `price(g)` returned, or `None` when the deadline had fired by
+/// the time a thread reached it; the second value is how many groups a
+/// helper priced. Helpers carry the caller's request context, and a helper
+/// panic is re-raised here when the scope joins.
+fn price_groups<T: Send + Sync>(
+    groups: usize,
+    helpers: usize,
+    deadline: Deadline,
+    price: impl Fn(usize) -> T + Sync,
+) -> (Vec<Option<T>>, usize) {
+    let slots: Vec<OnceLock<T>> = (0..groups).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let pull = || {
+        let mut priced = 0;
+        loop {
+            let g = next.fetch_add(1, Ordering::Relaxed);
+            if g >= groups || deadline.expired() {
+                return priced;
+            }
+            // the queue hands every index out once, so the slot is empty
+            let _ = slots[g].set(price(g));
+            priced += 1;
+        }
+    };
+    let helped = AtomicUsize::new(0);
+    if helpers == 0 {
+        pull();
+    } else {
+        let request_ctx = rasa_obs::flight::current_request_context();
+        std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                let request_ctx = request_ctx.clone();
+                let (pull, helped) = (&pull, &helped);
+                scope.spawn(move || {
+                    let _ctx = request_ctx.map(rasa_obs::flight::with_request_context);
+                    helped.fetch_add(pull(), Ordering::Relaxed);
+                });
+            }
+            pull();
+        });
+    }
+    (
+        slots.into_iter().map(OnceLock::into_inner).collect(),
+        helped.into_inner(),
+    )
 }
 
 /// Can a cached pattern still run on one machine of group `g` under the
@@ -999,6 +1082,137 @@ mod tests {
         assert!(remap_master_basis(&basis, &[2, 1], &[1, 1], 2).is_none());
         // row-count mismatch is rejected
         assert!(remap_master_basis(&basis, &[2, 1], &[3, 2], 3).is_none());
+    }
+
+    /// Twelve services on a ring of affinities plus chords, five machine
+    /// shapes: five pricing MIPs per round and several rounds to converge.
+    fn five_group_problem() -> Problem {
+        let mut b = ProblemBuilder::new();
+        let s: Vec<_> = (0..12)
+            .map(|i| {
+                let cpu = 1.0 + f64::from(i % 3);
+                b.add_service(
+                    format!("s{i}"),
+                    3 + i % 4,
+                    ResourceVec::cpu_mem(cpu, 4.0 - cpu),
+                )
+            })
+            .collect();
+        for (k, (cpu, mem)) in [
+            (8.0, 8.0),
+            (12.0, 6.0),
+            (6.0, 12.0),
+            (16.0, 16.0),
+            (10.0, 4.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            b.add_machines(
+                2 + k % 2,
+                ResourceVec::cpu_mem(cpu, mem),
+                FeatureMask::EMPTY,
+            );
+        }
+        for i in 0..12 {
+            b.add_affinity(s[i], s[(i + 1) % 12], 1.0 + (i * 7 % 5) as f64);
+        }
+        for i in 0..4 {
+            b.add_affinity(s[i], s[i + 6], 2.5);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn helper_count_does_not_change_the_result() {
+        use crate::column_cache::{CgWarmStart, ColumnCache};
+        use std::sync::Arc;
+        let p = five_group_problem();
+        assert!(p.machine_groups().len() >= 4);
+        let solve = |helpers: usize| {
+            let cache = Arc::new(ColumnCache::new());
+            let cg = ColumnGeneration {
+                warm: Some(CgWarmStart {
+                    cache: cache.clone(),
+                    key: 1,
+                }),
+                ..ColumnGeneration::new()
+            };
+            let (out, stats) = cg.run(&p, Deadline::none(), Some(helpers));
+            assert!(validate(&p, &out.placement, true).is_empty());
+            (stats, cache.get(1).expect("pool stored"), out.placement)
+        };
+        let alone = solve(0);
+        assert!(
+            alone.0.rounds > 1 && alone.0.pricing_solves >= 8,
+            "{:?}",
+            alone.0
+        );
+        assert_eq!(solve(1), alone);
+        assert_eq!(solve(3), alone);
+    }
+
+    #[test]
+    fn helpers_keep_truncated_runs_valid() {
+        let p = five_group_problem();
+        let cg = ColumnGeneration::new();
+        for budget in [Duration::ZERO, Duration::from_millis(2)] {
+            let (out, _) = cg.run(&p, Deadline::after(budget), Some(3));
+            assert!(validate(&p, &out.placement, false).is_empty(), "{budget:?}");
+        }
+    }
+
+    #[test]
+    fn price_groups_stops_handing_out_groups_once_the_deadline_fires() {
+        // every call holds its thread until the deadline has fired, so each
+        // thread prices the one group it pulled before that and no other
+        let deadline = Deadline::after(Duration::from_millis(50));
+        let hold = |g: usize| {
+            while !deadline.expired() {
+                std::thread::yield_now();
+            }
+            g
+        };
+        let (slots, helped) = price_groups(6, 2, deadline, hold);
+        let priced: Vec<usize> = slots.iter().flatten().copied().collect();
+        assert!((1..=3).contains(&priced.len()), "{slots:?}");
+        assert!(helped <= priced.len().min(2), "{helped} of {slots:?}");
+        for (g, slot) in slots.iter().enumerate() {
+            assert!(slot.is_none() || *slot == Some(g));
+        }
+        // an already-expired deadline prices nothing, with or without helpers
+        for helpers in [0, 2] {
+            let (slots, helped) = price_groups(4, helpers, Deadline::after(Duration::ZERO), |g| g);
+            assert!(slots.iter().all(Option::is_none));
+            assert_eq!(helped, 0);
+        }
+    }
+
+    #[test]
+    fn helper_panic_surfaces_on_the_owning_thread() {
+        use std::sync::atomic::AtomicBool;
+        let owner = std::thread::current().id();
+        let helper_arrived = AtomicBool::new(false);
+        let price = |g: usize| {
+            if std::thread::current().id() == owner {
+                // hold the owner in its first group until the helper has
+                // pulled one, so the panic below is the helper's
+                while !helper_arrived.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                g
+            } else {
+                helper_arrived.store(true, Ordering::SeqCst);
+                panic!("injected helper fault");
+            }
+        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            price_groups(4, 1, Deadline::none(), price)
+        }));
+        assert!(
+            result.is_err(),
+            "the scope join re-raises the helper's panic"
+        );
     }
 
     #[test]

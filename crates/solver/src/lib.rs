@@ -31,7 +31,10 @@
 //!   deadlines, union. The shard split is shared with the `rasa-baselines`
 //!   POP baseline so the two cannot drift.
 //! * [`scheduler`] — the [`Scheduler`] trait shared by these algorithms and
-//!   every baseline in `rasa-baselines`, plus [`ScheduleOutcome`].
+//!   every baseline in `rasa-baselines`, plus [`ScheduleOutcome`], the
+//!   [`wave_slice`] deadline split of every worker-pull parallel solve, and
+//!   the solver-thread gauge ([`SolverThread`]) that tells column
+//!   generation how many released cores its pricing round may borrow.
 
 pub mod column_cache;
 pub mod column_generation;
@@ -47,4 +50,7 @@ pub use completion::{complete_placement, GreedyScheduler};
 pub use formulation::{per_machine_cap, FormulationKind, RasaFormulation};
 pub use mip_algorithm::{MipBased, MipBasedOptions};
 pub use pop::{split_affinity_loss, split_services, PopOptions, PopStrategy};
-pub use scheduler::{ScheduleOutcome, Scheduler};
+pub use scheduler::{
+    busy_solver_threads, released_solver_threads, solver_threads, wave_slice, ScheduleOutcome,
+    Scheduler, SolverThread,
+};

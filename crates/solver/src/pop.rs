@@ -12,7 +12,7 @@
 //! drift (same seed → same split, by construction and by cross-check test).
 
 use crate::mip_algorithm::{MipBased, MipBasedOptions};
-use crate::scheduler::{ScheduleOutcome, Scheduler};
+use crate::scheduler::{solver_threads, wave_slice, ScheduleOutcome, Scheduler};
 use crate::completion::complete_placement;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -104,19 +104,6 @@ impl PopStrategy {
     pub fn new(options: PopOptions) -> Self {
         PopStrategy { options }
     }
-
-    /// The same wave-fairness slice as the pipeline's parallel solve path:
-    /// shard `index` of `total`, pulled from a shared queue by `threads`
-    /// workers, gets the live remaining budget divided by the number of
-    /// waves still to run. One thread reduces this to the sequential
-    /// equal-slice formula the baseline uses.
-    fn wave_slice(deadline: Deadline, index: usize, total: usize, threads: usize) -> Deadline {
-        let waves = total.saturating_sub(index).div_ceil(threads.max(1)).max(1);
-        match deadline.remaining() {
-            Some(rem) => deadline.min_with(rem / waves as u32),
-            None => Deadline::none(),
-        }
-    }
 }
 
 impl Scheduler for PopStrategy {
@@ -146,11 +133,7 @@ impl Scheduler for PopStrategy {
             .map(|(svcs, machines)| problem.induced_subproblem(svcs, machines))
             .collect();
         let total = shards.len();
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(total)
-            .max(1);
+        let threads = solver_threads().min(total).max(1);
         let solver = MipBased {
             options: self.options.sub_mip.clone(),
         };
@@ -166,7 +149,7 @@ impl Scheduler for PopStrategy {
                     if pos >= total {
                         break;
                     }
-                    let slice = Self::wave_slice(deadline, pos, total, threads);
+                    let slice = wave_slice(deadline, pos, total, threads);
                     let out = solver.schedule(&shards[pos].0, slice);
                     *slots[pos]
                         .lock()
@@ -286,21 +269,5 @@ mod tests {
             pop.gained_affinity,
             mip.gained_affinity
         );
-    }
-
-    #[test]
-    fn wave_slice_matches_sequential_fairness_for_one_thread() {
-        use std::time::Duration;
-        assert!(PopStrategy::wave_slice(Deadline::none(), 0, 4, 2)
-            .remaining()
-            .is_none());
-        let budget = Duration::from_millis(400);
-        // 8 shards on 2 threads = 4 waves → first slot gets about 1/4
-        let first = PopStrategy::wave_slice(Deadline::after(budget), 0, 8, 2)
-            .remaining()
-            .expect("finite");
-        assert!(first <= budget / 4 + Duration::from_millis(5));
-        // expired budget stays expired
-        assert!(PopStrategy::wave_slice(Deadline::after(Duration::ZERO), 0, 3, 2).expired());
     }
 }

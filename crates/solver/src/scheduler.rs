@@ -3,6 +3,8 @@
 
 use rasa_lp::Deadline;
 use rasa_model::{gained_affinity, normalized_gained_affinity, Placement, Problem};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Result of running a scheduling algorithm on a problem.
@@ -58,6 +60,136 @@ pub trait Scheduler {
     fn schedule(&self, problem: &Problem, deadline: Deadline) -> ScheduleOutcome;
 }
 
+/// Threads a parallel solve may start: the cores this process may run on
+/// (read once; 4 when the platform cannot say).
+pub fn solver_threads() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
+}
+
+/// The fairness slice of a worker-pull parallel solve: job `index` of
+/// `total`, pulled from a shared queue by `threads` workers, gets the
+/// *live* remaining budget divided by the waves still to run
+/// (`ceil((total - index) / threads)`), so no job may consume budget that
+/// later queue entries still need, and an overrunning early wave shrinks
+/// the later slices instead of pushing the run past the global deadline.
+/// With one thread this is the sequential `remaining / jobs_left` formula.
+pub fn wave_slice(deadline: Deadline, index: usize, total: usize, threads: usize) -> Deadline {
+    let waves = total.saturating_sub(index).div_ceil(threads.max(1)).max(1);
+    match deadline.remaining() {
+        Some(rem) => deadline.min_with(rem / waves as u32),
+        None => Deadline::none(),
+    }
+}
+
+// ---- solver-thread gauge -------------------------------------------------
+//
+// How many threads of this process are inside a solve right now (`BUSY`)
+// and the most that were at once since the process was last idle (`PEAK`).
+// `PEAK - BUSY` is the number of threads the caller started for this burst
+// of solving and has already got back: cores a running solve may borrow
+// without the process ever running more solver threads than its caller
+// chose to start. Both are counts that publish no other data, so every
+// access is `Relaxed`; a reader racing an enter/exit sees a value that was
+// true a moment ago, which only ever costs or grants one helper.
+
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// RAII registration of the calling thread as a solver thread; held by
+/// `rasa_core::guarded_schedule` for the length of one subproblem solve.
+#[must_use = "the thread counts as solving until the guard drops — bind it with `let _solving = …`"]
+#[derive(Debug)]
+pub struct SolverThread(());
+
+impl SolverThread {
+    /// Count the calling thread as busy until the returned guard drops
+    /// (unwinding included).
+    pub fn enter() -> Self {
+        let busy = BUSY.fetch_add(1, Ordering::Relaxed) + 1;
+        PEAK.fetch_max(busy, Ordering::Relaxed);
+        SolverThread(())
+    }
+}
+
+impl Drop for SolverThread {
+    fn drop(&mut self) {
+        leave(1);
+    }
+}
+
+fn leave(threads: usize) {
+    if BUSY.fetch_sub(threads, Ordering::Relaxed) == threads {
+        // the burst is over: the next one starts with nothing to borrow
+        PEAK.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Solver threads inside a solve right now (helpers included).
+pub fn busy_solver_threads() -> usize {
+    BUSY.load(Ordering::Relaxed)
+}
+
+/// Solver threads this burst of solving has used and given back:
+/// `peak − busy`, capped at `solver_threads() − 1`. Zero for a caller that
+/// solves one subproblem at a time.
+pub fn released_solver_threads() -> usize {
+    released_given(BUSY.load(Ordering::Relaxed))
+}
+
+fn released_given(busy: usize) -> usize {
+    let released = PEAK.load(Ordering::Relaxed).saturating_sub(busy);
+    if released == 0 {
+        return 0; // the one-at-a-time caller stops here, two loads in
+    }
+    released.min(solver_threads() - 1)
+}
+
+/// Released solver threads borrowed for a stretch of helper work; they
+/// count as busy until the guard drops, so two solves never borrow the
+/// same core.
+#[derive(Debug)]
+pub(crate) struct BorrowedThreads(usize);
+
+impl BorrowedThreads {
+    /// Borrow up to `want` of the released solver threads.
+    pub(crate) fn up_to(want: usize) -> Self {
+        let mut busy = BUSY.load(Ordering::Relaxed);
+        loop {
+            let take = released_given(busy).min(want);
+            if take == 0 {
+                return BorrowedThreads(0);
+            }
+            match BUSY.compare_exchange_weak(
+                busy,
+                busy + take,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return BorrowedThreads(take),
+                Err(now) => busy = now,
+            }
+        }
+    }
+
+    /// How many threads were borrowed.
+    pub(crate) fn count(&self) -> usize {
+        self.0
+    }
+}
+
+impl Drop for BorrowedThreads {
+    fn drop(&mut self) {
+        if self.0 > 0 {
+            leave(self.0);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,5 +210,39 @@ mod tests {
         assert_eq!(out.gained_affinity, 8.0);
         assert_eq!(out.normalized_gained_affinity, 1.0);
         assert!(out.completed);
+    }
+
+    #[test]
+    fn wave_slice_divides_the_live_budget_by_the_waves_left() {
+        let tol = Duration::from_millis(5);
+        // unlimited budget stays unlimited
+        assert!(wave_slice(Deadline::none(), 0, 8, 4).remaining().is_none());
+        let budget = Duration::from_millis(400);
+        // one worker is the sequential formula: job i of n gets
+        // remaining / (n - i)
+        for (i, n) in [(0usize, 4usize), (1, 4), (3, 4)] {
+            let slice = wave_slice(Deadline::after(budget), i, n, 1)
+                .remaining()
+                .expect("finite");
+            let fair = budget / (n - i) as u32;
+            assert!(slice <= fair && fair - slice <= tol, "i={i}: {slice:?}");
+        }
+        // a first-wave slot must NOT receive the full global budget while
+        // later waves still need it (the historical bug handed every worker
+        // the whole deadline): 8 jobs on 2 threads = 4 waves → 1/4 each
+        let first = wave_slice(Deadline::after(budget), 0, 8, 2)
+            .remaining()
+            .expect("finite");
+        assert!(first <= budget / 4 + tol, "first-wave slice {first:?}");
+        // the final wave gets the whole live remainder, not 1/8 of it
+        let last = wave_slice(Deadline::after(budget), 7, 8, 2)
+            .remaining()
+            .expect("finite");
+        assert!(last > budget / 2, "last-wave slice {last:?}");
+        // consumed budget stays consumed for later slots instead of
+        // re-granting the original share
+        assert!(wave_slice(Deadline::after(Duration::ZERO), 0, 3, 2).expired());
+        // a position past the end of the queue must not divide by zero
+        assert!(!wave_slice(Deadline::none(), 4, 4, 1).expired());
     }
 }
