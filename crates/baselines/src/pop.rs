@@ -3,12 +3,13 @@
 //! the results. Designed for *granular* problems; RASA's affinity couples
 //! services, so the random split loses cross-part affinity — exactly the
 //! failure mode Fig 9 shows.
+//!
+//! The baseline is the solver-layer rung ([`PopStrategy`]) applied to the
+//! whole problem at eight parts: one split, one shard fan-out, one merge.
 
 use rasa_lp::Deadline;
-use rasa_model::{Placement, Problem};
-use rasa_solver::pop::split_services;
-use rasa_solver::{complete_placement, MipBased, ScheduleOutcome, Scheduler};
-use std::time::Instant;
+use rasa_model::Problem;
+use rasa_solver::{PopOptions, PopStrategy, ScheduleOutcome, Scheduler};
 
 /// The POP baseline.
 #[derive(Clone, Debug)]
@@ -48,42 +49,13 @@ impl Scheduler for Pop {
     }
 
     fn schedule(&self, problem: &Problem, deadline: Deadline) -> ScheduleOutcome {
-        let start = Instant::now();
-        // the one true shard split, shared with the solver-layer POP
-        // strategy rung (`rasa_solver::pop`) so baseline and rung cannot
-        // drift apart
-        let service_sets = split_services(problem, self.parts, self.seed);
-        // machines split proportionally to each part's demand, reusing the
-        // same apportionment RASA uses so the comparison isolates the
-        // service split
-        let machine_sets = rasa_partition::assign_machines(problem, &service_sets);
-
-        let mut placement = Placement::empty_for(problem);
-        let mut all_done = true;
-        let solver = MipBased::new();
-        for (svcs, machines) in service_sets.iter().zip(&machine_sets) {
-            if deadline.expired() {
-                all_done = false;
-                break;
-            }
-            let (sub, mapping) = problem.induced_subproblem(svcs, machines);
-            // each part gets an equal slice of whatever budget remains
-            let slice = match deadline.remaining() {
-                Some(rem) => deadline.min_with(rem / service_sets.len().max(1) as u32),
-                None => Deadline::none(),
-            };
-            let sub_out = solver.schedule(&sub, slice);
-            placement.merge_subplacement(
-                &sub_out.placement,
-                &mapping.service_to_parent,
-                &mapping.machine_to_parent,
-            );
-            all_done &= sub_out.completed;
-        }
-        if self.complete {
-            complete_placement(problem, &mut placement);
-        }
-        ScheduleOutcome::evaluate(problem, placement, start.elapsed(), all_done)
+        PopStrategy::new(PopOptions {
+            parts: self.parts,
+            seed: self.seed,
+            complete: self.complete,
+            ..Default::default()
+        })
+        .schedule(problem, deadline)
     }
 }
 
@@ -91,6 +63,7 @@ impl Scheduler for Pop {
 mod tests {
     use super::*;
     use rasa_model::{validate, FeatureMask, ProblemBuilder, ResourceVec};
+    use rasa_solver::MipBased;
 
     fn coupled_problem() -> Problem {
         // heavy pairs that POP's random split will often separate
@@ -127,16 +100,11 @@ mod tests {
 
     #[test]
     fn baseline_and_strategy_rung_share_the_split() {
-        // satellite: the baseline and the solver-layer POP rung must use
-        // the same seeded shard split. Same (parts, seed) → same split
-        // (checked via the shared helper) and the same objective when the
-        // rung mirrors the baseline's configuration.
-        use rasa_solver::{PopOptions, PopStrategy};
+        // the baseline is the solver-layer POP rung under another name:
+        // mirrored configuration → the same placement, not just the same
+        // objective (split, shard order, merge order and completion agree)
         let p = coupled_problem();
         for seed in [0u64, 7, 42] {
-            let a = split_services(&p, 4, seed);
-            let b = split_services(&p, 4, seed);
-            assert_eq!(a, b, "seed {seed}: identical seeds, identical splits");
             let base = Pop {
                 parts: 4,
                 seed,
@@ -150,12 +118,8 @@ mod tests {
                 ..Default::default()
             })
             .schedule(&p, Deadline::none());
-            assert!(
-                (base.gained_affinity - rung.gained_affinity).abs() < 1e-6,
-                "seed {seed}: baseline {} vs rung {}",
-                base.gained_affinity,
-                rung.gained_affinity
-            );
+            assert_eq!(base.placement, rung.placement, "seed {seed}");
+            assert!(validate(&p, &base.placement, true).is_empty());
         }
     }
 

@@ -26,11 +26,12 @@ use rasa_partition::{
 };
 use rasa_select::{portfolio_features, PoolAlgorithm, SampleLog, SelectionSample};
 use rasa_solver::{
-    complete_placement, solver_threads, wave_slice, CgOptions, CgWarmStart, ColumnGeneration,
-    GreedyScheduler, MipBased, MipBasedOptions, PopOptions, PopStrategy, ScheduleOutcome,
-    Scheduler,
+    complete_placement, fan_out, solver_threads, wave_slice, CgOptions, CgWarmStart,
+    ColumnGeneration, GreedyScheduler, MipBased, MipBasedOptions, PopOptions, PopStrategy,
+    ScheduleOutcome, Scheduler,
 };
 use std::collections::HashSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Full pipeline configuration.
@@ -216,6 +217,21 @@ impl RasaPipeline {
         deadline: Deadline,
         cache: Option<&SolveCache>,
     ) -> RasaRun {
+        self.run_round(problem, current, deadline, cache, |job, slice| {
+            self.solve_one(job, slice)
+        })
+    }
+
+    /// [`Self::optimize_with_cache`] with the per-job solve passed in, so a
+    /// test can fail a job outside the guard `solve_one` wraps around it.
+    fn run_round(
+        &self,
+        problem: &Problem,
+        current: Option<&Placement>,
+        deadline: Deadline,
+        cache: Option<&SolveCache>,
+        solve_one: impl Fn(&PendingJob<'_>, Deadline) -> GuardedOutcome + Sync,
+    ) -> RasaRun {
         let start = Instant::now();
         let obs = rasa_obs::global();
         obs.inc("pipeline.runs");
@@ -368,11 +384,7 @@ impl RasaPipeline {
         let solved: Vec<GuardedOutcome> = {
             let _t = obs.span("pipeline.solve_seconds");
             let _fs = flight::span_with("pipeline.solve", &[("jobs", jobs.len().to_string())]);
-            if self.config.parallel {
-                self.solve_parallel(&jobs, deadline)
-            } else {
-                self.solve_sequential(&jobs, deadline)
-            }
+            self.solve_jobs(&jobs, deadline, solve_one)
         };
 
         // store healthy fresh solves back into the cache, then evict
@@ -560,69 +572,33 @@ impl RasaPipeline {
         )
     }
 
-    fn solve_sequential(&self, jobs: &[PendingJob<'_>], deadline: Deadline) -> Vec<GuardedOutcome> {
-        let mut out = Vec::with_capacity(jobs.len());
-        for (pos, job) in jobs.iter().enumerate() {
-            // slice by queue position: the deadline budget is split over
-            // the jobs actually being solved, not the full partition
-            let slice = wave_slice(deadline, pos, jobs.len(), 1);
-            out.push(self.solve_one(job, slice));
-        }
-        out
-    }
-
-    fn solve_parallel(&self, jobs: &[PendingJob<'_>], deadline: Deadline) -> Vec<GuardedOutcome> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let threads = solver_threads().min(jobs.len());
-        if threads <= 1 {
-            // one worker means serial execution anyway; sequential slicing
-            // splits the budget fairly instead of letting the first
-            // subproblem starve the rest
-            return self.solve_sequential(jobs, deadline);
-        }
-        let slots: Vec<slot::Slot<GuardedOutcome>> =
-            (0..jobs.len()).map(|_| slot::Slot::new()).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        // request identity is thread-ambient; hand each pool worker a
-        // clone so their recordings join the same request as the caller's
-        let request_ctx = rasa_obs::flight::current_request_context();
-        // `solve_one` catches panics internally, so a worker dying here is
-        // already a second-order failure; ignore the scope error and let
-        // the per-slot fallback below fill in whatever was lost.
-        let _ = crossbeam::thread::scope(|scope| {
-            for _ in 0..threads {
-                let next = &next;
-                let slots = &slots;
-                let request_ctx = request_ctx.clone();
-                scope.spawn(move |_| {
-                    let _ctx = request_ctx.map(rasa_obs::flight::with_request_context);
-                    loop {
-                        let pos = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if pos >= jobs.len() {
-                            break;
-                        }
-                        // slice the global budget by queue position, exactly
-                        // as the sequential path does — handing every worker
-                        // the full deadline let one slow subproblem starve
-                        // the rest of the queue
-                        let slice = wave_slice(deadline, pos, jobs.len(), threads);
-                        slots[pos].set(self.solve_one(&jobs[pos], slice));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .zip(jobs)
-            .map(|(s, job)| {
-                s.take().unwrap_or_else(|| {
-                    rasa_obs::global().inc("pipeline.lost_slots");
-                    GuardedOutcome::lost_slot(job.index, &job.sub.problem)
-                })
+    /// Solve every pending job through the one fan-out: this thread plus a
+    /// helper per further job, up to the cores the process may use.
+    /// `solve_one` catches panics inside the guard, so one escaping it is
+    /// already a second-order failure; it costs that job its slot (an empty
+    /// placement the global completion pass repairs) and no other.
+    fn solve_jobs(
+        &self,
+        jobs: &[PendingJob<'_>],
+        deadline: Deadline,
+        solve_one: impl Fn(&PendingJob<'_>, Deadline) -> GuardedOutcome + Sync,
+    ) -> Vec<GuardedOutcome> {
+        let workers = if self.config.parallel {
+            solver_threads().min(jobs.len()).max(1)
+        } else {
+            1
+        };
+        fan_out(jobs.len(), workers - 1, |pos| {
+            let job = &jobs[pos];
+            // slice the global budget by queue position: it is split over
+            // the jobs actually being solved, not the full partition, and
+            // no worker may starve the queue entries behind it
+            let slice = wave_slice(deadline, pos, jobs.len(), workers);
+            catch_unwind(AssertUnwindSafe(|| solve_one(job, slice))).unwrap_or_else(|_| {
+                rasa_obs::global().inc("pipeline.lost_slots");
+                GuardedOutcome::lost_slot(job.index, &job.sub.problem)
             })
-            .collect()
+        })
     }
 }
 
@@ -639,27 +615,6 @@ struct PendingJob<'a> {
     /// Cross-round column-pool handle for column generation, when a
     /// [`SolveCache`] is in play.
     warm: Option<CgWarmStart>,
-}
-
-/// Tiny one-shot cell used to collect results from scoped worker threads.
-mod slot {
-    use parking_lot::Mutex;
-
-    pub struct Slot<T>(Mutex<Option<T>>);
-
-    impl<T> Slot<T> {
-        pub fn new() -> Self {
-            Slot(Mutex::new(None))
-        }
-
-        pub fn set(&self, value: T) {
-            *self.0.lock() = Some(value);
-        }
-
-        pub fn take(&self) -> Option<T> {
-            self.0.lock().take()
-        }
-    }
 }
 
 impl Scheduler for RasaPipeline {
@@ -786,6 +741,59 @@ mod tests {
         assert!(!run.is_degraded());
         assert!(run.errors().is_empty());
         assert_eq!(run.subproblems[0].status, SolveStatus::Ok);
+    }
+
+    #[test]
+    fn job_panicking_outside_the_guard_loses_only_its_own_slot() {
+        // two feature-fenced rings → two pending jobs; the second one's
+        // solve panics before it ever reaches `guarded_schedule`
+        let mut b = ProblemBuilder::new();
+        for zone in 0..2u32 {
+            let feature = FeatureMask::bit(zone);
+            let ring: Vec<_> = (0..4u32)
+                .map(|i| {
+                    b.add_service_full(
+                        rasa_model::Service::new(
+                            rasa_model::ServiceId(zone * 4 + i),
+                            format!("z{zone}-s{i}"),
+                            2,
+                            ResourceVec::cpu_mem(1.0, 1.0),
+                        )
+                        .with_features(feature),
+                    )
+                })
+                .collect();
+            for i in 0..4 {
+                b.add_affinity(ring[i], ring[(i + 1) % 4], 1.0 + i as f64);
+            }
+            b.add_machines(2, ResourceVec::cpu_mem(8.0, 8.0), feature);
+        }
+        let p = b.build().unwrap();
+        let lost_slots = || rasa_obs::global().snapshot().counter("pipeline.lost_slots");
+        for parallel in [false, true] {
+            let pipeline = RasaPipeline::new(RasaConfig {
+                parallel,
+                ..Default::default()
+            });
+            let lost_before = lost_slots();
+            let run = pipeline.run_round(&p, None, Deadline::none(), None, |job, slice| {
+                assert!(job.index != 1, "injected fault outside the guard");
+                pipeline.solve_one(job, slice)
+            });
+            assert_eq!(lost_slots(), lost_before + 1, "parallel={parallel}");
+            assert_eq!(run.subproblems.len(), 2);
+            assert_eq!(run.subproblems[0].status, SolveStatus::Ok);
+            assert_eq!(run.subproblems[1].status, SolveStatus::Panicked);
+            assert!(matches!(
+                run.subproblems[1].error,
+                Some(RasaError::SolvePanicked { subproblem: 1, .. })
+            ));
+            assert!(run.is_degraded());
+            assert!(
+                validate(&p, &run.outcome.placement, true).is_empty(),
+                "parallel={parallel}: the completion pass repairs the lost slot"
+            );
+        }
     }
 
     #[test]

@@ -68,10 +68,10 @@ pub struct GuardedOutcome {
 }
 
 impl GuardedOutcome {
-    /// The outcome recorded for a subproblem whose parallel-solve slot was
-    /// lost (its worker thread died before storing a result): an empty but
-    /// feasible placement with `completed = false`, so the pipeline's
-    /// global completion pass can still repair the schedule.
+    /// The outcome recorded for a subproblem whose solve slot was lost (its
+    /// job panicked outside [`guarded_schedule`]): an empty but feasible
+    /// placement with `completed = false`, so the pipeline's global
+    /// completion pass can still repair the schedule.
     pub fn lost_slot(index: usize, problem: &Problem) -> GuardedOutcome {
         GuardedOutcome {
             outcome: ScheduleOutcome::evaluate(
@@ -83,7 +83,7 @@ impl GuardedOutcome {
             status: SolveStatus::Panicked,
             error: Some(RasaError::SolvePanicked {
                 subproblem: index,
-                message: "worker thread died before storing a result".into(),
+                message: "the job panicked outside the solve guard".into(),
             }),
         }
     }

@@ -850,6 +850,7 @@ fn run_round(
     let obs = rasa_obs::global();
     let mut session = lock_or_recover(&slot.engine);
 
+    let is_delta = matches!(kind, JobKind::Delta(_));
     let (admission, wal_record) = match kind {
         JobKind::Snapshot(problem) => {
             obs.inc("serve.snapshots");
@@ -862,13 +863,7 @@ fn run_round(
         JobKind::Delta(delta) => {
             obs.inc("serve.deltas");
             match session.apply_delta(&delta) {
-                Ok(report) => {
-                    if let Ok(plan) = session.delta_plan() {
-                        obs.add("serve.delta_dirty", plan.dirty as u64);
-                        obs.add("serve.delta_unchanged", plan.unchanged as u64);
-                    }
-                    (report, Some(WalRecord::delta(session.generation(), delta)))
-                }
+                Ok(report) => (report, Some(WalRecord::delta(session.generation(), delta))),
                 Err(e) => {
                     obs.inc("serve.delta_rejected");
                     return Response::json(
@@ -955,6 +950,13 @@ fn run_round(
                     .as_ref()
                     .map(|c| (c.hits, c.misses))
                     .unwrap_or((0, 0));
+                if is_delta {
+                    // the split the published round itself solved by: a
+                    // miss (poisoned entries included) was dirty, a hit
+                    // was reused
+                    obs.add("serve.delta_dirty", misses as u64);
+                    obs.add("serve.delta_unchanged", hits as u64);
+                }
                 return Response::json(
                     200,
                     format!(

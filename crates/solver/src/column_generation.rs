@@ -25,13 +25,11 @@
 use crate::column_cache::{CgWarmStart, PatternCounts};
 use crate::completion::complete_placement;
 use crate::formulation::per_machine_cap;
-use crate::scheduler::{BorrowedThreads, ScheduleOutcome, Scheduler};
+use crate::scheduler::{fan_out, BorrowedThreads, ScheduleOutcome, Scheduler};
 use rasa_lp::{Basis, Deadline, LpStatus, SimplexOptions};
 use rasa_mip::{MipModel, MipOptions};
 use rasa_model::{MachineGroup, Placement, Problem, ResourceVec, ServiceId, NUM_RESOURCES};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Options for [`ColumnGeneration`].
@@ -546,53 +544,23 @@ struct MasterDuals {
     service: HashMap<ServiceId, f64>,
 }
 
-/// Run `price(g)` for every group `g < groups` on the calling thread plus
-/// `helpers` scoped threads pulling from one queue. Slot `g` of the result
-/// holds what `price(g)` returned, or `None` when the deadline had fired by
-/// the time a thread reached it; the second value is how many groups a
-/// helper priced. Helpers carry the caller's request context, and a helper
-/// panic is re-raised here when the scope joins.
-fn price_groups<T: Send + Sync>(
+/// One pricing round through [`fan_out`]: slot `g` of the result holds what
+/// `price(g)` returned, or `None` when the deadline had fired by the time a
+/// thread reached that group; the second value is how many groups a helper
+/// priced.
+fn price_groups<T: Send>(
     groups: usize,
     helpers: usize,
     deadline: Deadline,
     price: impl Fn(usize) -> T + Sync,
 ) -> (Vec<Option<T>>, usize) {
-    let slots: Vec<OnceLock<T>> = (0..groups).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let pull = || {
-        let mut priced = 0;
-        loop {
-            let g = next.fetch_add(1, Ordering::Relaxed);
-            if g >= groups || deadline.expired() {
-                return priced;
-            }
-            // the queue hands every index out once, so the slot is empty
-            let _ = slots[g].set(price(g));
-            priced += 1;
-        }
-    };
-    let helped = AtomicUsize::new(0);
-    if helpers == 0 {
-        pull();
-    } else {
-        let request_ctx = rasa_obs::flight::current_request_context();
-        std::thread::scope(|scope| {
-            for _ in 0..helpers {
-                let request_ctx = request_ctx.clone();
-                let (pull, helped) = (&pull, &helped);
-                scope.spawn(move || {
-                    let _ctx = request_ctx.map(rasa_obs::flight::with_request_context);
-                    helped.fetch_add(pull(), Ordering::Relaxed);
-                });
-            }
-            pull();
-        });
-    }
-    (
-        slots.into_iter().map(OnceLock::into_inner).collect(),
-        helped.into_inner(),
-    )
+    let owner = std::thread::current().id();
+    let priced = fan_out(groups, helpers, |g| {
+        (!deadline.expired()).then(|| (price(g), std::thread::current().id() != owner))
+    });
+    let helped = priced.iter().flatten().filter(|p| p.1).count();
+    let slots = priced.into_iter().map(|p| p.map(|(out, _)| out)).collect();
+    (slots, helped)
 }
 
 /// Can a cached pattern still run on one machine of group `g` under the
@@ -1186,33 +1154,6 @@ mod tests {
             assert!(slots.iter().all(Option::is_none));
             assert_eq!(helped, 0);
         }
-    }
-
-    #[test]
-    fn helper_panic_surfaces_on_the_owning_thread() {
-        use std::sync::atomic::AtomicBool;
-        let owner = std::thread::current().id();
-        let helper_arrived = AtomicBool::new(false);
-        let price = |g: usize| {
-            if std::thread::current().id() == owner {
-                // hold the owner in its first group until the helper has
-                // pulled one, so the panic below is the helper's
-                while !helper_arrived.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
-                g
-            } else {
-                helper_arrived.store(true, Ordering::SeqCst);
-                panic!("injected helper fault");
-            }
-        };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            price_groups(4, 1, Deadline::none(), price)
-        }));
-        assert!(
-            result.is_err(),
-            "the scope join re-raises the helper's panic"
-        );
     }
 
     #[test]

@@ -28,12 +28,13 @@
 //!   cheapest arm).
 //! * [`pop`] — POP (SOSP'21) as a first-class strategy rung: random k-way
 //!   shard split, parallel per-shard MIP solves under wave-sliced
-//!   deadlines, union. The shard split is shared with the `rasa-baselines`
-//!   POP baseline so the two cannot drift.
+//!   deadlines, union. The `rasa-baselines` POP baseline is a constructor
+//!   for this rung.
 //! * [`scheduler`] — the [`Scheduler`] trait shared by these algorithms and
-//!   every baseline in `rasa-baselines`, plus [`ScheduleOutcome`], the
-//!   [`wave_slice`] deadline split of every worker-pull parallel solve, and
-//!   the solver-thread gauge ([`SolverThread`]) that tells column
+//!   every baseline in `rasa-baselines`, plus [`ScheduleOutcome`],
+//!   [`fan_out`] — the one worker-pull primitive every parallel solve in
+//!   the repository goes through — with its [`wave_slice`] deadline split,
+//!   and the solver-thread gauge ([`SolverThread`]) that tells column
 //!   generation how many released cores its pricing round may borrow.
 
 pub mod column_cache;
@@ -51,6 +52,6 @@ pub use formulation::{per_machine_cap, FormulationKind, RasaFormulation};
 pub use mip_algorithm::{MipBased, MipBasedOptions};
 pub use pop::{split_affinity_loss, split_services, PopOptions, PopStrategy};
 pub use scheduler::{
-    busy_solver_threads, released_solver_threads, solver_threads, wave_slice, ScheduleOutcome,
-    Scheduler, SolverThread,
+    busy_solver_threads, fan_out, released_solver_threads, solver_threads, wave_slice,
+    ScheduleOutcome, Scheduler, SolverThread,
 };

@@ -1,35 +1,33 @@
 //! POP as a first-class strategy rung (Narayanan et al., SOSP'21 \[23\]):
-//! randomly sub-sample the subproblem into `k` shards, solve the shards in
-//! parallel under wave-sliced deadlines, and union the results. The random
+//! randomly sub-sample the subproblem into `k` shards, solve the shards
+//! through [`fan_out`] (the caller plus up to `solver_threads() - 1`
+//! helpers) under wave-sliced deadlines, and union the results. The random
 //! split deliberately ignores the affinity graph, so it is cheap and
 //! embarrassingly parallel — and loses exactly the cross-shard affinity
 //! Fig 9 shows. The portfolio selector learns to deploy it where that loss
 //! is small: dense, poorly-cut subproblems where whole-problem solvers
 //! drown.
 //!
-//! [`split_services`] is the *single* shard-split implementation, shared
-//! with the `Pop` baseline in `rasa-baselines` so rung and baseline cannot
-//! drift (same seed → same split, by construction and by cross-check test).
+//! This is the only POP in the repository: the `Pop` baseline in
+//! `rasa-baselines` constructs a [`PopStrategy`] (eight parts, completion
+//! on) and calls it, so rung and baseline cannot drift — same seed, same
+//! split, same placement (cross-check test in `rasa-baselines`).
 
 use crate::mip_algorithm::{MipBased, MipBasedOptions};
-use crate::scheduler::{solver_threads, wave_slice, ScheduleOutcome, Scheduler};
+use crate::scheduler::{fan_out, solver_threads, wave_slice, ScheduleOutcome, Scheduler};
 use crate::completion::complete_placement;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rasa_lp::Deadline;
 use rasa_model::{Placement, Problem, ServiceId, SubproblemMapping};
 use rasa_obs::flight;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// POP's random service split (client granularity): deal every service
 /// into one of `parts` buckets with a seeded RNG, then drop empty buckets.
 /// `parts` is clamped to `[1, num_services]`.
 ///
-/// This is the shared shard-split used by both the POP *baseline*
-/// (`rasa-baselines`) and the POP *strategy rung* ([`PopStrategy`]):
-/// identical `(parts, seed)` always produces identical splits.
+/// Identical `(parts, seed)` always produces identical splits.
 pub fn split_services(problem: &Problem, parts: usize, seed: u64) -> Vec<Vec<ServiceId>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let k = parts.max(1).min(problem.num_services().max(1));
@@ -137,46 +135,23 @@ impl Scheduler for PopStrategy {
         let solver = MipBased {
             options: self.options.sub_mip.clone(),
         };
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<ScheduleOutcome>>> =
-            (0..total).map(|_| Mutex::new(None)).collect();
-        // A shard panic propagates out of the scope join and up through
+        // A shard panic propagates out of the fan-out's join and up through
         // this call — the fallback ladder's catch_unwind owns recovery.
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let pos = next.fetch_add(1, Ordering::Relaxed);
-                    if pos >= total {
-                        break;
-                    }
-                    let slice = wave_slice(deadline, pos, total, threads);
-                    let out = solver.schedule(&shards[pos].0, slice);
-                    *slots[pos]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner()) = Some(out);
-                });
-            }
+        let solved = fan_out(total, threads - 1, |pos| {
+            solver.schedule(&shards[pos].0, wave_slice(deadline, pos, total, threads))
         });
 
         let mut placement = Placement::empty_for(problem);
         let mut all_done = true;
-        for ((_, mapping), slot) in shards.iter().zip(&slots) {
-            match slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                Some(out) => {
-                    placement.merge_subplacement(
-                        &out.placement,
-                        &mapping.service_to_parent,
-                        &mapping.machine_to_parent,
-                    );
-                    if !out.completed {
-                        obs.inc("strategy.pop.shard_incomplete");
-                        all_done = false;
-                    }
-                }
-                None => {
-                    obs.inc("strategy.pop.shard_incomplete");
-                    all_done = false;
-                }
+        for ((_, mapping), out) in shards.iter().zip(&solved) {
+            placement.merge_subplacement(
+                &out.placement,
+                &mapping.service_to_parent,
+                &mapping.machine_to_parent,
+            );
+            if !out.completed {
+                obs.inc("strategy.pop.shard_incomplete");
+                all_done = false;
             }
         }
         if self.options.complete {
@@ -251,6 +226,19 @@ mod tests {
             );
             assert!(out.completed);
         }
+    }
+
+    #[test]
+    fn shard_fan_out_leaves_the_callers_request_context_as_it_found_it() {
+        let p = coupled_problem();
+        let ctx = flight::RequestContext::new("req-pop", "acme");
+        {
+            let _ctx = flight::with_request_context(ctx.clone());
+            let out = PopStrategy::default().schedule(&p, Deadline::none());
+            assert!(out.completed);
+            assert_eq!(flight::current_request_context(), Some(ctx));
+        }
+        assert!(flight::current_request_context().is_none());
     }
 
     #[test]

@@ -3,6 +3,8 @@
 
 use rasa_lp::Deadline;
 use rasa_model::{gained_affinity, normalized_gained_affinity, Placement, Problem};
+use rasa_obs::flight;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -84,6 +86,52 @@ pub fn wave_slice(deadline: Deadline, index: usize, total: usize, threads: usize
         Some(rem) => deadline.min_with(rem / waves as u32),
         None => Deadline::none(),
     }
+}
+
+/// The one worker-pull fan-out behind every parallel solve (pipeline jobs,
+/// POP shards, column-generation pricing): run `work(pos)` for every
+/// `pos < total` on the calling thread plus `min(helpers, total - 1)`
+/// scoped threads pulling positions from one queue, and return the results
+/// in queue order. Helpers carry the caller's request context, and a helper
+/// panic is re-raised here once every thread has joined. With no helper to
+/// start this is a plain in-order loop: no thread, no atomic.
+pub fn fan_out<T: Send>(total: usize, helpers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let helpers = helpers.min(total.saturating_sub(1));
+    if helpers == 0 {
+        return (0..total).map(work).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let pull = || {
+        let mut done = Vec::new();
+        loop {
+            // a queue ticket that publishes no other data
+            let pos = next.fetch_add(1, Ordering::Relaxed);
+            if pos >= total {
+                return done;
+            }
+            done.push((pos, work(pos)));
+        }
+    };
+    let request_ctx = flight::current_request_context();
+    let mut done = std::thread::scope(|scope| {
+        let joins: Vec<_> = (0..helpers)
+            .map(|_| {
+                let (pull, request_ctx) = (&pull, request_ctx.clone());
+                scope.spawn(move || {
+                    let _ctx = request_ctx.map(flight::with_request_context);
+                    pull()
+                })
+            })
+            .collect();
+        let mut done = pull();
+        for join in joins {
+            done.extend(join.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        done
+    });
+    // the queue hands every position out exactly once
+    done.sort_unstable_by_key(|&(pos, _)| pos);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 // ---- solver-thread gauge -------------------------------------------------
@@ -194,6 +242,7 @@ impl Drop for BorrowedThreads {
 mod tests {
     use super::*;
     use rasa_model::{FeatureMask, MachineId, ProblemBuilder, ResourceVec, ServiceId};
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn evaluate_computes_both_objectives() {
@@ -210,6 +259,74 @@ mod tests {
         assert_eq!(out.gained_affinity, 8.0);
         assert_eq!(out.normalized_gained_affinity, 1.0);
         assert!(out.completed);
+    }
+
+    #[test]
+    fn fan_out_runs_every_position_once_and_returns_queue_order() {
+        for helpers in [0, 1, 3] {
+            for total in [0, 1, 6] {
+                let calls: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
+                let out = fan_out(total, helpers, |pos| {
+                    calls[pos].fetch_add(1, Ordering::SeqCst);
+                    pos * 10
+                });
+                let expect: Vec<usize> = (0..total).map(|pos| pos * 10).collect();
+                assert_eq!(out, expect, "helpers={helpers} total={total}");
+                assert!(
+                    calls.iter().all(|c| c.load(Ordering::SeqCst) == 1),
+                    "helpers={helpers} total={total}: {calls:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_without_a_helper_to_start_stays_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for (helpers, total) in [(3, 1), (0, 6)] {
+            let ran_on = fan_out(total, helpers, |_| std::thread::current().id());
+            assert_eq!(ran_on, vec![caller; total], "helpers={helpers}");
+        }
+    }
+
+    /// `work` for a two-position fan-out with one helper: the caller waits
+    /// inside its position until the helper has pulled the other one, then
+    /// `on_helper` runs on the helper thread.
+    fn with_one_helper<T: Send>(on_helper: impl Fn() -> T + Sync) -> Vec<Option<T>> {
+        let caller = std::thread::current().id();
+        let helper_arrived = AtomicBool::new(false);
+        fan_out(2, 1, |_| {
+            if std::thread::current().id() == caller {
+                while !helper_arrived.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                None
+            } else {
+                helper_arrived.store(true, Ordering::SeqCst);
+                Some(on_helper())
+            }
+        })
+    }
+
+    #[test]
+    fn fan_out_helpers_carry_the_callers_request_context() {
+        let ctx = flight::RequestContext::new("req-fan-out", "acme");
+        let seen = {
+            let _ctx = flight::with_request_context(ctx.clone());
+            with_one_helper(flight::current_request_context)
+        };
+        assert!(flight::current_request_context().is_none());
+        let seen: Vec<_> = seen.into_iter().flatten().flatten().collect();
+        assert_eq!(seen, [ctx]);
+    }
+
+    #[test]
+    fn fan_out_reraises_a_helper_panic_on_the_caller() {
+        let result = std::panic::catch_unwind(|| {
+            with_one_helper(|| panic!("injected helper fault"));
+        });
+        let panic = result.expect_err("the join re-raises the helper's panic");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"injected helper fault"));
     }
 
     #[test]
