@@ -30,9 +30,12 @@ use crate::wal::{
     self, CheckpointState, JournaledPlacement, RecoveryOutcome, TenantJournal, WalConfig,
     WalRecord,
 };
-use rasa_core::{AllocationSession, RasaConfig, SelectionSample, SessionError, SnapshotDelta};
+use rasa_core::{
+    AllocationSession, PublishedPlacement, RasaConfig, SelectionSample, SessionError,
+    SnapshotDelta,
+};
 use rasa_core::Deadline;
-use rasa_model::{Placement, Problem};
+use rasa_model::Problem;
 use rasa_obs::flight;
 use rasa_obs::RequestContext;
 use std::collections::{BTreeMap, VecDeque};
@@ -42,7 +45,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -159,54 +162,95 @@ struct Job {
     ctx: RequestContext,
 }
 
-/// Snapshot of the last published placement, readable without touching the
-/// (potentially solving) engine lock.
+/// The last published placement as readers see it: the session's
+/// certified placement plus the request id of the round that produced it.
 #[derive(Clone)]
 struct PublishedView {
-    round: u64,
-    generation: u64,
-    objective: f64,
-    normalized: f64,
-    placement: Placement,
-    /// Request id of the round that produced this placement.
+    certified: PublishedPlacement,
     request_id: String,
 }
 
-struct Control {
+/// Everything about a tenant that is read without the engine lock.
+struct TenantState {
     breaker: CircuitBreaker,
     backoff: BackoffSchedule,
-}
-
-struct TenantSlot {
-    name: String,
-    queue: BoundedQueue<Job>,
-    engine: Mutex<AllocationSession>,
-    control: Mutex<Control>,
-    published: Mutex<Option<PublishedView>>,
-    /// Latest accepted snapshot generation (mirrors the session's, but
-    /// readable without the engine lock).
-    latest_generation: AtomicU64,
+    /// The last certified placement — set only after it was journaled.
+    published: Option<PublishedView>,
+    /// Latest accepted snapshot generation (the session's, readable
+    /// without the engine lock).
+    generation: u64,
     /// SLO burn-rate accounting over this tenant's allocation requests.
-    slo: Mutex<SloTracker>,
+    slo: SloTracker,
     /// Request id of the last allocation request that reached this tenant.
-    last_request_id: Mutex<String>,
-    /// Verdict of the last solve round (`"ok"`, `"degraded"`,
-    /// `"breaker_open"`, …; `"none"` before the first round).
-    last_verdict: Mutex<String>,
-    /// This tenant's open write-ahead journal (`None` when journaling is
-    /// disabled, or after a journal write error disabled it).
-    journal: Mutex<Option<TenantJournal>>,
+    last_request_id: String,
+    /// Verdict of the last round (`"ok"`, `"degraded"`, `"breaker_open"`,
+    /// …; `"none"` before the first round).
+    last_verdict: &'static str,
     /// Set when recovery found this tenant's journal damaged beyond safe
     /// use: the reason. While set, allocation and placement requests
     /// answer 503 — quarantined state is never served. Cleared only by
     /// `DELETE /tenant` (which also removes the journal directory).
-    quarantined: Mutex<Option<String>>,
+    quarantined: Option<String>,
 }
 
-/// Record the verdict of a tenant's most recent round (shown in
-/// `GET /tenants`).
-fn note_verdict(slot: &TenantSlot, verdict: &str) {
-    *lock_or_recover(&slot.last_verdict) = verdict.to_string();
+impl TenantState {
+    fn breaker_label(&self) -> &'static str {
+        match self.breaker.state(Instant::now()) {
+            BreakerState::Closed => "closed",
+            BreakerState::Open => "open",
+            BreakerState::HalfOpen => "half_open",
+        }
+    }
+
+    /// `true` when the published placement predates the latest accepted
+    /// snapshot generation.
+    fn stale(&self) -> bool {
+        self.published
+            .as_ref()
+            .is_some_and(|v| v.certified.generation < self.generation)
+    }
+
+    /// Report a round result to the breaker, counting trips and recoveries.
+    fn report(&mut self, success: bool) {
+        let obs = rasa_obs::global();
+        let (trips, recoveries) = (self.breaker.trips(), self.breaker.recoveries());
+        if success {
+            self.breaker.on_success();
+        } else {
+            self.breaker.on_failure(Instant::now());
+        }
+        if self.breaker.trips() > trips {
+            obs.inc("serve.breaker_trips");
+        }
+        if self.breaker.recoveries() > recoveries {
+            obs.inc("serve.breaker_recoveries");
+        }
+    }
+}
+
+/// One tenant behind three locks, each with one job.
+///
+/// Lock order: tenants map → `engine` → `journal` → `state`. `state` is
+/// always innermost: while it is held nothing does I/O, sleeps, solves,
+/// writes a socket or takes another daemon lock (only the metric
+/// registry's and event log's leaf locks). A round journals under
+/// `engine` → `journal` and only then publishes in one `state` section,
+/// so no reader sees a placement before it is durable.
+struct TenantSlot {
+    name: String,
+    queue: BoundedQueue<Job>,
+    /// The session; held for a whole round.
+    engine: Mutex<AllocationSession>,
+    /// This tenant's open write-ahead journal (`None` when journaling is
+    /// disabled, or after a journal write error disabled it).
+    journal: Mutex<Option<TenantJournal>>,
+    state: Mutex<TenantState>,
+}
+
+impl TenantSlot {
+    fn state(&self) -> MutexGuard<'_, TenantState> {
+        lock_or_recover(&self.state)
+    }
 }
 
 /// Build a tenant slot around `engine` — used both by ingest (fresh
@@ -220,30 +264,25 @@ fn new_slot(
     quarantined: Option<String>,
 ) -> Arc<TenantSlot> {
     let seed = config.seed ^ fnv1a(tenant);
-    let published = engine.published().map(|p| PublishedView {
-        round: p.round,
-        generation: p.generation,
-        objective: p.objective,
-        normalized: p.normalized,
-        placement: p.placement.clone(),
-        request_id: String::new(),
-    });
-    let latest_generation = engine.generation();
+    let state = TenantState {
+        breaker: CircuitBreaker::new(config.breaker),
+        backoff: BackoffSchedule::new(config.backoff_base, config.backoff_cap, seed),
+        published: engine.published().map(|p| PublishedView {
+            certified: p.clone(),
+            request_id: String::new(),
+        }),
+        generation: engine.generation(),
+        slo: SloTracker::new(config.slo),
+        last_request_id: String::new(),
+        last_verdict: "none",
+        quarantined,
+    };
     Arc::new(TenantSlot {
         name: tenant.to_string(),
         queue: BoundedQueue::new(config.queue_capacity),
         engine: Mutex::new(engine),
-        control: Mutex::new(Control {
-            breaker: CircuitBreaker::new(config.breaker),
-            backoff: BackoffSchedule::new(config.backoff_base, config.backoff_cap, seed),
-        }),
-        published: Mutex::new(published),
-        latest_generation: AtomicU64::new(latest_generation),
-        slo: Mutex::new(SloTracker::new(config.slo)),
-        last_request_id: Mutex::new(String::new()),
-        last_verdict: Mutex::new("none".to_string()),
         journal: Mutex::new(journal),
-        quarantined: Mutex::new(quarantined),
+        state: Mutex::new(state),
     })
 }
 
@@ -265,55 +304,21 @@ fn open_journal(config: &Option<WalConfig>, tenant: &str) -> Option<TenantJourna
     }
 }
 
-/// Append to the tenant's journal when one is open. A write error is
-/// counted and disables journaling for the tenant (the daemon keeps
-/// serving; durability is lost, loudly) — it never fails the round.
-fn journal_append(slot: &TenantSlot, record: &WalRecord) {
-    let mut journal = lock_or_recover(&slot.journal);
-    if let Some(j) = journal.as_mut() {
-        if let Err(e) = j.append(record) {
-            rasa_obs::global().inc("wal.append_errors");
-            log::error(
-                "wal",
-                format!(
-                    "journal append for {} failed; disabling journaling: {e}",
-                    slot.name
-                ),
-            );
-            *journal = None;
-        }
-    }
-}
-
-/// Fold the session's state into a checkpoint when the journal is due for
-/// one. Same error policy as [`journal_append`].
-fn maybe_checkpoint(slot: &TenantSlot, session: &AllocationSession) {
+/// Run `write` against the tenant's journal when one is open. A write
+/// error is counted and disables journaling for the tenant (the daemon
+/// keeps serving; durability is lost, loudly) — it never fails the round.
+fn journal_write(
+    slot: &TenantSlot,
+    write: impl FnOnce(&mut TenantJournal) -> Result<(), wal::WalError>,
+) {
     let mut journal = lock_or_recover(&slot.journal);
     let Some(j) = journal.as_mut() else { return };
-    if !j.needs_checkpoint() {
-        return;
-    }
-    let Some(problem) = session.problem() else {
-        return;
-    };
-    let state = CheckpointState {
-        problem,
-        published: session.published().map(|p| JournaledPlacement {
-            round: p.round,
-            generation: p.generation,
-            claimed_objective: p.objective,
-            normalized: p.normalized,
-            placement: p.placement.clone(),
-        }),
-        rounds: session.rounds(),
-        generation: session.generation(),
-    };
-    if let Err(e) = j.checkpoint(&state) {
+    if let Err(e) = write(j) {
         rasa_obs::global().inc("wal.append_errors");
         log::error(
             "wal",
             format!(
-                "journal compaction for {} failed; disabling journaling: {e}",
+                "journal write for {} failed; disabling journaling: {e}",
                 slot.name
             ),
         );
@@ -321,13 +326,32 @@ fn maybe_checkpoint(slot: &TenantSlot, session: &AllocationSession) {
     }
 }
 
+/// The state a checkpoint folds in, borrowed from `session` (`None`
+/// before its first snapshot).
+fn checkpoint_state(session: &AllocationSession) -> Option<CheckpointState<'_>> {
+    Some(CheckpointState {
+        problem: session.problem()?,
+        published: session.published().map(JournaledPlacement::from),
+        rounds: session.rounds(),
+        generation: session.generation(),
+    })
+}
+
+/// Tenants with queued jobs, in arrival order, plus the workers' stop
+/// flag — under one mutex, so a stop cannot slip between a worker's check
+/// and its wait.
+#[derive(Default)]
+struct Work {
+    ready: VecDeque<String>,
+    stop: bool,
+}
+
 struct Shared {
     config: ServeConfig,
     tenants: Mutex<BTreeMap<String, Arc<TenantSlot>>>,
-    work: Mutex<VecDeque<String>>,
+    work: Mutex<Work>,
     work_cv: Condvar,
     draining: AtomicBool,
-    workers_stop: AtomicBool,
     active_rounds: AtomicU64,
     open_connections: AtomicU64,
     abandoned_jobs: AtomicU64,
@@ -337,16 +361,15 @@ struct Shared {
 /// Recover a mutex guard even if a (caught) panic poisoned it: the daemon
 /// must keep serving other requests, and the guarded state is structurally
 /// valid Rust data either way.
-fn lock_or_recover<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
     fn enqueue_work(&self, tenant: &str) {
-        lock_or_recover(&self.work).push_back(tenant.to_string());
+        lock_or_recover(&self.work)
+            .ready
+            .push_back(tenant.to_string());
         self.work_cv.notify_one();
     }
 
@@ -354,9 +377,13 @@ impl Shared {
         lock_or_recover(&self.tenants).get(name).cloned()
     }
 
+    /// Every tenant, cloned out so no caller holds the map while it works.
+    fn slots(&self) -> Vec<Arc<TenantSlot>> {
+        lock_or_recover(&self.tenants).values().cloned().collect()
+    }
+
     fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        self.work_cv.notify_all();
     }
 }
 
@@ -421,10 +448,9 @@ impl Server {
         let shared = Arc::new(Shared {
             config,
             tenants: Mutex::new(tenants),
-            work: Mutex::new(VecDeque::new()),
+            work: Mutex::default(),
             work_cv: Condvar::new(),
             draining: AtomicBool::new(false),
-            workers_stop: AtomicBool::new(false),
             active_rounds: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
             abandoned_jobs: AtomicU64::new(0),
@@ -584,23 +610,8 @@ fn recover_tenants(config: &ServeConfig) -> BTreeMap<String, Arc<TenantSlot>> {
                         // crash replays one compact file instead of the
                         // whole tail again
                         let journal = open_journal(&config.wal, &tenant).map(|mut j| {
-                            let state = CheckpointState {
-                                problem: restored
-                                    .session
-                                    .problem()
-                                    .expect("restored session has a problem"),
-                                published: restored.session.published().map(|p| {
-                                    JournaledPlacement {
-                                        round: p.round,
-                                        generation: p.generation,
-                                        claimed_objective: p.objective,
-                                        normalized: p.normalized,
-                                        placement: p.placement.clone(),
-                                    }
-                                }),
-                                rounds: restored.session.rounds(),
-                                generation: restored.session.generation(),
-                            };
+                            let state = checkpoint_state(&restored.session)
+                                .expect("restored session has a problem");
                             if let Err(e) = j.checkpoint(&state) {
                                 log::warn(
                                     "recovery",
@@ -652,27 +663,23 @@ fn drain(shared: &Arc<Shared>, workers: Vec<thread::JoinHandle<()>>) -> DrainRep
 
     // Phase 1: let workers finish queued + in-flight rounds.
     while started.elapsed() < shared.config.drain_grace {
-        let queued: usize = lock_or_recover(&shared.tenants)
-            .values()
-            .map(|t| t.queue.len())
-            .sum();
+        let queued: usize = shared.slots().iter().map(|t| t.queue.len()).sum();
         let busy = shared.active_rounds.load(Ordering::SeqCst) > 0
             || shared.open_connections.load(Ordering::SeqCst) > 0
             || queued > 0;
         if !busy {
             break;
         }
-        shared.work_cv.notify_all();
         thread::sleep(Duration::from_millis(20));
     }
 
     // Phase 2: whatever is still queued gets an explicit 503 and a
     // black-box dump — never a silent drop.
-    let tenants: Vec<Arc<TenantSlot>> = lock_or_recover(&shared.tenants).values().cloned().collect();
+    let tenants = shared.slots();
     for slot in &tenants {
         for job in slot.queue.drain() {
             if job.probe {
-                lock_or_recover(&slot.control).breaker.abandon_probe();
+                slot.state().breaker.abandon_probe();
             }
             // re-install the job's request identity so its black box and
             // log line are joinable to the 503 the client received
@@ -695,7 +702,7 @@ fn drain(shared: &Arc<Shared>, workers: Vec<thread::JoinHandle<()>>) -> DrainRep
 
     // Phase 3: stop and join the worker pool (a worker mid-round finishes
     // it first; rounds are deadline-bounded).
-    shared.workers_stop.store(true, Ordering::SeqCst);
+    lock_or_recover(&shared.work).stop = true;
     shared.work_cv.notify_all();
     for w in workers {
         let _ = w.join();
@@ -748,23 +755,18 @@ fn worker_loop(shared: &Arc<Shared>) {
         let name = {
             let mut work = lock_or_recover(&shared.work);
             loop {
-                if let Some(n) = work.pop_front() {
-                    break Some(n);
+                if let Some(n) = work.ready.pop_front() {
+                    break n;
                 }
-                if shared.workers_stop.load(Ordering::SeqCst) {
-                    break None;
+                if work.stop {
+                    return;
                 }
-                let (guard, _) = shared
+                work = shared
                     .work_cv
-                    .wait_timeout(work, Duration::from_millis(100))
-                    .unwrap_or_else(|poisoned| {
-                        let g = poisoned.into_inner();
-                        (g.0, g.1)
-                    });
-                work = guard;
+                    .wait(work)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let Some(name) = name else { return };
         if let Some(slot) = shared.tenant(&name) {
             process_one(shared, &slot);
         }
@@ -780,12 +782,13 @@ fn process_one(shared: &Arc<Shared>, slot: &Arc<TenantSlot>) {
     let started = Instant::now();
     let draining = shared.draining.load(Ordering::SeqCst);
 
+    // `probe` only matters to a job abandoned before it runs
     let Job {
         kind,
         deadline,
-        probe,
         reply,
         ctx,
+        ..
     } = job;
     // the worker thread adopts the request's identity for the round, so
     // flight recordings and log lines carry the ingress request id
@@ -800,15 +803,9 @@ fn process_one(shared: &Arc<Shared>, slot: &Arc<TenantSlot>) {
             // means something outside them blew up. Count it, penalize the
             // breaker, serve stale if possible.
             obs.inc("serve.solve_panics");
-            breaker_report(slot, false);
-            note_verdict(slot, "solve_panicked");
-            stale_or_unavailable(slot, "solve_panicked")
+            stale_or_unavailable(slot, "solve_panicked", true)
         }
     };
-    // `probe` rounds already reported success/failure to the breaker in
-    // run_round / above; nothing extra — the flag only matters when a probe
-    // is abandoned before running (drain path calls abandon_probe).
-    let _ = probe;
     obs.record_duration("serve.round_seconds", started.elapsed());
     let _ = reply.try_send(response);
     if draining {
@@ -820,27 +817,10 @@ fn process_one(shared: &Arc<Shared>, slot: &Arc<TenantSlot>) {
     }
 }
 
-/// Report a round result to the tenant's breaker, counting trips and
-/// recoveries.
-fn breaker_report(slot: &TenantSlot, success: bool) {
-    let obs = rasa_obs::global();
-    let mut control = lock_or_recover(&slot.control);
-    let (trips, recoveries) = (control.breaker.trips(), control.breaker.recoveries());
-    if success {
-        control.breaker.on_success();
-    } else {
-        control.breaker.on_failure(Instant::now());
-    }
-    if control.breaker.trips() > trips {
-        obs.inc("serve.breaker_trips");
-    }
-    if control.breaker.recoveries() > recoveries {
-        obs.inc("serve.breaker_recoveries");
-    }
-}
-
 /// Apply the job's mutation and solve-with-retries. Returns the response
-/// to send; all state updates (publish view, breaker) happen here.
+/// to send. The mutation and the certified placement are journaled first;
+/// the published view, verdict and breaker then change in one `state`
+/// section.
 fn run_round(
     shared: &Arc<Shared>,
     slot: &Arc<TenantSlot>,
@@ -858,12 +838,12 @@ fn run_round(
             // journal the POST-admission repaired problem, so replay
             // re-admits byte-identical state without re-repairing
             let admitted = session.problem().cloned().unwrap_or(*problem);
-            (report, Some(WalRecord::snapshot(session.generation(), admitted)))
+            (report, WalRecord::snapshot(session.generation(), admitted))
         }
         JobKind::Delta(delta) => {
             obs.inc("serve.deltas");
             match session.apply_delta(&delta) {
-                Ok(report) => (report, Some(WalRecord::delta(session.generation(), delta))),
+                Ok(report) => (report, WalRecord::delta(session.generation(), delta)),
                 Err(e) => {
                     obs.inc("serve.delta_rejected");
                     return Response::json(
@@ -874,13 +854,10 @@ fn run_round(
             }
         }
     };
-    slot.latest_generation
-        .store(session.generation(), Ordering::SeqCst);
     // journal the accepted mutation *before* solving: the 200 below
     // implies the state change is already durable (under fsync-always)
-    if let Some(record) = wal_record {
-        journal_append(slot, &record);
-    }
+    journal_write(slot, |j| j.append(&wal_record));
+    slot.state().generation = session.generation();
 
     let mut attempt: u32 = 0;
     loop {
@@ -896,7 +873,6 @@ fn run_round(
                 let verdict = if round.degraded { "degraded" } else { "ok" };
                 scope.set_verdict(verdict, round.degraded);
                 drop(scope);
-                note_verdict(slot, verdict);
                 obs.inc("serve.rounds_published");
                 if round.degraded {
                     obs.inc("serve.rounds_degraded");
@@ -905,33 +881,28 @@ fn run_round(
                         format!("degraded round {} published for {}", round.round, slot.name),
                     );
                 }
-                *lock_or_recover(&slot.published) = Some(PublishedView {
-                    round: round.round,
-                    generation: session.generation(),
-                    objective: round.objective,
-                    normalized: round.normalized,
-                    placement: round.run.outcome.placement.clone(),
-                    request_id: flight::current_request_context()
-                        .map(|c| c.request_id)
-                        .unwrap_or_default(),
+                // the placement passed Gate 2 — journal it and compact if
+                // the journal is due, and only then let readers see it
+                let certified = session.published().expect("a resolved round publishes");
+                journal_write(slot, |j| {
+                    j.append(&WalRecord::placement(certified.into()))?;
+                    match checkpoint_state(&session) {
+                        Some(state) if j.needs_checkpoint() => j.checkpoint(&state),
+                        _ => Ok(()),
+                    }
                 });
-                // the placement passed Gate 2 — journal it, then compact
-                // if the journal is due (checkpointing folds the session's
-                // whole state, so it must see the post-publish view)
-                journal_append(
-                    slot,
-                    &WalRecord::placement(JournaledPlacement {
-                        round: round.round,
-                        generation: session.generation(),
-                        claimed_objective: round.objective,
-                        normalized: round.normalized,
-                        placement: round.run.outcome.placement.clone(),
-                    }),
-                );
-                maybe_checkpoint(slot, &session);
-                // A degraded round is still published (it certified), but
-                // it counts as ladder exhaustion for the breaker.
-                breaker_report(slot, !round.degraded);
+                let view = PublishedView {
+                    certified: certified.clone(),
+                    request_id: round.request_id.clone().unwrap_or_default(),
+                };
+                {
+                    let mut state = slot.state();
+                    state.published = Some(view);
+                    state.last_verdict = verdict;
+                    // A degraded round is still published (it certified),
+                    // but it counts as ladder exhaustion for the breaker.
+                    state.report(!round.degraded);
+                }
                 // Online-learning hook: every N published rounds, refit the
                 // selector from the session's accumulated sample stream.
                 // Happens after the publish, so a slow refit never sits
@@ -975,7 +946,7 @@ fn run_round(
                     ),
                 );
             }
-            Err(SessionError::Uncertified(failure)) => {
+            Err(SessionError::Uncertified(_)) => {
                 scope.set_verdict("uncertified", true);
                 drop(scope);
                 obs.inc("serve.uncertified_rejected");
@@ -983,20 +954,17 @@ fn run_round(
                     && !shared.draining.load(Ordering::SeqCst)
                 {
                     obs.inc("serve.retries");
-                    let delay = lock_or_recover(&slot.control).backoff.next_delay(attempt);
+                    let delay = slot.state().backoff.next_delay(attempt);
                     attempt += 1;
                     thread::sleep(delay);
                     continue;
                 }
-                breaker_report(slot, false);
-                let _ = failure;
-                note_verdict(slot, "uncertified_after_retries");
-                return stale_or_unavailable(slot, "uncertified_after_retries");
+                return stale_or_unavailable(slot, "uncertified_after_retries", true);
             }
             Err(e) => {
                 scope.set_verdict("rejected", true);
                 drop(scope);
-                note_verdict(slot, "rejected");
+                slot.state().last_verdict = "rejected";
                 return Response::json(
                     422,
                     format!("{{\"error\":\"rejected\",\"detail\":\"{e}\"}}"),
@@ -1007,23 +975,35 @@ fn run_round(
 }
 
 /// Degraded-mode answer: the last certified placement with `stale: true`,
-/// or 503 when this tenant has never published.
-fn stale_or_unavailable(slot: &TenantSlot, reason: &str) -> Response {
+/// or 503 when this tenant has never published. Records `reason` as the
+/// round's verdict and, when `failed`, a breaker failure — in the same
+/// `state` section that reads the placement.
+fn stale_or_unavailable(slot: &TenantSlot, reason: &'static str, failed: bool) -> Response {
     let obs = rasa_obs::global();
-    let published = lock_or_recover(&slot.published).clone();
+    let published = {
+        let mut state = slot.state();
+        if failed {
+            state.report(false);
+        }
+        state.last_verdict = reason;
+        state
+            .published
+            .as_ref()
+            .map(|v| (v.certified.round, v.certified.objective, v.certified.normalized))
+    };
     log::warn(
         "serve",
         format!("serving degraded answer for {}: {reason}", slot.name),
     );
     match published {
-        Some(view) => {
+        Some((round, objective, normalized)) => {
             obs.inc("serve.stale_served");
             Response::json(
                 200,
                 format!(
                     "{{\"tenant\":\"{}\",\"accepted\":false,\"certified\":true,\"stale\":true,\
-                     \"round\":{},\"objective\":{:.6},\"normalized\":{:.6},\"reason\":\"{reason}\"}}",
-                    slot.name, view.round, view.objective, view.normalized,
+                     \"round\":{round},\"objective\":{objective:.6},\"normalized\":{normalized:.6},\"reason\":\"{reason}\"}}",
+                    slot.name,
                 ),
             )
         }
@@ -1149,7 +1129,7 @@ fn finish_slo(shared: &Arc<Shared>, request: &Request, status: u16, elapsed: Dur
     if !latency_ok {
         obs.inc_labeled("slo.latency_misses", tenant);
     }
-    lock_or_recover(&slot.slo).record(status, elapsed);
+    slot.state().slo.record(status, elapsed);
 }
 
 fn route(shared: &Arc<Shared>, request: &Request) -> Response {
@@ -1186,16 +1166,13 @@ fn healthz_response(shared: &Arc<Shared>) -> Response {
         reasons.push("\"draining\"".to_string());
     }
     let now = Instant::now();
-    let tenants: Vec<Arc<TenantSlot>> =
-        lock_or_recover(&shared.tenants).values().cloned().collect();
+    let tenants = shared.slots();
     for slot in &tenants {
-        if matches!(
-            lock_or_recover(&slot.control).breaker.state(now),
-            BreakerState::Open
-        ) {
+        let state = slot.state();
+        if state.breaker.state(now) == BreakerState::Open {
             reasons.push(format!("\"breaker_open:{}\"", slot.name));
         }
-        if lock_or_recover(&slot.quarantined).is_some() {
+        if state.quarantined.is_some() {
             reasons.push(format!("\"quarantined:{}\"", slot.name));
         }
     }
@@ -1215,40 +1192,29 @@ fn healthz_response(shared: &Arc<Shared>) -> Response {
 /// `GET /tenants`: one row per tenant — breaker state, queue depth, last
 /// round verdict, last request id, and the 5m/1h SLO burn rates.
 fn tenants_response(shared: &Arc<Shared>) -> Response {
-    let tenants: Vec<Arc<TenantSlot>> =
-        lock_or_recover(&shared.tenants).values().cloned().collect();
-    let now = Instant::now();
+    let tenants = shared.slots();
     let mut rows = Vec::with_capacity(tenants.len());
     for slot in &tenants {
-        let breaker = match lock_or_recover(&slot.control).breaker.state(now) {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
-        };
-        let view = lock_or_recover(&slot.published).clone();
-        let (published_round, stale) = match &view {
-            Some(v) => (
-                v.round.to_string(),
-                v.generation < slot.latest_generation.load(Ordering::SeqCst),
-            ),
-            None => ("null".to_string(), false),
-        };
-        let last_request_id = lock_or_recover(&slot.last_request_id).clone();
-        let last_verdict = lock_or_recover(&slot.last_verdict).clone();
-        let quarantined = lock_or_recover(&slot.quarantined).is_some();
-        let (short, long) = {
-            let slo = lock_or_recover(&slot.slo);
-            (slo.burn_short(), slo.burn_long())
-        };
+        let queue_depth = slot.queue.len();
+        let state = slot.state();
+        let published_round = state
+            .published
+            .as_ref()
+            .map_or("null".to_string(), |v| v.certified.round.to_string());
+        let (short, long) = (state.slo.burn_short(), state.slo.burn_long());
         rows.push(format!(
-            "{{\"tenant\":\"{}\",\"breaker\":\"{breaker}\",\"queue_depth\":{},\
-             \"last_request_id\":\"{last_request_id}\",\"last_verdict\":\"{last_verdict}\",\
-             \"published_round\":{published_round},\"stale\":{stale},\
-             \"quarantined\":{quarantined},\
+            "{{\"tenant\":\"{}\",\"breaker\":\"{}\",\"queue_depth\":{queue_depth},\
+             \"last_request_id\":\"{}\",\"last_verdict\":\"{}\",\
+             \"published_round\":{published_round},\"stale\":{},\
+             \"quarantined\":{},\
              \"slo\":{{\"events_5m\":{},\"latency_burn_5m\":{:.4},\"availability_burn_5m\":{:.4},\
              \"events_1h\":{},\"latency_burn_1h\":{:.4},\"availability_burn_1h\":{:.4}}}}}",
             slot.name,
-            slot.queue.len(),
+            state.breaker_label(),
+            state.last_request_id,
+            state.last_verdict,
+            state.stale(),
+            state.quarantined.is_some(),
             short.events,
             short.latency,
             short.availability,
@@ -1299,6 +1265,17 @@ fn tenant_param(request: &Request) -> Result<&str, Response> {
     }
 }
 
+/// The 503 a quarantined tenant answers to allocation and placement
+/// requests.
+fn quarantined(reason: &str) -> Response {
+    rasa_obs::global().inc("serve.rejected_quarantined");
+    Response::json(
+        503,
+        format!("{{\"error\":\"quarantined\",\"detail\":\"{reason}\"}}"),
+    )
+    .with_header("Retry-After", "30".to_string())
+}
+
 fn placement_response(shared: &Arc<Shared>, request: &Request) -> Response {
     let tenant = match tenant_param(request) {
         Ok(t) => t,
@@ -1307,25 +1284,18 @@ fn placement_response(shared: &Arc<Shared>, request: &Request) -> Response {
     let Some(slot) = shared.tenant(tenant) else {
         return Response::json(404, "{\"error\":\"unknown tenant\"}".to_string());
     };
-    if let Some(reason) = lock_or_recover(&slot.quarantined).clone() {
-        rasa_obs::global().inc("serve.rejected_quarantined");
-        return Response::json(
-            503,
-            format!("{{\"error\":\"quarantined\",\"detail\":\"{reason}\"}}"),
-        )
-        .with_header("Retry-After", "30".to_string());
-    }
-    let view = lock_or_recover(&slot.published).clone();
-    let Some(view) = view else {
-        return Response::json(404, "{\"error\":\"no placement published yet\"}".to_string());
+    let (view, stale, breaker) = {
+        let state = slot.state();
+        if let Some(reason) = &state.quarantined {
+            return quarantined(reason);
+        }
+        let Some(view) = state.published.clone() else {
+            return Response::json(404, "{\"error\":\"no placement published yet\"}".to_string());
+        };
+        (view, state.stale(), state.breaker_label())
     };
-    let stale = view.generation < slot.latest_generation.load(Ordering::SeqCst);
-    let breaker = match lock_or_recover(&slot.control).breaker.state(Instant::now()) {
-        BreakerState::Closed => "closed",
-        BreakerState::Open => "open",
-        BreakerState::HalfOpen => "half_open",
-    };
-    let placement_json = match serde_json::to_string(&view.placement) {
+    let p = &view.certified;
+    let placement_json = match serde_json::to_string(&p.placement) {
         Ok(j) => j,
         Err(_) => return Response::json(500, "{\"error\":\"serialize\"}".to_string()),
     };
@@ -1335,7 +1305,7 @@ fn placement_response(shared: &Arc<Shared>, request: &Request) -> Response {
             "{{\"tenant\":\"{tenant}\",\"round\":{},\"generation\":{},\"stale\":{stale},\
              \"breaker\":\"{breaker}\",\"request_id\":\"{}\",\"objective\":{:.6},\
              \"normalized\":{:.6},\"placement\":{placement_json}}}",
-            view.round, view.generation, view.request_id, view.objective, view.normalized,
+            p.round, p.generation, view.request_id, p.objective, p.normalized,
         ),
     )
 }
@@ -1455,30 +1425,26 @@ fn ingest(shared: &Arc<Shared>, request: &Request, is_snapshot: bool) -> Respons
             }
         }
     };
-    // A quarantined tenant's journal is damaged: serving (or mutating)
-    // it would publish state the trust gates never re-validated. 503
-    // until an operator removes the tenant.
-    if let Some(reason) = lock_or_recover(&slot.quarantined).clone() {
-        obs.inc("serve.rejected_quarantined");
-        return Response::json(
-            503,
-            format!("{{\"error\":\"quarantined\",\"detail\":\"{reason}\"}}"),
-        )
-        .with_header("Retry-After", "30".to_string());
-    }
     let ctx = flight::current_request_context().unwrap_or_default();
-    *lock_or_recover(&slot.last_request_id) = ctx.request_id.clone();
-
+    let decision = {
+        let mut state = slot.state();
+        // A quarantined tenant's journal is damaged: serving (or mutating)
+        // it would publish state the trust gates never re-validated. 503
+        // until an operator removes the tenant.
+        if let Some(reason) = &state.quarantined {
+            return quarantined(reason);
+        }
+        state.last_request_id = ctx.request_id.clone();
+        state.breaker.admit(Instant::now())
+    };
     // Circuit breaker gate. While open, the mutation is NOT applied — the
     // client gets the last certified placement (stale) plus a Retry-After,
     // and should re-send after the cooldown.
-    let decision = lock_or_recover(&slot.control).breaker.admit(Instant::now());
     let probe = match decision {
         BreakerDecision::Solve => false,
         BreakerDecision::Probe => true,
         BreakerDecision::ServeStale => {
-            note_verdict(&slot, "breaker_open");
-            return stale_or_unavailable(&slot, "breaker_open")
+            return stale_or_unavailable(&slot, "breaker_open", false)
                 .with_header("Retry-After", "5".to_string());
         }
     };
@@ -1495,7 +1461,7 @@ fn ingest(shared: &Arc<Shared>, request: &Request, is_snapshot: bool) -> Respons
         Ok(depth) => obs.record("serve.queue_depth", depth as f64),
         Err(QueueFull(job)) => {
             if job.probe {
-                lock_or_recover(&slot.control).breaker.abandon_probe();
+                slot.state().breaker.abandon_probe();
             }
             obs.inc("serve.rejected_queue_full");
             let retry_after = shared.config.default_deadline.as_secs().max(1);

@@ -57,7 +57,9 @@
 //! `n`-th checkpoint (before the rename). Both leave a genuinely torn
 //! file behind, exactly like a power cut.
 
-use rasa_core::{apply_delta_to_problem, RestoredPlacement, RestoredState, SnapshotDelta};
+use rasa_core::{
+    apply_delta_to_problem, PublishedPlacement, RestoredPlacement, RestoredState, SnapshotDelta,
+};
 use rasa_model::{Placement, Problem, ProblemValidator};
 use rasa_obs::flight::{self, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -189,6 +191,18 @@ pub struct JournaledPlacement {
     pub normalized: f64,
     /// The certified container-to-machine mapping.
     pub placement: Placement,
+}
+
+impl From<&PublishedPlacement> for JournaledPlacement {
+    fn from(p: &PublishedPlacement) -> Self {
+        JournaledPlacement {
+            round: p.round,
+            generation: p.generation,
+            claimed_objective: p.objective,
+            normalized: p.normalized,
+            placement: p.placement.clone(),
+        }
+    }
 }
 
 /// What a [`WalRecord`] carries (the vendored serde_derive supports only

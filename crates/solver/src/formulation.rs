@@ -553,7 +553,6 @@ pub(crate) fn deaggregate_group(
     }
 
     // --- hill climbing: relocate single containers while it pays ---
-    let mut debug_moves = 0usize;
     for pass in 0..8 {
         let mut improved = false;
         for &(s, _) in &order {
@@ -588,7 +587,6 @@ pub(crate) fn deaggregate_group(
                         aa_counts[ri][mj] += 1;
                     }
                     improved = true;
-                    debug_moves += 1;
                 }
             }
         }
@@ -643,9 +641,6 @@ pub(crate) fn deaggregate_group(
         } else if !improved {
             break;
         }
-    }
-    if std::env::var("RASA_DEBUG").is_ok() {
-        eprintln!("[deagg] group k={k} moves={debug_moves}");
     }
 }
 
