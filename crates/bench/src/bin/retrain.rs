@@ -1,14 +1,14 @@
 //! **retrain** — offline portfolio-selector retraining from a persisted
 //! selection-sample stream, producing a saved model and a holdout regret
-//! report (the artifact CI uploads).
+//! report.
 //!
 //! The input is the JSONL stream the pipeline's online loop accumulates
-//! (`SampleLog` → `rasa_trace::save_jsonl`) — by default the one the
-//! portfolio bench writes to `target/experiments/selection_samples.jsonl`.
-//! When the stream file is missing, the binary bootstraps one by racing
-//! all four pool arms on training subproblems (the same full-feedback
-//! labelling the bench uses), so `cargo run -p rasa-bench --bin retrain`
-//! works from a clean checkout.
+//! (`SampleLog` → `rasa_trace::save_jsonl`, e.g. a daemon's
+//! `--sample-stream`) — by default `target/experiments/selection_samples.jsonl`.
+//! When the stream file is missing, the binary bootstraps one there by
+//! racing all four pool arms on training subproblems (full-feedback
+//! labelling), so `cargo run -p rasa-bench --bin retrain` works from a
+//! clean checkout.
 //!
 //! Usage:
 //!
@@ -34,10 +34,10 @@ const POP_PARTS: usize = 4;
 const LABEL_CAP: usize = 48;
 
 fn bootstrap_samples(stream_path: &Path) -> Vec<SelectionSample> {
-    // Same budget-matched, stratified labelling as the portfolio bench:
-    // race arms at the per-subproblem slice deployed runs grant, over
-    // subproblems drawn evenly from the T-clusters and the shifted-seed
-    // evaluation-family clusters (see `bin/portfolio.rs`).
+    // Budget-matched, stratified labelling: race arms at the
+    // per-subproblem slice deployed runs grant, over subproblems drawn
+    // evenly from the T-clusters and the shifted-seed evaluation-family
+    // clusters.
     let (label_limit, quick_budget) = labelling_budget();
     let label_budget = quick_budget.max(rasa_bench::timeout() / 4);
     let limit = label_limit.min(LABEL_CAP);

@@ -1,9 +1,11 @@
 //! # rasa-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (Section V), plus criterion micro-benchmarks. See DESIGN.md
-//! §5 for the full experiment index and EXPERIMENTS.md for recorded
-//! paper-vs-measured outcomes.
+//! evaluation (Section V), the `pipeline` runtime-vs-quality experiment
+//! over the M-ratio ladder, `retrain` for the portfolio selector, plus
+//! criterion micro-benchmarks. See DESIGN.md §5 for the full experiment
+//! index and EXPERIMENTS.md for recorded paper-vs-measured outcomes. The
+//! repository's benchmark lives in `benchmark/`, not here.
 //!
 //! All binaries honor two environment variables:
 //!
@@ -19,8 +21,8 @@ use rasa_model::Problem;
 use rasa_trace::{generate, s_clusters, ClusterSpec};
 use std::time::Duration;
 
-/// Benchmark scale selected via `RASA_SCALE` (or `--scale` where a binary
-/// supports the flag). Ordered smallest to largest.
+/// Experiment scale selected via `RASA_SCALE`. Ordered smallest to
+/// largest.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Scale {
     /// Reduced clusters; minutes-total runtime. The CI smoke scale.
@@ -29,17 +31,17 @@ pub enum Scale {
     Medium,
     /// Second ladder rung: the S1 + S3 pair (M1/10, M3 at full size).
     Large,
-    /// Top ladder rung: the S2 + S4 pair (M2/10, M4/10) — the largest
-    /// committed-baseline scale, approaching the paper's M-clusters.
+    /// Top ladder rung: the S2 + S4 pair (M2/10, M4/10), approaching the
+    /// paper's M-clusters.
     Xl,
     /// The complete S1–S4 analogues of Table II (DESIGN.md §6).
     Full,
 }
 
 impl Scale {
-    /// Parse a scale name as used by `RASA_SCALE` and `--scale`
-    /// (case-insensitive). Unknown names return `None` so callers can
-    /// distinguish "unset" from "typo".
+    /// Parse a scale name as used by `RASA_SCALE` (case-insensitive).
+    /// Unknown names return `None` so callers can distinguish "unset" from
+    /// "typo".
     pub fn parse(s: &str) -> Option<Scale> {
         match s.to_ascii_lowercase().as_str() {
             "small" => Some(Scale::Small),
@@ -51,8 +53,8 @@ impl Scale {
         }
     }
 
-    /// The canonical lowercase name, as recorded in `BenchArtifact::scale`
-    /// and used for per-scale cache/baseline file names.
+    /// The canonical lowercase name, used for per-scale cache and
+    /// artifact file names.
     pub fn as_str(self) -> &'static str {
         match self {
             Scale::Small => "small",
@@ -248,11 +250,7 @@ mod tests {
     }
 }
 
-pub mod artifact;
-pub mod compare;
-pub mod portfolio_artifact;
 pub mod production;
-pub mod serve_artifact;
 
 /// How many T-cluster subproblems to label (and the per-label race
 /// budget) when training the learned selectors at the current scale.

@@ -20,7 +20,7 @@ pub enum SelectorChoice {
     AlwaysCg,
     /// Always the MIP-based algorithm (ablation).
     AlwaysMip,
-    /// Always the POP shard rung (ablation for the portfolio bench).
+    /// Always the POP shard rung (ablation).
     AlwaysPop,
     /// Always the greedy completion arm (ablation; the quality floor).
     AlwaysGreedy,

@@ -72,8 +72,8 @@ fn bucket_index(v: f64) -> usize {
 }
 
 /// A fixed-layout log₂-bucketed histogram with count/sum/min/max, safe for
-/// concurrent recording. Quantiles are estimated from the bucket counts at
-/// snapshot time (see [`HistogramSnapshot::quantile`]).
+/// concurrent recording. Snapshots ([`HistogramSnapshot`]) carry the
+/// non-empty buckets; they estimate no percentile.
 #[derive(Debug)]
 pub struct Histogram {
     count: AtomicU64,

@@ -1,5 +1,5 @@
-//! Frozen, serializable metric state: what `rasa-bench` writes into
-//! `BENCH_pipeline.json` and what tests assert on.
+//! Frozen, serializable metric state: what the Prometheus writer behind
+//! `/metrics` renders and what tests assert on.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,42 +28,6 @@ impl HistogramSnapshot {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// Estimate the `q`-quantile (`0.0 ..= 1.0`) from the bucket counts:
-    /// the upper bound of the first bucket at which the cumulative count
-    /// reaches `q · count`, clamped into `[min, max]`. Exact to within one
-    /// log₂ bucket, which is plenty for p50/p95 latency reporting.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(upper, c) in &self.buckets {
-            seen += c;
-            if seen >= target {
-                return upper.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Median estimate (`quantile(0.5)`).
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th-percentile estimate (`quantile(0.95)`).
-    pub fn p95(&self) -> f64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th-percentile estimate (`quantile(0.99)`). With log₂ buckets the
-    /// tail estimate is coarse, so artifacts pair it with the exact
-    /// [`max`](HistogramSnapshot::max).
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
     }
 }
 
@@ -138,37 +102,6 @@ impl MetricsSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn hist(values: &[f64]) -> HistogramSnapshot {
-        let h = crate::Histogram::new();
-        for &v in values {
-            h.record(v);
-        }
-        h.snapshot()
-    }
-
-    #[test]
-    fn quantile_tracks_distribution_within_a_bucket() {
-        let values: Vec<f64> = (1..=100).map(f64::from).collect();
-        let h = hist(&values);
-        let p50 = h.quantile(0.5);
-        let p95 = h.quantile(0.95);
-        // log2 buckets: p50 within a factor of 2 of the true median 50
-        assert!((32.0..=128.0).contains(&p50), "p50 {p50}");
-        assert!(p95 >= p50, "p95 {p95} < p50 {p50}");
-        assert!(p95 <= 100.0, "clamped to max");
-        assert!(h.quantile(0.0) >= h.min);
-    }
-
-    #[test]
-    fn quantile_of_empty_and_singleton() {
-        assert_eq!(hist(&[]).quantile(0.5), 0.0);
-        let one = hist(&[3.5]);
-        assert_eq!(one.quantile(0.5), 3.5);
-        assert_eq!(one.quantile(0.99), 3.5);
-    }
-
     #[test]
     fn prefix_and_lookup_helpers() {
         let reg = crate::MetricsRegistry::new();

@@ -213,18 +213,25 @@ fn breaker_trips_to_stale_serving_under_starved_deadlines() {
             failure_threshold: 3,
             cooldown: Duration::from_secs(3600), // stays open for the test
         },
+        // every subproblem sees an expired deadline, whatever the box's speed
+        rasa: rasa_core::RasaConfig {
+            fault_injection: rasa_core::FaultInjection::StarveSubproblems((0..40).collect()),
+            ..rasa_core::RasaConfig::default()
+        },
         ..quick_config()
     });
-    // a healthy round first, so there is a certified placement to serve stale
-    let problem = generate(&spec(40, 7));
+    // a healthy round first, so there is a certified placement to serve
+    // stale: with no affinity edge there is no subproblem to starve
+    let mut problem = generate(&spec(40, 7));
+    problem.affinity_edges.clear();
     let body = serde_json::to_string(&problem).unwrap();
     let healthy = http(addr, "POST", "/snapshot?tenant=starved", &body);
     assert_eq!(healthy.status, 200, "body: {}", healthy.body);
     assert!(healthy.body.contains("\"degraded\":false"));
 
-    // now starve the deadline: 1ms over 40 services forces ladder
-    // exhaustion (deadline-expired completion floor) — certified but
-    // degraded, each counting against the breaker
+    // each delta adds an edge, hence a subproblem, which starves: the
+    // completion floor keeps the round certified but degraded, and each
+    // one counts against the breaker
     let mut degraded_seen = 0;
     for i in 0..3 {
         let delta = format!(
@@ -232,12 +239,7 @@ fn breaker_trips_to_stale_serving_under_starved_deadlines() {
             i + 1,
             50.0 + i as f64
         );
-        let reply = http(
-            addr,
-            "POST",
-            "/delta?tenant=starved&deadline_ms=1",
-            &delta,
-        );
+        let reply = http(addr, "POST", "/delta?tenant=starved", &delta);
         assert_eq!(reply.status, 200, "body: {}", reply.body);
         if reply.body.contains("\"degraded\":true") {
             degraded_seen += 1;
@@ -245,7 +247,7 @@ fn breaker_trips_to_stale_serving_under_starved_deadlines() {
     }
     assert_eq!(
         degraded_seen, 3,
-        "1ms deadlines over 40 services must exhaust the ladder"
+        "starved subproblems must degrade every round"
     );
 
     // breaker is now open: the next request is served stale, not solved

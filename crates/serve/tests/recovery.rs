@@ -108,37 +108,50 @@ fn restart_republishes_the_byte_identical_certified_placement() {
     let root = scratch("restart");
     let (addr, handle, join) = boot(wal_config(root.clone()));
 
-    let problem = generate(&spec(7, 3));
-    let body = serde_json::to_string(&problem).unwrap();
-    assert_eq!(http(addr, "POST", "/snapshot?tenant=acme", &body).status, 200);
-    for step in 0..3 {
-        let delta = format!(
-            "{{\"edge_updates\":[{{\"a\":0,\"b\":{},\"weight\":{}.5}}],\"replica_updates\":[]}}",
-            step + 1,
-            20 + step
-        );
-        assert_eq!(http(addr, "POST", "/delta?tenant=acme", &delta).status, 200);
+    // six tenants journaled side by side, each a snapshot and three deltas
+    let tenants: Vec<String> = (0..6).map(|i| format!("t{i}")).collect();
+    let mut keys_before = Vec::new();
+    for (i, tenant) in tenants.iter().enumerate() {
+        let problem = generate(&spec(7, 3 + i as u64));
+        let body = serde_json::to_string(&problem).unwrap();
+        let snapshot = format!("/snapshot?tenant={tenant}");
+        assert_eq!(http(addr, "POST", &snapshot, &body).status, 200);
+        for step in 0..3 {
+            let delta = format!(
+                "{{\"edge_updates\":[{{\"a\":0,\"b\":{},\"weight\":{}.5}}],\"replica_updates\":[]}}",
+                step + 1,
+                20 + step
+            );
+            let target = format!("/delta?tenant={tenant}");
+            assert_eq!(http(addr, "POST", &target, &delta).status, 200);
+        }
+        let before = http(addr, "GET", &format!("/placement?tenant={tenant}"), "");
+        assert_eq!(before.status, 200);
+        keys_before.push(placement_key(&before.body));
     }
-    let before = http(addr, "GET", "/placement?tenant=acme", "");
-    assert_eq!(before.status, 200);
-    let key_before = placement_key(&before.body);
 
     handle.shutdown();
     let _ = join.join().unwrap();
 
-    // same journal root, fresh process state: recovery replays the journal
-    // through both trust gates and republishes
+    // same journal root, fresh process state: recovery replays every
+    // journal through both trust gates and republishes
     let (addr2, handle2, join2) = boot(wal_config(root));
-    let after = http(addr2, "GET", "/placement?tenant=acme", "");
-    assert_eq!(after.status, 200, "recovered tenant must serve: {}", after.body);
-    let key_after = placement_key(&after.body);
-    assert_eq!(
-        key_before, key_after,
-        "recovered placement must be byte-identical to the last certified one"
-    );
-    // the recovered tenant is live, not quarantined: new rounds still work
+    for (tenant, key_before) in tenants.iter().zip(&keys_before) {
+        let after = http(addr2, "GET", &format!("/placement?tenant={tenant}"), "");
+        assert_eq!(
+            after.status, 200,
+            "recovered {tenant} must serve: {}",
+            after.body
+        );
+        assert_eq!(
+            key_before,
+            &placement_key(&after.body),
+            "{tenant}'s recovered placement must be byte-identical to its last certified one"
+        );
+    }
+    // the recovered tenants are live, not quarantined: new rounds still work
     let delta = "{\"edge_updates\":[{\"a\":1,\"b\":2,\"weight\":33.0}],\"replica_updates\":[]}";
-    assert_eq!(http(addr2, "POST", "/delta?tenant=acme", delta).status, 200);
+    assert_eq!(http(addr2, "POST", "/delta?tenant=t0", delta).status, 200);
     handle2.shutdown();
     let _ = join2.join().unwrap();
 }
