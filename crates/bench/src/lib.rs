@@ -2,10 +2,10 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation (Section V), the `pipeline` runtime-vs-quality experiment
-//! over the M-ratio ladder, `retrain` for the portfolio selector, plus
-//! criterion micro-benchmarks. See DESIGN.md §5 for the full experiment
-//! index and EXPERIMENTS.md for recorded paper-vs-measured outcomes. The
-//! repository's benchmark lives in `benchmark/`, not here.
+//! over the M-ratio ladder, plus criterion micro-benchmarks. See DESIGN.md
+//! §5 for the full experiment index and EXPERIMENTS.md for recorded
+//! paper-vs-measured outcomes. The repository's benchmark lives in
+//! `benchmark/`, not here.
 //!
 //! All binaries honor two environment variables:
 //!
@@ -121,32 +121,6 @@ pub fn evaluation_clusters() -> Vec<(String, Problem)> {
         .collect();
     specs
         .into_iter()
-        .map(|spec| (spec.name.clone(), generate(&spec)))
-        .collect()
-}
-
-/// Training analogues of the evaluation clusters: the same S-cluster
-/// family at the same scale divisor but with shifted seeds, so the
-/// portfolio's labelling stream covers the distribution it will be
-/// evaluated on without reusing the committed evaluation instances. This
-/// is the bench-side stand-in for the online loop's production rounds —
-/// in deployment the stream comes from the very clusters being served.
-pub fn training_clusters() -> Vec<(String, Problem)> {
-    let divisor = match scale() {
-        Scale::Small => 4,
-        Scale::Medium => 2,
-        Scale::Large | Scale::Xl | Scale::Full => 1,
-    };
-    s_clusters()
-        .into_iter()
-        .map(|spec| ClusterSpec {
-            name: format!("{}-train", spec.name),
-            services: spec.services / divisor as usize,
-            target_containers: spec.target_containers / divisor,
-            machines: spec.machines / divisor as usize,
-            seed: spec.seed + 500,
-            ..spec
-        })
         .map(|spec| (spec.name.clone(), generate(&spec)))
         .collect()
 }

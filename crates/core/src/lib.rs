@@ -52,21 +52,18 @@ pub use selector_choice::SelectorChoice;
 pub use service::{
     apply_delta_to_problem, AllocationSession, DeltaPlan, EdgeUpdate, PublishedPlacement,
     ReplicaUpdate, Restored, RestoredPlacement, RestoredState, RestoreError, SessionError,
-    SessionRound, SnapshotDelta, MIN_RETRAIN_SAMPLES,
+    SessionRound, SnapshotDelta,
 };
 pub use solve_cache::{CacheRoundStats, CachedSubSolve, SolveCache};
 pub use solve_guard::{
     guarded_schedule, FaultInjection, GuardedOutcome, PanickingScheduler, SolveStatus,
 };
-pub use training::{generate_training_set, training_subproblems};
+pub use training::generate_training_set;
 
 // Re-export the pieces users compose with.
 pub use rasa_migrate::{plan_migration, MigrateConfig, MigrationPlan};
 pub use rasa_model as model;
 pub use rasa_model::{AdmissionReport, ProblemValidator, RasaError};
 pub use rasa_partition::{PartitionConfig, PartitionStrategy};
-pub use rasa_select::{
-    portfolio_features, PoolAlgorithm, PortfolioSelector, RegretReport, SampleLog,
-    SelectionSample,
-};
+pub use rasa_select::{portfolio_features, PoolAlgorithm, SampleLog, SelectionSample};
 pub use rasa_solver::{ScheduleOutcome, Scheduler};

@@ -50,11 +50,10 @@ pub struct RasaConfig {
     pub cg: CgOptions,
     /// Options for the POP shard-rung pool member (parts, split seed).
     pub pop: PopOptions,
-    /// Online-learning sample stream: every fresh (non-cached) subproblem
-    /// solve appends a `(features, choice, quality, latency)` tuple here.
+    /// Selection sample stream: every fresh (non-cached) subproblem solve
+    /// appends a `(features, choice, quality, latency)` tuple here.
     /// Bounded (drop-oldest); `Clone` shares the underlying buffer, so a
-    /// session's clones of this config all feed one stream the `retrain`
-    /// path can refit from.
+    /// session's clones of this config all feed one stream.
     pub sample_log: SampleLog,
     /// Solve subproblems on parallel threads (the paper solves each
     /// subproblem independently, which is embarrassingly parallel).
@@ -442,9 +441,9 @@ impl RasaPipeline {
                 &sub.mapping.machine_to_parent,
             );
             if !*was_hit {
-                // feed the online-learning loop: realized quality/latency
-                // of the selector's decision on this subproblem (replayed
-                // cache hits cost nothing and would bias latency labels)
+                // record the realized quality/latency of the selector's
+                // decision on this subproblem (replayed cache hits cost
+                // nothing and would bias latency records)
                 obs.inc("select.samples");
                 let dropped = self.config.sample_log.record(SelectionSample {
                     features: portfolio_features(&sub.problem),
@@ -835,14 +834,18 @@ mod tests {
         let p = pair_problem();
         let pipeline = RasaPipeline::default();
         let cache = SolveCache::new();
+        let samples = &pipeline.config.sample_log;
+        let before = samples.len();
         let cold = pipeline.optimize_with_cache(&p, None, Deadline::none(), Some(&cache));
         let cold_stats = cold.cache.expect("stats with cache");
         assert_eq!(cold_stats.hits, 0);
         assert_eq!(cold_stats.misses, 1);
         assert!(!cold.subproblems[0].cache_hit);
         assert_eq!(cache.len(), 1);
+        assert_eq!(samples.len(), before + 1, "a fresh solve records one sample");
 
         let warm = pipeline.optimize_with_cache(&p, None, Deadline::none(), Some(&cache));
+        assert_eq!(samples.len(), before + 1, "an all-hit replay records none");
         let warm_stats = warm.cache.expect("stats with cache");
         assert_eq!(warm_stats.hits, 1);
         assert_eq!(warm_stats.misses, 0);

@@ -14,10 +14,8 @@
 
 use crate::certify::{certify_placement, CertificationFailure};
 use crate::pipeline::{RasaConfig, RasaPipeline, RasaRun};
-use crate::selector_choice::SelectorChoice;
 use crate::solve_cache::SolveCache;
 use rand::{rngs::StdRng, SeedableRng};
-use rasa_select::{retrain_from_samples, RegretReport};
 use rasa_lp::Deadline;
 use rasa_model::{AdmissionReport, AffinityEdge, Placement, Problem, ProblemValidator, ServiceId};
 use rasa_partition::{compute_delta, partition_with_strategy};
@@ -234,11 +232,6 @@ pub struct SessionRound {
     /// request context — e.g. batch or bench callers).
     pub request_id: Option<String>,
 }
-
-/// Minimum accumulated [`SelectionSample`](rasa_select::SelectionSample)s
-/// before [`AllocationSession::retrain_selector`] will refit — below this
-/// a ridge fit is noise and the session keeps its current selector.
-pub const MIN_RETRAIN_SAMPLES: usize = 16;
 
 /// Session state reloaded from a durability journal, about to be pushed
 /// back through both trust gates by [`AllocationSession::restore`].
@@ -502,32 +495,6 @@ impl AllocationSession {
         })
     }
 
-    /// Refit the selector from the session's accumulated online sample
-    /// stream ([`RasaConfig::sample_log`], fed by every fresh subproblem
-    /// solve). Returns `None` (selector unchanged) when fewer than
-    /// [`MIN_RETRAIN_SAMPLES`] samples have accumulated; otherwise swaps
-    /// the pipeline's selector for the freshly fitted
-    /// [`SelectorChoice::Portfolio`] and returns the holdout
-    /// [`RegretReport`].
-    ///
-    /// Retraining only changes *future routing decisions* — every placement
-    /// still passes the `service.publish` certification gate in
-    /// [`resolve`](Self::resolve), so a bad refit can cost quality, never
-    /// correctness.
-    pub fn retrain_selector(&mut self) -> Option<RegretReport> {
-        let samples = self.pipeline.config.sample_log.snapshot();
-        if samples.len() < MIN_RETRAIN_SAMPLES {
-            return None;
-        }
-        // vary the holdout split with the round counter so repeated
-        // retrains don't always withhold the same tail
-        let seed = self.pipeline.config.seed.wrapping_add(self.rounds);
-        let (selector, report) = retrain_from_samples(&samples, 0.25, 1e-3, seed);
-        self.pipeline.config.selector = SelectorChoice::Portfolio(selector);
-        rasa_obs::global().inc("select.retrains");
-        Some(report)
-    }
-
     /// Re-solve the current problem under `deadline` and publish the result
     /// if — and only if — it certifies. Warm-starts from the session
     /// [`SolveCache`], and on certification failure returns
@@ -752,63 +719,6 @@ mod tests {
             .iter()
             .all(|e| e.weight.is_finite()));
         s.resolve(Deadline::after(Duration::from_secs(5))).unwrap();
-    }
-
-    #[test]
-    fn retrain_mid_session_never_publishes_uncertified() {
-        use rasa_select::{portfolio_features, PoolAlgorithm, SelectionSample};
-        let mut config = RasaConfig::default();
-        config.parallel = false;
-        let log = config.sample_log.clone();
-        let mut s = AllocationSession::new(config);
-        let p = generate(&tiny_cluster(7));
-        s.apply_snapshot(&p);
-        s.resolve(Deadline::after(Duration::from_secs(5))).unwrap();
-
-        // below the sample floor the selector is left untouched
-        assert!(log.len() < MIN_RETRAIN_SAMPLES || !log.is_empty());
-        if log.len() < MIN_RETRAIN_SAMPLES {
-            assert!(s.retrain_selector().is_none());
-        }
-
-        // top the shared stream up past the floor (full-feedback samples,
-        // as the bootstrap labelling path would produce)
-        let features = portfolio_features(&p);
-        while log.len() < MIN_RETRAIN_SAMPLES {
-            for &alg in &PoolAlgorithm::ALL {
-                log.record(SelectionSample {
-                    features: features.clone(),
-                    choice: alg,
-                    quality: match alg {
-                        PoolAlgorithm::Mip => 0.9,
-                        PoolAlgorithm::Cg => 0.8,
-                        PoolAlgorithm::Pop => 0.5,
-                        PoolAlgorithm::Greedy => 0.2,
-                    },
-                    latency_secs: 0.05,
-                    degraded: false,
-                });
-            }
-        }
-        let report = s.retrain_selector().expect("enough samples to refit");
-        assert!(report.train_samples > 0);
-        assert_eq!(s.config().selector.label(), "PORTFOLIO");
-
-        // the retrained session keeps publishing only certified placements:
-        // every successful resolve passed the service.publish gate, and a
-        // changed world after the retrain still certifies
-        let delta = SnapshotDelta {
-            edge_updates: vec![EdgeUpdate {
-                a: 0,
-                b: 1,
-                weight: 42.0,
-            }],
-            replica_updates: vec![],
-        };
-        s.apply_delta(&delta).unwrap();
-        let round = s.resolve(Deadline::after(Duration::from_secs(5))).unwrap();
-        assert!(round.objective >= 0.0);
-        assert!(!s.is_stale());
     }
 
     #[test]

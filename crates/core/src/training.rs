@@ -12,10 +12,8 @@ use std::time::Duration;
 /// Partition each training problem with the multi-stage pipeline (varying
 /// the subproblem budget to diversify scales) and collect up to `limit`
 /// labelable subproblems (edge-less subproblems are skipped — nothing to
-/// learn from). Shared by the binary labelling pipeline
-/// ([`generate_training_set`]) and the portfolio bootstrap
-/// (`rasa_select::label_portfolio` over these subproblems).
-pub fn training_subproblems(problems: &[Problem], limit: usize, seed: u64) -> Vec<Problem> {
+/// learn from).
+fn training_subproblems(problems: &[Problem], limit: usize, seed: u64) -> Vec<Problem> {
     let mut out = Vec::new();
     let budgets = [12usize, 24, 48];
     'outer: for (pi, problem) in problems.iter().enumerate() {

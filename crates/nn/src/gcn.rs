@@ -191,6 +191,43 @@ impl Gcn {
         }
     }
 
+    /// Check that every weight matrix and bias has the shape
+    /// [`config`](Self::config) implies, as [`new`](Self::new) builds it.
+    /// A model deserialized from a file may not, and would then panic in a
+    /// matmul; `Err` names the first mismatch.
+    pub fn check_shapes(&self) -> Result<(), String> {
+        let GcnConfig {
+            input_dim,
+            hidden_dim: h,
+            num_classes,
+        } = self.config;
+        let readout = h.checked_mul(2).ok_or("hidden_dim overflows")?;
+        for (name, m, rows, cols) in [
+            ("w1", &self.w1, input_dim, h),
+            ("w2", &self.w2, h, h),
+            ("w3", &self.w3, readout, num_classes),
+        ] {
+            if m.rows != rows || m.cols != cols || rows.checked_mul(cols) != Some(m.data.len()) {
+                return Err(format!(
+                    "{name} is {}×{} with {} values, config implies {rows}×{cols}",
+                    m.rows,
+                    m.cols,
+                    m.data.len()
+                ));
+            }
+        }
+        for (name, b, len) in [
+            ("b1", &self.b1, h),
+            ("b2", &self.b2, h),
+            ("b3", &self.b3, num_classes),
+        ] {
+            if b.len() != len {
+                return Err(format!("{name} has {} values, config implies {len}", b.len()));
+            }
+        }
+        Ok(())
+    }
+
     /// Total number of parameters.
     pub fn num_params(&self) -> usize {
         self.w1.data.len()
@@ -389,6 +426,19 @@ mod tests {
         let data = vec![(star_graph(true), 1), (star_graph(false), 0)];
         let history = gcn.train(&data, 100, 0.05);
         assert!(history.last().unwrap() < &history[0]);
+    }
+
+    #[test]
+    fn check_shapes_rejects_a_config_the_weights_do_not_match() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let gcn = Gcn::new(GcnConfig::default(), &mut rng);
+        assert_eq!(gcn.check_shapes(), Ok(()));
+        let mut five = gcn.clone();
+        five.config.num_classes = 5;
+        assert!(five.check_shapes().unwrap_err().contains("w3"));
+        let mut short = gcn;
+        short.w2.data.pop();
+        assert!(short.check_shapes().unwrap_err().contains("w2"));
     }
 
     #[test]

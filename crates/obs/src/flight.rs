@@ -165,7 +165,7 @@ pub enum EventKind {
     /// an in-progress solve bailed out.
     RefactorSingular,
     /// The algorithm selector routed a subproblem to a pool arm (the
-    /// portfolio's per-subproblem strategy decision).
+    /// per-subproblem strategy decision).
     RungSelected,
     /// Journal replay hit a torn tail — a partial record at the end of a
     /// write-ahead-log segment — and truncated the segment at the last

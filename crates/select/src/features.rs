@@ -32,13 +32,13 @@ pub fn feature_graph(problem: &Problem) -> GraphInput {
 /// Dimension of the [`portfolio_features`] vector.
 pub const PORTFOLIO_FEATURE_DIM: usize = 10;
 
-/// Fixed-dimension subproblem descriptor for the multi-way portfolio
-/// selector: everything the binary GCN sees (scale, demand, replicas) plus
-/// the cut-quality / affinity-density signals that separate POP-friendly
-/// subproblems (dense, evenly-spread affinity the random split barely
-/// hurts... or hub-concentrated graphs it destroys) from solver-friendly
-/// ones. All entries are O(1) across cluster scales (log-compressed or
-/// normalized ratios) so one trained model transfers between clusters.
+/// Fixed-dimension subproblem descriptor recorded with every
+/// [`SelectionSample`](crate::SelectionSample): everything the binary GCN
+/// sees (scale, demand, replicas) plus the cut-quality / affinity-density
+/// signals that separate POP-friendly subproblems (dense, evenly-spread
+/// affinity the random split barely hurts... or hub-concentrated graphs it
+/// destroys) from solver-friendly ones. All entries are O(1) across cluster
+/// scales (log-compressed or normalized ratios).
 ///
 /// Index glossary (documented for operators in `docs/STRATEGIES.md`):
 /// 0 `ln(1+services)`, 1 `ln(1+machines)`, 2 `ln(1+edges)`,

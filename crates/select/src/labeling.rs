@@ -2,12 +2,11 @@
 //! subproblem, we attempt each subproblem with the two candidate algorithms
 //! and choose the one that returns better objective within \[a\] time limit").
 
-use crate::online::SelectionSample;
 use crate::selectors::PoolAlgorithm;
 use rasa_mip::Deadline;
 use rasa_model::Problem;
 use rasa_solver::Scheduler as _;
-use rasa_solver::{ColumnGeneration, GreedyScheduler, MipBased, PopOptions, PopStrategy};
+use rasa_solver::{ColumnGeneration, MipBased};
 use std::time::Duration;
 
 /// A labelled training example.
@@ -41,100 +40,6 @@ pub fn label_subproblem(problem: &Problem, time_limit: Duration) -> LabeledSubpr
     }
 }
 
-/// A subproblem labelled against the *full* four-arm pool: every arm's
-/// realized objective and latency, plus the winner. One label expands into
-/// four full-feedback [`SelectionSample`]s via
-/// [`into_samples`](Self::into_samples) — the bootstrap dataset for the
-/// portfolio selector before any online stream exists.
-#[derive(Clone, Debug)]
-pub struct PortfolioLabel {
-    /// The subproblem.
-    pub problem: Problem,
-    /// Normalized gained affinity per arm, indexed by
-    /// [`PoolAlgorithm::class_index`].
-    pub objectives: [f64; 4],
-    /// Wall-clock per arm (seconds), indexed by class index.
-    pub latencies: [f64; 4],
-    /// Arm with the best objective (latency breaks ties).
-    pub winner: PoolAlgorithm,
-}
-
-impl PortfolioLabel {
-    /// Expand into one [`SelectionSample`] per arm, sharing the
-    /// subproblem's [`portfolio_features`](crate::features::portfolio_features).
-    pub fn into_samples(self) -> Vec<SelectionSample> {
-        let features = crate::features::portfolio_features(&self.problem);
-        PoolAlgorithm::ALL
-            .iter()
-            .map(|&alg| {
-                let i = alg.class_index();
-                SelectionSample {
-                    features: features.clone(),
-                    choice: alg,
-                    quality: self.objectives[i],
-                    latency_secs: self.latencies[i],
-                    degraded: false,
-                }
-            })
-            .collect()
-    }
-}
-
-/// Race all four pool arms on `problem` with `time_limit` each and record
-/// every arm's realized objective and latency. `pop_parts`/`pop_seed`
-/// configure the POP rung's shard split (matching the pipeline's
-/// configuration keeps labels on-policy).
-pub fn label_portfolio(
-    problem: &Problem,
-    time_limit: Duration,
-    pop_parts: usize,
-    pop_seed: u64,
-) -> PortfolioLabel {
-    let pop = PopStrategy::new(PopOptions {
-        parts: pop_parts,
-        seed: pop_seed,
-        complete: true,
-        ..PopOptions::default()
-    });
-    let cg = ColumnGeneration::new();
-    let mip = MipBased::new();
-    let mut objectives = [0.0f64; 4];
-    let mut latencies = [0.0f64; 4];
-    for &alg in &PoolAlgorithm::ALL {
-        let scheduler: &dyn rasa_solver::Scheduler = match alg {
-            PoolAlgorithm::Cg => &cg,
-            PoolAlgorithm::Mip => &mip,
-            PoolAlgorithm::Pop => &pop,
-            PoolAlgorithm::Greedy => &GreedyScheduler,
-        };
-        let out = scheduler.schedule(problem, Deadline::after(time_limit));
-        objectives[alg.class_index()] = out.normalized_gained_affinity;
-        latencies[alg.class_index()] = out.elapsed.as_secs_f64();
-    }
-    let winner = PoolAlgorithm::ALL
-        .iter()
-        .copied()
-        .max_by(|&a, &b| {
-            let (ia, ib) = (a.class_index(), b.class_index());
-            objectives[ia]
-                .partial_cmp(&objectives[ib])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                // ties go to the faster arm
-                .then_with(|| {
-                    latencies[ib]
-                        .partial_cmp(&latencies[ia])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-        })
-        .unwrap_or(PoolAlgorithm::Mip);
-    PortfolioLabel {
-        problem: problem.clone(),
-        objectives,
-        latencies,
-        winner,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,34 +62,5 @@ mod tests {
         );
         assert!(labeled.mip_objective >= 1.0 - 1e-6);
         assert_eq!(labeled.label, PoolAlgorithm::Cg);
-    }
-
-    #[test]
-    fn portfolio_label_covers_all_arms_and_expands_to_samples() {
-        let mut b = ProblemBuilder::new();
-        let svcs: Vec<_> = (0..4)
-            .map(|i| b.add_service(format!("s{i}"), 2, ResourceVec::cpu_mem(1.0, 1.0)))
-            .collect();
-        b.add_machines(4, ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
-        for i in 0..2 {
-            b.add_affinity(svcs[2 * i], svcs[2 * i + 1], 5.0);
-        }
-        let p = b.build().unwrap();
-        let label = label_portfolio(&p, Duration::from_secs(5), 2, 0);
-        assert!(label.objectives.iter().all(|o| o.is_finite() && *o >= 0.0));
-        assert!(label.latencies.iter().all(|l| *l >= 0.0));
-        // the winner's objective is the max
-        let best = label
-            .objectives
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert!((label.objectives[label.winner.class_index()] - best).abs() < 1e-12);
-        let samples = label.into_samples();
-        assert_eq!(samples.len(), 4);
-        for (alg, s) in PoolAlgorithm::ALL.iter().zip(&samples) {
-            assert_eq!(s.choice, *alg);
-            assert_eq!(s.features.len(), crate::features::PORTFOLIO_FEATURE_DIM);
-        }
     }
 }

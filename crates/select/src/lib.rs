@@ -12,37 +12,27 @@
 //! * [`feature_graph`] — builds the paper's *feature graph*
 //!   `Ĝ = <S, E, F>` for a subproblem, with an `N × 2` feature matrix of
 //!   per-service resource demand and container count (`[r_s, d_s]`);
-//! * [`portfolio_features`] — the fixed 10-dim descriptor (scale, demand,
-//!   affinity density, cut-quality signals) the multi-way selector uses;
+//! * [`portfolio_features`] — a fixed 10-dim descriptor (scale, demand,
+//!   affinity density, cut-quality signals) recorded with every fresh
+//!   solve;
 //! * [`label_subproblem`] — the paper's binary labelling procedure;
-//!   [`label_portfolio`] races all four arms and records every arm's
-//!   realized objective and latency;
-//! * [`AlgorithmSelector`] implementations: [`FixedSelector`] (the CG-only /
-//!   MIP-only ablations), [`HeuristicSelector`] (the paper's empirical
-//!   rule), [`MlpSelector`] (topology-blind), [`GcnSelector`] (the
-//!   paper's proposal) — the five bars of Fig 8 — and
-//!   [`PortfolioSelector`], the learning multi-way selector;
+//! * [`AlgorithmSelector`] implementations: [`HeuristicSelector`] (the
+//!   paper's empirical rule), [`MlpSelector`] (topology-blind) and
+//!   [`GcnSelector`] (the paper's proposal) — with the CG-only / MIP-only
+//!   fixed arms, the bars of Fig 8;
 //! * [`online`] — the [`SampleLog`] stream of
-//!   `(features, choice, quality, latency)` tuples the pipeline logs and
-//!   [`retrain_from_samples`] refits from (with a holdout
-//!   [`RegretReport`]);
+//!   `(features, choice, quality, latency)` tuples the pipeline logs;
 //! * [`training`] — dataset assembly and training loops for the learned
 //!   selectors, plus weight persistence.
 
 pub mod features;
 pub mod labeling;
 pub mod online;
-pub mod portfolio;
 pub mod selectors;
 pub mod training;
 
 pub use features::{feature_graph, portfolio_features, PORTFOLIO_FEATURE_DIM};
-pub use labeling::{label_portfolio, label_subproblem, LabeledSubproblem, PortfolioLabel};
+pub use labeling::{label_subproblem, LabeledSubproblem};
 pub use online::{SampleLog, SelectionSample, DEFAULT_SAMPLE_CAPACITY};
-pub use portfolio::{
-    fit_portfolio, retrain_from_samples, PortfolioSelector, RegretReport, MIP_ANCHOR_MARGIN,
-};
-pub use selectors::{
-    AlgorithmSelector, FixedSelector, GcnSelector, HeuristicSelector, MlpSelector, PoolAlgorithm,
-};
+pub use selectors::{AlgorithmSelector, GcnSelector, HeuristicSelector, MlpSelector, PoolAlgorithm};
 pub use training::{train_gcn, train_mlp, TrainReport};

@@ -1,15 +1,11 @@
-//! The online-learning sample stream: every pipeline round logs one
+//! The selection sample stream: every pipeline round logs one
 //! `(features, choice, realized quality, latency)` tuple per freshly
-//! solved subproblem, and the retrain path refits the portfolio selector
-//! from the accumulated stream (the learning-tier loop of
-//! arXiv:2306.17054 applied to strategy selection).
+//! solved subproblem.
 //!
 //! [`SampleLog`] is a bounded, thread-safe ring buffer the pipeline writes
 //! into from its (possibly parallel) merge loop. Cloning shares the
-//! underlying buffer — a [`RasaConfig`](https://docs.rs) clone logs into
-//! the same stream, which is exactly what a serve session wants: rounds
-//! accumulate, `retrain` drains a snapshot. Persistence is plain JSONL via
-//! `rasa_trace::persist` so streams survive process restarts.
+//! underlying buffer, so every clone of a `RasaConfig` logs into the same
+//! stream and a session's rounds accumulate in one place.
 
 use crate::selectors::PoolAlgorithm;
 use serde::{Deserialize, Serialize};
@@ -30,7 +26,7 @@ pub struct SelectionSample {
     /// Wall-clock the solve consumed, seconds.
     pub latency_secs: f64,
     /// `true` when the solve degraded (fallback ladder or deadline) — the
-    /// quality is then the rescue's, discounted by the retrain fit.
+    /// quality is then the rescue's.
     pub degraded: bool,
 }
 
@@ -90,27 +86,9 @@ impl SampleLog {
     }
 
     /// Copy out the current contents, oldest first, leaving the log
-    /// intact (retraining keeps accumulating context across retrains; the
-    /// ring bound caps memory).
+    /// intact.
     pub fn snapshot(&self) -> Vec<SelectionSample> {
         self.lock().iter().cloned().collect()
-    }
-
-    /// Move out the current contents, oldest first, leaving the log empty.
-    pub fn drain(&self) -> Vec<SelectionSample> {
-        self.lock().drain(..).collect()
-    }
-
-    /// Bulk-append (e.g. samples loaded from a persisted JSONL stream);
-    /// returns how many old samples were dropped to make room.
-    pub fn extend(&self, samples: impl IntoIterator<Item = SelectionSample>) -> usize {
-        let mut dropped = 0;
-        for s in samples {
-            if self.record(s) {
-                dropped += 1;
-            }
-        }
-        dropped
     }
 }
 
@@ -139,8 +117,7 @@ mod tests {
         assert_eq!(snap[0].quality, 0.2);
         assert_eq!(snap[1].quality, 0.3);
         assert_eq!(log.len(), 2, "snapshot leaves the log intact");
-        assert_eq!(log.drain().len(), 2);
-        assert!(log.is_empty());
+        assert!(!log.is_empty());
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! The five algorithm-selection strategies compared in Fig 8.
+//! The pool arms and the selectors of Fig 8 that look at the subproblem
+//! (the fixed CG-only / MIP-only arms need no selector: they are
+//! `rasa_core::SelectorChoice` variants).
 
 use crate::features::feature_graph;
 use rasa_model::Problem;
@@ -6,9 +8,9 @@ use rasa_nn::{Gcn, Mlp};
 use serde::{Deserialize, Serialize};
 
 /// A member of the scheduling algorithm pool. The paper's pool is
-/// {CG, MIP} (Section IV-C); the portfolio extension adds the POP strategy
-/// rung (random shard split, `rasa_solver::pop`) and the greedy completion
-/// floor as first-class arms.
+/// {CG, MIP} (Section IV-C); this pool adds the POP strategy rung (random
+/// shard split, `rasa_solver::pop`) and the greedy completion floor as
+/// first-class arms.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Serialize, Deserialize)]
 pub enum PoolAlgorithm {
     /// Column generation — class index 0.
@@ -31,8 +33,7 @@ impl PoolAlgorithm {
         PoolAlgorithm::Greedy,
     ];
 
-    /// Class index used by the learned classifiers and the portfolio
-    /// selector's per-arm models.
+    /// Class index used by the learned classifiers.
     pub fn class_index(self) -> usize {
         match self {
             PoolAlgorithm::Cg => 0,
@@ -74,20 +75,6 @@ pub trait AlgorithmSelector {
 
     /// Pick the algorithm for `problem`.
     fn select(&self, problem: &Problem) -> PoolAlgorithm;
-}
-
-/// Always pick the same algorithm — the CG-only / MIP-only ablations.
-#[derive(Clone, Copy, Debug)]
-pub struct FixedSelector(pub PoolAlgorithm);
-
-impl AlgorithmSelector for FixedSelector {
-    fn name(&self) -> &'static str {
-        self.0.label()
-    }
-
-    fn select(&self, _problem: &Problem) -> PoolAlgorithm {
-        self.0
-    }
 }
 
 /// The paper's empirical rule (Section V-C): compare the average container
@@ -176,19 +163,6 @@ mod tests {
         assert_eq!(PoolAlgorithm::Cg.label(), "CG");
         assert_eq!(PoolAlgorithm::Pop.label(), "POP");
         assert_eq!(PoolAlgorithm::Greedy.label(), "GREEDY");
-        assert_eq!(FixedSelector(PoolAlgorithm::Pop).name(), "POP");
-    }
-
-    #[test]
-    fn fixed_selector_is_constant() {
-        let mut b = ProblemBuilder::new();
-        b.add_service("a", 1, ResourceVec::ZERO);
-        let p = b.build().unwrap();
-        assert_eq!(
-            FixedSelector(PoolAlgorithm::Cg).select(&p),
-            PoolAlgorithm::Cg
-        );
-        assert_eq!(FixedSelector(PoolAlgorithm::Mip).name(), "MIP");
     }
 
     #[test]

@@ -68,10 +68,24 @@ pub fn save_gcn(selector: &GcnSelector, path: &std::path::Path) -> std::io::Resu
     std::fs::write(path, json)
 }
 
-/// Load a GCN selector saved with [`save_gcn`].
+/// Load a GCN selector saved with [`save_gcn`]. A file whose weights do
+/// not match its config, or whose model is not the CG-vs-MIP classifier
+/// over [`feature_graph`]'s two node features, is `InvalidData`: loaded, it
+/// would panic mid-round in a matmul or in
+/// [`PoolAlgorithm::from_class_index`](crate::PoolAlgorithm::from_class_index).
 pub fn load_gcn(path: &std::path::Path) -> std::io::Result<GcnSelector> {
+    let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
     let json = std::fs::read_to_string(path)?;
-    serde_json::from_str(&json).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    let selector: GcnSelector = serde_json::from_str(&json).map_err(|e| invalid(e.to_string()))?;
+    let config = selector.model.config;
+    if config.input_dim != 2 || config.num_classes != 2 {
+        return Err(invalid(format!(
+            "GCN takes {} features to {} classes, the selector needs 2 to 2",
+            config.input_dim, config.num_classes
+        )));
+    }
+    selector.model.check_shapes().map_err(invalid)?;
+    Ok(selector)
 }
 
 #[cfg(test)]
@@ -145,6 +159,35 @@ mod tests {
             loaded.select(&data[0].problem),
             selector.select(&data[0].problem)
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_rejects_a_hand_edited_five_class_file() {
+        let data = synthetic_data(4);
+        let (selector, _) = train_gcn(&data, 1, 0.02, 1);
+        let dir = std::env::temp_dir().join("rasa_select_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("gcn_five_class.json");
+        save_gcn(&selector, &path).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        assert!(json.contains("\"num_classes\":2"));
+        std::fs::write(&path, json.replace("\"num_classes\":2", "\"num_classes\":5")).unwrap();
+        let err = load_gcn(&path).expect_err("a 5-class GCN must not load");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        // a consistent 5-class model is still not a CG-vs-MIP selector
+        let mut rng = StdRng::seed_from_u64(2);
+        let config = GcnConfig {
+            num_classes: 5,
+            ..GcnConfig::default()
+        };
+        let five = GcnSelector {
+            model: Gcn::new(config, &mut rng),
+        };
+        save_gcn(&five, &path).unwrap();
+        let err = load_gcn(&path).expect_err("a 5-class GCN must not load");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 }

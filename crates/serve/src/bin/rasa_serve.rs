@@ -4,15 +4,13 @@
 //! rasa-serve [--addr 127.0.0.1:7070] [--workers 2] [--queue-capacity 4]
 //!            [--max-tenants 64] [--deadline-ms 2000] [--seed 42]
 //!            [--drain-grace-ms 5000] [--metrics-out PATH]
-//!            [--retrain-every N] [--wal-dir PATH] [--wal-sync POLICY]
-//!            [--sample-stream PATH]
+//!            [--wal-dir PATH] [--wal-sync POLICY]
 //! ```
 //!
 //! `--wal-dir` turns on per-tenant write-ahead journaling: acked state is
 //! durable before the 200, and on restart the daemon replays the journals
 //! through both trust gates (`--wal-sync` is `always` (default), `never`,
-//! or `every:N`). `--sample-stream` persists the online selector sample
-//! stream across restarts.
+//! or `every:N`).
 //!
 //! The bound address is printed as `listening on <addr>` once the socket
 //! is open (scripts parse this when binding port 0). SIGTERM or SIGINT
@@ -58,10 +56,9 @@ fn install_signal_handlers() {}
 fn usage() -> &'static str {
     "usage: rasa-serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]\n\
      \x20                 [--max-tenants N] [--deadline-ms N] [--seed N]\n\
-     \x20                 [--drain-grace-ms N] [--metrics-out PATH]\n\
-     \x20                 [--retrain-every N] [--wal-dir PATH]\n\
+     \x20                 [--drain-grace-ms N] [--metrics-out PATH] [--wal-dir PATH]\n\
      \x20                 [--wal-sync always|never|every:N] [--wal-compact-every N]\n\
-     \x20                 [--wal-segment-bytes N] [--sample-stream PATH]"
+     \x20                 [--wal-segment-bytes N]"
 }
 
 /// The WAL config a `--wal-*` flag mutates, defaulting it into existence
@@ -114,12 +111,6 @@ fn parse_args(config: &mut ServeConfig) -> Result<(), String> {
             "--metrics-out" => {
                 config.metrics_flush_path = Some(value("--metrics-out")?.into());
             }
-            "--retrain-every" => {
-                let every: u64 = value("--retrain-every")?
-                    .parse()
-                    .map_err(|_| "--retrain-every: not a number".to_string())?;
-                config.retrain_every = (every > 0).then_some(every);
-            }
             "--wal-dir" => {
                 let root: std::path::PathBuf = value("--wal-dir")?.into();
                 // tuning flags parsed before --wal-dir are kept
@@ -141,9 +132,6 @@ fn parse_args(config: &mut ServeConfig) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--wal-segment-bytes: not a number".to_string())?;
                 wal_tuning(config).segment_max_bytes = bytes;
-            }
-            "--sample-stream" => {
-                config.sample_stream_path = Some(value("--sample-stream")?.into());
             }
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown flag {other}\n{}", usage())),

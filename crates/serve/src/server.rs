@@ -30,10 +30,7 @@ use crate::wal::{
     self, CheckpointState, JournaledPlacement, RecoveryOutcome, TenantJournal, WalConfig,
     WalRecord,
 };
-use rasa_core::{
-    AllocationSession, PublishedPlacement, RasaConfig, SelectionSample, SessionError,
-    SnapshotDelta,
-};
+use rasa_core::{AllocationSession, PublishedPlacement, RasaConfig, SessionError, SnapshotDelta};
 use rasa_core::Deadline;
 use rasa_model::Problem;
 use rasa_obs::flight;
@@ -86,12 +83,6 @@ pub struct ServeConfig {
     pub drain_grace: Duration,
     /// Where to flush a final Prometheus snapshot on drain (optional).
     pub metrics_flush_path: Option<PathBuf>,
-    /// Refit each tenant's algorithm selector from its accumulated online
-    /// sample stream every N published rounds
-    /// (`AllocationSession::retrain_selector`). `None` (the default)
-    /// disables mid-session retraining. Retraining only changes future
-    /// routing — every publish still passes the certification gate.
-    pub retrain_every: Option<u64>,
     /// Per-tenant SLO objectives scored by the burn-rate tracker
     /// (`GET /tenants`, `slo.*` metrics).
     pub slo: SloConfig,
@@ -101,10 +92,6 @@ pub struct ServeConfig {
     /// through both trust gates to rebuild tenant state after a crash.
     /// `None` (the default) disables durability.
     pub wal: Option<WalConfig>,
-    /// JSONL file persisting the online selector sample stream: loaded
-    /// into [`RasaConfig::sample_log`] on bind (so retraining after a
-    /// restart sees pre-crash samples), saved back on drain.
-    pub sample_stream_path: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -126,10 +113,8 @@ impl Default for ServeConfig {
             rasa: RasaConfig::default(),
             drain_grace: Duration::from_secs(5),
             metrics_flush_path: None,
-            retrain_every: None,
             slo: SloConfig::default(),
             wal: None,
-            sample_stream_path: None,
         }
     }
 }
@@ -441,9 +426,6 @@ impl Server {
         // one labeled series per tenant, at most: tie metric-label
         // cardinality to the tenant cap (overflow folds into `other`)
         rasa_obs::global().set_label_cap(config.max_tenants);
-        if let Some(path) = &config.sample_stream_path {
-            reload_sample_stream(&config.rasa, path);
-        }
         let tenants = recover_tenants(&config);
         let shared = Arc::new(Shared {
             config,
@@ -509,30 +491,6 @@ impl Server {
         }
 
         drain(shared, workers)
-    }
-}
-
-/// Load the persisted selector sample stream into the (shared) sample
-/// log, so a retrain after restart sees pre-crash samples. A missing file
-/// is a fresh start; a damaged one is logged and skipped.
-fn reload_sample_stream(rasa: &RasaConfig, path: &std::path::Path) {
-    if !path.exists() {
-        return;
-    }
-    match rasa_trace::load_jsonl::<SelectionSample>(path) {
-        Ok(samples) => {
-            let n = samples.len();
-            rasa.sample_log.extend(samples);
-            rasa_obs::global().add("recovery.samples_reloaded", n as u64);
-            log::info(
-                "recovery",
-                format!("reloaded {n} selector samples from {}", path.display()),
-            );
-        }
-        Err(e) => log::warn(
-            "recovery",
-            format!("sample stream {} unreadable, starting empty: {e}", path.display()),
-        ),
     }
 }
 
@@ -708,22 +666,7 @@ fn drain(shared: &Arc<Shared>, workers: Vec<thread::JoinHandle<()>>) -> DrainRep
         let _ = w.join();
     }
 
-    // Phase 4: persist the selector sample stream and flush observability.
-    if let Some(path) = &shared.config.sample_stream_path {
-        let samples = shared.config.rasa.sample_log.snapshot();
-        if !samples.is_empty() {
-            match rasa_trace::save_jsonl(&samples, path) {
-                Ok(()) => log::info(
-                    "drain",
-                    format!("persisted {} selector samples to {}", samples.len(), path.display()),
-                ),
-                Err(e) => log::error(
-                    "drain",
-                    format!("sample stream flush to {} failed: {e}", path.display()),
-                ),
-            }
-        }
-    }
+    // Phase 4: flush observability.
     let drain_seconds = started.elapsed().as_secs_f64();
     obs.record("serve.drain_seconds", drain_seconds);
     if let Some(path) = &shared.config.metrics_flush_path {
@@ -902,18 +845,6 @@ fn run_round(
                     // A degraded round is still published (it certified),
                     // but it counts as ladder exhaustion for the breaker.
                     state.report(!round.degraded);
-                }
-                // Online-learning hook: every N published rounds, refit the
-                // selector from the session's accumulated sample stream.
-                // Happens after the publish, so a slow refit never sits
-                // between solve and publish.
-                if let Some(every) = shared.config.retrain_every {
-                    if every > 0
-                        && round.round % every == 0
-                        && session.retrain_selector().is_some()
-                    {
-                        obs.inc("serve.retrains");
-                    }
                 }
                 let (hits, misses) = round
                     .run

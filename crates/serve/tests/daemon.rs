@@ -268,68 +268,6 @@ fn breaker_trips_to_stale_serving_under_starved_deadlines() {
 }
 
 #[test]
-fn retrain_mid_session_keeps_every_publish_certified() {
-    use rasa_core::{portfolio_features, PoolAlgorithm, SelectionSample};
-
-    // retrain after every published round; pre-seed the shared online
-    // sample stream past the retrain floor so the very first retrain fires
-    let mut config = quick_config();
-    config.retrain_every = Some(1);
-    let log = config.rasa.sample_log.clone();
-    let problem = generate(&spec(7, 9));
-    let features = portfolio_features(&problem);
-    while log.len() < rasa_core::MIN_RETRAIN_SAMPLES {
-        for &alg in &PoolAlgorithm::ALL {
-            log.record(SelectionSample {
-                features: features.clone(),
-                choice: alg,
-                quality: match alg {
-                    PoolAlgorithm::Mip => 0.9,
-                    PoolAlgorithm::Cg => 0.8,
-                    PoolAlgorithm::Pop => 0.5,
-                    PoolAlgorithm::Greedy => 0.2,
-                },
-                latency_secs: 0.05,
-                degraded: false,
-            });
-        }
-    }
-    let (addr, handle, join) = boot(config);
-    let body = serde_json::to_string(&problem).unwrap();
-
-    // round 1 publishes, then retrains (selector swaps to PORTFOLIO)
-    let first = http(addr, "POST", "/snapshot?tenant=learner", &body);
-    assert_eq!(first.status, 200, "body: {}", first.body);
-    assert!(first.body.contains("\"certified\":true"));
-
-    // rounds 2..4 run under the retrained selector (and keep retraining):
-    // every publish must still be certified and fresh — retraining may
-    // change routing, never let an uncertified placement through
-    for round in 0..3 {
-        let delta = format!(
-            "{{\"edge_updates\":[{{\"a\":0,\"b\":1,\"weight\":{}}}],\"replica_updates\":[]}}",
-            10.0 + round as f64
-        );
-        let reply = http(addr, "POST", "/delta?tenant=learner", &delta);
-        assert_eq!(reply.status, 200, "round {round}: {}", reply.body);
-        assert!(reply.body.contains("\"certified\":true"), "{}", reply.body);
-        assert!(reply.body.contains("\"stale\":false"), "{}", reply.body);
-    }
-
-    // the retrain counter is visible on /metrics
-    let metrics = http(addr, "GET", "/metrics", "");
-    assert_eq!(metrics.status, 200);
-    assert!(
-        metrics.body.contains("rasa_serve_retrains"),
-        "metrics must expose serve.retrains: {}",
-        metrics.body
-    );
-
-    handle.shutdown();
-    join.join().unwrap();
-}
-
-#[test]
 fn healthz_degrades_on_open_breaker_and_drain() {
     let (addr, handle, join) = boot(ServeConfig {
         breaker: BreakerConfig {

@@ -1,8 +1,7 @@
 //! Restart-recovery tests over real sockets: a drained daemon re-bound on
 //! the same write-ahead journal root must republish the byte-identical
-//! certified placement; a damaged journal must quarantine the tenant (503)
-//! without taking the daemon down; and the persisted selector sample
-//! stream must survive a restart so retraining sees pre-crash samples.
+//! certified placement, and a damaged journal must quarantine the tenant
+//! (503) without taking the daemon down.
 
 #![allow(clippy::unwrap_used)]
 
@@ -206,79 +205,4 @@ fn damaged_journal_quarantines_the_tenant_but_the_daemon_serves() {
 
     handle.shutdown();
     let _ = join.join().unwrap();
-}
-
-#[test]
-fn retrain_after_restart_sees_precrash_samples() {
-    let root = scratch("samples");
-    let stream = root.join("samples.jsonl");
-    let mut config = wal_config(root.clone());
-    config.sample_stream_path = Some(stream.clone());
-
-    // first life: bank selector samples, then drain (which persists them)
-    let log_before = config.rasa.sample_log.clone();
-    let (addr, handle, join) = boot(config);
-    let problem = generate(&spec(7, 5));
-    let body = serde_json::to_string(&problem).unwrap();
-    assert_eq!(http(addr, "POST", "/snapshot?tenant=acme", &body).status, 200);
-    assert!(
-        !log_before.is_empty(),
-        "a fresh solve must bank at least one selector sample"
-    );
-    // top the shared stream up past the retrain floor, as a long first
-    // life's solve traffic would (delta rounds mostly replay the cache,
-    // which deliberately records nothing)
-    let features = rasa_core::portfolio_features(&problem);
-    while log_before.len() < rasa_core::MIN_RETRAIN_SAMPLES + 1 {
-        for &alg in &rasa_core::PoolAlgorithm::ALL {
-            log_before.record(rasa_core::SelectionSample {
-                features: features.clone(),
-                choice: alg,
-                quality: match alg {
-                    rasa_core::PoolAlgorithm::Mip => 0.9,
-                    rasa_core::PoolAlgorithm::Cg => 0.8,
-                    rasa_core::PoolAlgorithm::Pop => 0.5,
-                    rasa_core::PoolAlgorithm::Greedy => 0.2,
-                },
-                latency_secs: 0.05,
-                degraded: false,
-            });
-        }
-    }
-    let banked = log_before.len();
-    handle.shutdown();
-    let _ = join.join().unwrap();
-    assert!(stream.exists(), "drain must persist the sample stream");
-
-    // second life: a *fresh* config (empty in-memory log) reloads the
-    // persisted stream on bind, so retraining starts from pre-crash data
-    let mut config2 = wal_config(root);
-    config2.sample_stream_path = Some(stream);
-    config2.retrain_every = Some(1);
-    let log_after = config2.rasa.sample_log.clone();
-    assert!(log_after.is_empty());
-    let (addr2, handle2, join2) = boot(config2);
-    assert!(
-        log_after.len() >= banked,
-        "restart must reload the {banked} pre-crash samples, found {}",
-        log_after.len()
-    );
-
-    // the reloaded stream is already past the retrain floor, so with
-    // retrain_every=1 the very next publish round refits the selector
-    let retrains_before = rasa_obs::global().counter("serve.retrains").get();
-    for step in 0..2 {
-        let delta = format!(
-            "{{\"edge_updates\":[{{\"a\":1,\"b\":{},\"weight\":{}.75}}],\"replica_updates\":[]}}",
-            2 + step,
-            10 + step
-        );
-        assert_eq!(http(addr2, "POST", "/delta?tenant=acme", &delta).status, 200);
-    }
-    assert!(
-        rasa_obs::global().counter("serve.retrains").get() > retrains_before,
-        "retraining after restart should have fired on the reloaded stream"
-    );
-    handle2.shutdown();
-    let _ = join2.join().unwrap();
 }

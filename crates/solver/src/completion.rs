@@ -121,7 +121,7 @@ pub fn complete_placement(problem: &Problem, placement: &mut Placement) -> u64 {
 
 /// The completion pass as a standalone pool member: start from an empty
 /// placement and let affinity-aware first-fit place everything. The
-/// cheapest arm of the strategy portfolio — no LP, no search — and the
+/// cheapest arm of the strategy pool — no LP, no search — and the
 /// same code the fallback ladder already uses as its floor, so selecting
 /// GREEDY is "skip straight to the floor, spend the budget elsewhere".
 #[derive(Clone, Copy, Debug, Default)]

@@ -24,8 +24,8 @@
 //! * [`completion`] — the affinity-aware first-fit completion pass standing
 //!   in for the cluster's default scheduler, which the paper lets absorb the
 //!   few containers a subproblem fails to deploy (Section IV-B5). Also
-//!   exposed as the [`GreedyScheduler`] pool member (the portfolio's
-//!   cheapest arm).
+//!   exposed as the [`GreedyScheduler`] pool member (the pool's cheapest
+//!   arm).
 //! * [`pop`] — POP (SOSP'21) as a first-class strategy rung: random k-way
 //!   shard split, parallel per-shard MIP solves under wave-sliced
 //!   deadlines, union. The `rasa-baselines` POP baseline is a constructor

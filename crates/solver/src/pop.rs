@@ -4,9 +4,8 @@
 //! helpers) under wave-sliced deadlines, and union the results. The random
 //! split deliberately ignores the affinity graph, so it is cheap and
 //! embarrassingly parallel — and loses exactly the cross-shard affinity
-//! Fig 9 shows. The portfolio selector learns to deploy it where that loss
-//! is small: dense, poorly-cut subproblems where whole-problem solvers
-//! drown.
+//! Fig 9 shows. It suits subproblems where that loss is small: dense,
+//! poorly-cut subproblems where whole-problem solvers drown.
 //!
 //! This is the only POP in the repository: the `Pop` baseline in
 //! `rasa-baselines` constructs a [`PopStrategy`] (eight parts, completion

@@ -32,5 +32,5 @@ pub mod persist;
 pub mod specs;
 
 pub use generator::{generate, ClusterSpec};
-pub use persist::{load_jsonl, load_problem, save_jsonl, save_problem, PersistError};
+pub use persist::{load_problem, save_problem, PersistError};
 pub use specs::{large_clusters, medium_clusters, s_clusters, t_clusters, tiny_cluster, xl_clusters};

@@ -1,7 +1,5 @@
 //! Saving and loading generated problems as JSON artifacts, so experiment
-//! inputs can be pinned and shared — plus generic JSONL streams
-//! ([`save_jsonl`] / [`load_jsonl`]) for record-per-line data like the
-//! online selection-sample stream.
+//! inputs can be pinned and shared.
 //!
 //! Loading goes through a typed [`PersistError`] that names the offending
 //! path and — for malformed JSON — the 1-based line/column where parsing
@@ -9,7 +7,6 @@
 //! message instead of a bare `InvalidData`.
 
 use rasa_model::Problem;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -139,45 +136,6 @@ pub fn load_problem(path: &Path) -> Result<Problem, PersistError> {
     })
 }
 
-/// Write `items` to `path` as JSONL — one compact JSON object per line,
-/// durably (fsynced; see [`PersistError::Sync`]). The format is
-/// append-friendly: streams from several runs can be concatenated and
-/// still load.
-pub fn save_jsonl<T: Serialize>(items: &[T], path: &Path) -> Result<(), PersistError> {
-    let mut out = String::new();
-    for item in items {
-        let line =
-            serde_json::to_string(item).map_err(|source| PersistError::Serialize { source })?;
-        out.push_str(&line);
-        out.push('\n');
-    }
-    write_durable(path, out.as_bytes())
-}
-
-/// Load a JSONL stream saved by [`save_jsonl`] (or appended to since).
-/// Blank lines are skipped; a malformed line reports its 1-based position
-/// in the file via [`PersistError::Parse`].
-pub fn load_jsonl<T: Deserialize>(path: &Path) -> Result<Vec<T>, PersistError> {
-    let text = std::fs::read_to_string(path).map_err(|source| PersistError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let item = serde_json::from_str(line).map_err(|source| PersistError::Parse {
-            path: path.to_path_buf(),
-            line: Some(i + 1),
-            column: source.column(),
-            source,
-        })?;
-        out.push(item);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,31 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_and_skips_blank_lines() {
-        #[derive(serde::Serialize, serde::Deserialize, PartialEq, Debug)]
-        struct Rec {
-            id: u32,
-            score: f64,
-        }
-        let items = vec![
-            Rec { id: 1, score: 0.5 },
-            Rec { id: 2, score: 0.75 },
-        ];
-        let path = temp_path("stream.jsonl");
-        save_jsonl(&items, &path).expect("stream saves");
-        // appended runs concatenate
-        let mut text = std::fs::read_to_string(&path).expect("readable");
-        text.push('\n'); // blank separator
-        text.push_str("{\"id\":3,\"score\":1.0}\n");
-        std::fs::write(&path, text).expect("appends");
-        let back: Vec<Rec> = load_jsonl(&path).expect("stream loads");
-        assert_eq!(back.len(), 3);
-        assert_eq!(back[0], items[0]);
-        assert_eq!(back[2].id, 3);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn save_to_unwritable_target_reports_typed_io_error() {
         // A read-only directory does not stop root, so use targets that
         // fail for every uid: the target path IS a directory, and the
@@ -285,8 +218,8 @@ mod tests {
 
         let file_parent = temp_path("not_a_dir");
         std::fs::write(&file_parent, b"plain file").expect("writes");
-        let under_file = file_parent.join("stream.jsonl");
-        let err = save_jsonl(&[1u32, 2, 3], &under_file).expect_err("file parent must fail");
+        let under_file = file_parent.join("tiny.json");
+        let err = save_problem(&p, &under_file).expect_err("file parent must fail");
         assert!(matches!(err, PersistError::Io { .. }), "got {err:?}");
         assert!(err.to_string().contains("not_a_dir"));
         std::fs::remove_file(&file_parent).ok();
@@ -304,23 +237,5 @@ mod tests {
         assert!(err.to_string().contains("fsync failed"));
         assert!(err.to_string().contains("seg-1.wal"));
         assert!(std::error::Error::source(&err).is_some());
-    }
-
-    #[test]
-    fn jsonl_malformed_line_reports_its_position() {
-        let path = temp_path("bad_stream.jsonl");
-        std::fs::write(&path, "{\"id\":1,\"score\":0.5}\n{broken\n").expect("writes");
-        #[derive(serde::Deserialize, Debug)]
-        #[allow(dead_code)]
-        struct Rec {
-            id: u32,
-            score: f64,
-        }
-        let err = load_jsonl::<Rec>(&path).expect_err("broken line must fail");
-        match &err {
-            PersistError::Parse { line, .. } => assert_eq!(*line, Some(2)),
-            other => panic!("expected Parse, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
     }
 }
