@@ -1,11 +1,11 @@
 //! # rasa-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (Section V), the `pipeline` runtime-vs-quality experiment
-//! over the M-ratio ladder, plus criterion micro-benchmarks. See DESIGN.md
-//! §5 for the full experiment index and EXPERIMENTS.md for recorded
-//! paper-vs-measured outcomes. The repository's benchmark lives in
-//! `benchmark/`, not here.
+//! evaluation (Section V) and the `pipeline` runtime-vs-quality
+//! experiment over the M-ratio ladder. See DESIGN.md §5 for the full
+//! experiment index and EXPERIMENTS.md for recorded paper-vs-measured
+//! outcomes. The repository's benchmark, per-layer timings included, lives
+//! in `benchmark/`, not here.
 //!
 //! All binaries honor two environment variables:
 //!

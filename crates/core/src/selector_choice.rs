@@ -5,7 +5,7 @@ use rasa_model::Problem;
 use rasa_select::{AlgorithmSelector, GcnSelector, HeuristicSelector, MlpSelector, PoolAlgorithm};
 
 /// Which algorithm-selection strategy the pipeline uses (Section IV-D /
-/// Fig 8, plus fixed arms for the POP and greedy rungs). The paper deploys
+/// Fig 8). The paper deploys
 /// GCN-BASED; HEURISTIC is the zero-setup default here because it needs no
 /// training data.
 #[derive(Clone, Debug, Default)]
@@ -17,10 +17,6 @@ pub enum SelectorChoice {
     AlwaysCg,
     /// Always the MIP-based algorithm (ablation).
     AlwaysMip,
-    /// Always the POP shard rung (ablation).
-    AlwaysPop,
-    /// Always the greedy completion arm (ablation; the quality floor).
-    AlwaysGreedy,
     /// A trained GCN classifier (the paper's proposal).
     Gcn(GcnSelector),
     /// A trained MLP over pooled features (topology-blind ablation).
@@ -34,8 +30,6 @@ impl SelectorChoice {
             SelectorChoice::Heuristic => HeuristicSelector.select(problem),
             SelectorChoice::AlwaysCg => PoolAlgorithm::Cg,
             SelectorChoice::AlwaysMip => PoolAlgorithm::Mip,
-            SelectorChoice::AlwaysPop => PoolAlgorithm::Pop,
-            SelectorChoice::AlwaysGreedy => PoolAlgorithm::Greedy,
             SelectorChoice::Gcn(s) => s.select(problem),
             SelectorChoice::Mlp(s) => s.select(problem),
         }
@@ -47,8 +41,6 @@ impl SelectorChoice {
             SelectorChoice::Heuristic => HeuristicSelector.name(),
             SelectorChoice::AlwaysCg => PoolAlgorithm::Cg.label(),
             SelectorChoice::AlwaysMip => PoolAlgorithm::Mip.label(),
-            SelectorChoice::AlwaysPop => PoolAlgorithm::Pop.label(),
-            SelectorChoice::AlwaysGreedy => PoolAlgorithm::Greedy.label(),
             SelectorChoice::Gcn(s) => s.name(),
             SelectorChoice::Mlp(s) => s.name(),
         }
@@ -67,12 +59,8 @@ mod tests {
         let p = b.build().unwrap();
         assert_eq!(SelectorChoice::AlwaysCg.select(&p), PoolAlgorithm::Cg);
         assert_eq!(SelectorChoice::AlwaysMip.select(&p), PoolAlgorithm::Mip);
-        assert_eq!(SelectorChoice::AlwaysPop.select(&p), PoolAlgorithm::Pop);
-        assert_eq!(SelectorChoice::AlwaysGreedy.select(&p), PoolAlgorithm::Greedy);
         assert_eq!(SelectorChoice::AlwaysCg.label(), "CG");
         assert_eq!(SelectorChoice::AlwaysMip.label(), "MIP");
-        assert_eq!(SelectorChoice::AlwaysPop.label(), "POP");
-        assert_eq!(SelectorChoice::AlwaysGreedy.label(), "GREEDY");
         assert_eq!(SelectorChoice::default().label(), "HEURISTIC");
     }
 
@@ -84,8 +72,6 @@ mod tests {
         for (choice, alg) in [
             (SelectorChoice::AlwaysCg, PoolAlgorithm::Cg),
             (SelectorChoice::AlwaysMip, PoolAlgorithm::Mip),
-            (SelectorChoice::AlwaysPop, PoolAlgorithm::Pop),
-            (SelectorChoice::AlwaysGreedy, PoolAlgorithm::Greedy),
         ] {
             assert_eq!(choice.select(&p), alg);
             assert_eq!(choice.label(), alg.label());

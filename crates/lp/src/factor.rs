@@ -19,9 +19,8 @@
 //! The numeric phase is Gilbert–Peierls left-looking elimination: the
 //! nonzero pattern of each column's triangular solve is discovered by a
 //! depth-first search over the column DAG of `L`, so factorization work is
-//! proportional to the *fill-in flops*, not to `m²` — the property the
-//! micro-benchmarks (`lu_factorize_*`) and `crates/lp/tests/sparse_scaling.rs`
-//! lock in.
+//! proportional to the *fill-in flops*, not to `m²` — the property
+//! `crates/lp/tests/sparse_scaling.rs` locks in.
 //!
 //! Between refactorizations each basis exchange appends an eta to the
 //! [`EtaFile`]: `B_new = B_old · E` where `E` is the identity with column

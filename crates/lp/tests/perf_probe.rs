@@ -1,8 +1,8 @@
 //! Whole-solve kernel cost probe: sparse LU path vs the dense reference
 //! on the two LP shapes the pipeline actually solves in bulk (tiny
 //! knapsack-relaxation pricing LPs and CG master LPs), cold and
-//! warm-started. Complements the criterion micro-benches (`lu_*` in
-//! `rasa-bench`), which time factorize/ftran/btran in isolation.
+//! warm-started. The per-layer timings of `benchmark/` cover the LP layer
+//! inside whole solves; this probe isolates the LU path.
 //!
 //! Ignored by default — it prints timings rather than asserting. Run on a
 //! quiet machine with:

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rasa-serve [--addr 127.0.0.1:7070] [--workers 2] [--queue-capacity 4]
-//!            [--max-tenants 64] [--deadline-ms 2000] [--seed 42]
+//!            [--max-tenants 64] [--deadline-ms 2000]
 //!            [--drain-grace-ms 5000] [--metrics-out PATH]
 //!            [--wal-dir PATH] [--wal-sync POLICY]
 //! ```
@@ -17,9 +17,9 @@
 //! initiates graceful drain; the process exits 0 after the drain report
 //! is printed. The flight recorder reads its `RASA_FLIGHT_*` environment
 //! configuration at startup, so black-box dumps work the same way as in
-//! the batch CLI; the structured event log likewise reads `RASA_LOG_*`
-//! (`RASA_LOG_LEVEL`, `RASA_LOG_CAP`, `RASA_LOG_STDERR`) and is served
-//! back by `GET /debug/log?tail=N`.
+//! the batch CLI. The structured event log keeps the newest 512 entries,
+//! echoes `warn`/`error` entries to stderr, and is served back by
+//! `GET /debug/log?tail=N`.
 
 #![warn(clippy::unwrap_used)]
 
@@ -55,7 +55,7 @@ fn install_signal_handlers() {}
 
 fn usage() -> &'static str {
     "usage: rasa-serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]\n\
-     \x20                 [--max-tenants N] [--deadline-ms N] [--seed N]\n\
+     \x20                 [--max-tenants N] [--deadline-ms N]\n\
      \x20                 [--drain-grace-ms N] [--metrics-out PATH] [--wal-dir PATH]\n\
      \x20                 [--wal-sync always|never|every:N] [--wal-compact-every N]\n\
      \x20                 [--wal-segment-bytes N]"
@@ -96,11 +96,6 @@ fn parse_args(config: &mut ServeConfig) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--deadline-ms: not a number".to_string())?;
                 config.default_deadline = Duration::from_millis(ms.max(1));
-            }
-            "--seed" => {
-                config.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed: not a number".to_string())?
             }
             "--drain-grace-ms" => {
                 let ms: u64 = value("--drain-grace-ms")?
@@ -157,7 +152,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     rasa_obs::flight::recorder().configure_from_env();
-    rasa_serve::log::event_log().configure_from_env();
     install_signal_handlers();
 
     let server = match Server::bind(config) {

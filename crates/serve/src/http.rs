@@ -1,5 +1,7 @@
 //! A deliberately tiny HTTP/1.1 layer on `std::net` — no external
 //! dependencies, one request per connection (`Connection: close`).
+//! The server side is [`read_request`] and [`Response`]; the client side
+//! that tests and campaigns drive the daemon with is [`call`].
 //!
 //! The parser is written for hostile inputs: header and body sizes are
 //! capped, reads carry a socket timeout (so a slow-loris client costs one
@@ -9,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// Parser limits and socket timeouts.
@@ -292,6 +294,58 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
+/// A response as [`call`] reads it.
+#[derive(Debug)]
+pub struct Reply {
+    /// HTTP status code.
+    pub status: u16,
+    /// Response headers, names lowercased and values trimmed.
+    pub headers: BTreeMap<String, String>,
+    /// Body text.
+    pub body: String,
+}
+
+/// The client side: send `method target` with `headers` and `body` on a
+/// fresh connection to `addr` and read the reply to EOF (the daemon
+/// closes every connection after one response). `read_timeout: None`
+/// waits as long as the reply takes.
+pub fn call(
+    addr: SocketAddr,
+    method: &str,
+    target: &str,
+    headers: &[(&str, &str)],
+    body: &str,
+    read_timeout: Option<Duration>,
+) -> io::Result<Reply> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(read_timeout)?;
+    let mut request = format!("{method} {target} HTTP/1.1\r\nHost: {addr}\r\n");
+    for (name, value) in headers {
+        request.push_str(&format!("{name}: {value}\r\n"));
+    }
+    request.push_str(&format!("Content-Length: {}\r\n\r\n{body}", body.len()));
+    stream.write_all(request.as_bytes())?;
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw)?;
+    let malformed = || io::Error::new(io::ErrorKind::InvalidData, "malformed HTTP reply");
+    let (head, body) = raw.split_once("\r\n\r\n").ok_or_else(malformed)?;
+    let mut lines = head.split("\r\n");
+    let status = lines
+        .next()
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(malformed)?;
+    let headers = lines
+        .filter_map(|l| l.split_once(':'))
+        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
+        .collect();
+    Ok(Reply {
+        status,
+        headers,
+        body: body.to_string(),
+    })
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -415,5 +469,28 @@ mod tests {
         assert!(wire.contains("Retry-After: 3\r\n"));
         assert!(wire.contains("Content-Length: 24\r\n"));
         assert!(wire.ends_with("{\"error\":\"backpressure\"}"));
+    }
+
+    #[test]
+    fn client_call_round_trips_through_the_server_half() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let req = read_request(&mut stream, &HttpLimits::default()).unwrap();
+            let id = req.header("x-rasa-request-id").unwrap().to_string();
+            Response::json(201, format!("{} {} {}", req.method, req.path, req.body))
+                .with_header("X-Rasa-Request-Id", id)
+                .write_to(&mut stream)
+                .unwrap();
+        });
+        let headers = [("X-Rasa-Request-Id", "id-1")];
+        let timeout = Some(Duration::from_secs(5));
+        let reply = call(addr, "POST", "/delta?tenant=a", &headers, "{}", timeout).unwrap();
+        server.join().unwrap();
+        assert_eq!(reply.status, 201);
+        assert_eq!(reply.body, "POST /delta {}");
+        assert_eq!(reply.headers["x-rasa-request-id"], "id-1");
+        assert_eq!(reply.headers["content-type"], "application/json");
     }
 }

@@ -17,8 +17,9 @@
 //!   bound ([`queue`]).
 //! * **Deadline budgets** — every round runs under a per-tenant deadline
 //!   that the pipeline's wave-based slicing subdivides across subproblems.
-//! * **Retry with jittered backoff** — transient certification failures
-//!   retry on a seeded, deterministic [`BackoffSchedule`] ([`backoff`]).
+//! * **Certified or stale** — a round that fails certification is not
+//!   applied: the client is answered at once with the last certified
+//!   placement (`stale: true`), and the next request solves again.
 //! * **Circuit breaking** — repeated ladder exhaustion trips a per-tenant
 //!   [`CircuitBreaker`]; while open, the daemon serves the last *certified*
 //!   placement with `stale: true` rather than erroring ([`breaker`]).
@@ -36,7 +37,6 @@
 //! See `docs/ARCHITECTURE.md` ("Service layer") for the request lifecycle
 //! and `docs/METRICS.md` for the `serve.*` metric glossary.
 
-pub mod backoff;
 pub mod breaker;
 pub mod http;
 pub mod log;
@@ -45,7 +45,6 @@ pub mod server;
 pub mod slo;
 pub mod wal;
 
-pub use backoff::BackoffSchedule;
 pub use breaker::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker};
 pub use http::{HttpError, HttpLimits, Request, Response};
 pub use log::{event_log, EventLog, LogEntry, LogLevel};

@@ -4,63 +4,37 @@
 //! requests — every entry captures the ambient
 //! [`RequestContext`](rasa_obs::RequestContext) when one is installed.
 //!
-//! Configuration comes from the environment at daemon startup
-//! ([`EventLog::configure_from_env`]):
-//!
-//! * `RASA_LOG_LEVEL` — minimum level kept (`debug`/`info`/`warn`/`error`;
-//!   default `info`);
-//! * `RASA_LOG_CAP` — ring capacity in entries (default 512; oldest
-//!   entries are dropped and counted, never silently lost);
-//! * `RASA_LOG_STDERR` — `0` silences the stderr echo of `warn`/`error`
-//!   entries (default on, so a crashing daemon still leaves a trail).
+//! The ring keeps the newest 512 entries; older ones are dropped and
+//! counted, never silently lost. `warn` and `error` entries
+//! are also echoed to stderr, so a crashing daemon still leaves a trail.
 
 use rasa_obs::flight::current_request_context;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Entry severity, ordered `Debug < Info < Warn < Error`.
+/// Entries the ring keeps before it drops the oldest.
+const LOG_CAPACITY: usize = 512;
+
+/// Entry severity, ordered `Info < Warn < Error`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LogLevel {
-    /// Development chatter (off by default).
-    Debug = 0,
     /// Routine lifecycle events (startup, drain phases, publishes).
-    Info = 1,
+    Info,
     /// Degraded-but-handled conditions (breaker trips, stale serves).
-    Warn = 2,
+    Warn,
     /// Failures (flush errors, panics, bind failures).
-    Error = 3,
+    Error,
 }
 
 impl LogLevel {
     /// Stable lowercase name.
     pub fn as_str(&self) -> &'static str {
         match self {
-            LogLevel::Debug => "debug",
             LogLevel::Info => "info",
             LogLevel::Warn => "warn",
             LogLevel::Error => "error",
-        }
-    }
-
-    /// Parse a level name (case-insensitive); `None` for unknown names.
-    pub fn parse(s: &str) -> Option<LogLevel> {
-        match s.to_ascii_lowercase().as_str() {
-            "debug" => Some(LogLevel::Debug),
-            "info" => Some(LogLevel::Info),
-            "warn" | "warning" => Some(LogLevel::Warn),
-            "error" => Some(LogLevel::Error),
-            _ => None,
-        }
-    }
-
-    fn from_u8(v: u8) -> LogLevel {
-        match v {
-            0 => LogLevel::Debug,
-            1 => LogLevel::Info,
-            2 => LogLevel::Warn,
-            _ => LogLevel::Error,
         }
     }
 }
@@ -119,90 +93,24 @@ impl LogEntry {
     }
 }
 
-/// The bounded, leveled, process-wide event log behind [`event_log()`].
-#[derive(Debug)]
+/// The bounded, process-wide event log behind [`event_log()`].
+#[derive(Debug, Default)]
 pub struct EventLog {
-    min_level: AtomicU8,
-    echo_stderr: AtomicBool,
-    cap: AtomicUsize,
     seq: AtomicU64,
     dropped: AtomicU64,
     ring: Mutex<VecDeque<LogEntry>>,
 }
 
-impl Default for EventLog {
-    fn default() -> Self {
-        EventLog {
-            min_level: AtomicU8::new(LogLevel::Info as u8),
-            echo_stderr: AtomicBool::new(true),
-            cap: AtomicUsize::new(512),
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::new()),
-        }
-    }
-}
-
 impl EventLog {
-    /// Set the minimum level kept.
-    pub fn set_min_level(&self, level: LogLevel) {
-        self.min_level.store(level as u8, Ordering::Relaxed);
-    }
-
-    /// The minimum level kept.
-    pub fn min_level(&self) -> LogLevel {
-        LogLevel::from_u8(self.min_level.load(Ordering::Relaxed))
-    }
-
-    /// Set the ring capacity (existing overflow is dropped and counted).
-    pub fn set_capacity(&self, cap: usize) {
-        let cap = cap.max(1);
-        self.cap.store(cap, Ordering::Relaxed);
-        let mut ring = self.lock_ring();
-        while ring.len() > cap {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Enable or disable the stderr echo of `warn`/`error` entries.
-    pub fn set_echo_stderr(&self, echo: bool) {
-        self.echo_stderr.store(echo, Ordering::Relaxed);
-    }
-
-    /// Apply `RASA_LOG_LEVEL`, `RASA_LOG_CAP`, and `RASA_LOG_STDERR` from
-    /// the environment (see module docs); unset variables keep defaults.
-    pub fn configure_from_env(&self) {
-        if let Some(level) = std::env::var("RASA_LOG_LEVEL")
-            .ok()
-            .and_then(|v| LogLevel::parse(&v))
-        {
-            self.set_min_level(level);
-        }
-        if let Some(cap) = std::env::var("RASA_LOG_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            self.set_capacity(cap);
-        }
-        if let Ok(v) = std::env::var("RASA_LOG_STDERR") {
-            self.set_echo_stderr(v != "0");
-        }
-    }
-
     fn lock_ring(&self) -> std::sync::MutexGuard<'_, VecDeque<LogEntry>> {
         self.ring.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Append one entry (no-op below the minimum level). The ambient
-    /// request context, if any, is stamped into the entry.
+    /// Append one entry, stamped with the ambient request context if any.
     pub fn emit(&self, level: LogLevel, target: &str, message: impl Into<String>) {
-        if (level as u8) < self.min_level.load(Ordering::Relaxed) {
-            return;
-        }
         let message = message.into();
         let ctx = current_request_context().unwrap_or_default();
-        if level >= LogLevel::Warn && self.echo_stderr.load(Ordering::Relaxed) {
+        if level >= LogLevel::Warn {
             eprintln!("rasa-serve [{}] {target}: {message}", level.as_str());
         }
         let entry = LogEntry {
@@ -217,9 +125,8 @@ impl EventLog {
             request_id: ctx.request_id,
             tenant: ctx.tenant,
         };
-        let cap = self.cap.load(Ordering::Relaxed).max(1);
         let mut ring = self.lock_ring();
-        while ring.len() >= cap {
+        while ring.len() >= LOG_CAPACITY {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -269,11 +176,6 @@ pub fn error(target: &str, message: impl Into<String>) {
     event_log().emit(LogLevel::Error, target, message);
 }
 
-/// Emit a `debug` entry to the process-wide log.
-pub fn debug(target: &str, message: impl Into<String>) {
-    event_log().emit(LogLevel::Debug, target, message);
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -282,44 +184,20 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_counts_drops() {
         let log = EventLog::default();
-        log.set_capacity(3);
-        log.set_echo_stderr(false);
-        for i in 0..7 {
+        for i in 0..LOG_CAPACITY + 4 {
             log.emit(LogLevel::Info, "test", format!("m{i}"));
         }
-        let tail = log.tail(10);
-        assert_eq!(tail.len(), 3);
+        let tail = log.tail(LOG_CAPACITY + 10);
+        assert_eq!(tail.len(), LOG_CAPACITY);
         assert_eq!(tail[0].message, "m4");
-        assert_eq!(tail[2].message, "m6");
+        assert_eq!(tail[LOG_CAPACITY - 1].message, format!("m{}", LOG_CAPACITY + 3));
         assert_eq!(log.dropped(), 4);
         assert!(tail.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
     #[test]
-    fn min_level_filters_and_parse_round_trips() {
-        let log = EventLog::default();
-        log.set_echo_stderr(false);
-        log.set_min_level(LogLevel::Warn);
-        log.emit(LogLevel::Info, "test", "dropped");
-        log.emit(LogLevel::Error, "test", "kept");
-        let tail = log.tail(10);
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].level, LogLevel::Error);
-        for level in [
-            LogLevel::Debug,
-            LogLevel::Info,
-            LogLevel::Warn,
-            LogLevel::Error,
-        ] {
-            assert_eq!(LogLevel::parse(level.as_str()), Some(level));
-        }
-        assert_eq!(LogLevel::parse("bogus"), None);
-    }
-
-    #[test]
     fn entries_capture_the_ambient_request_context() {
         let log = EventLog::default();
-        log.set_echo_stderr(false);
         {
             let _ctx = rasa_obs::with_request_context(rasa_obs::RequestContext::new(
                 "req-7", "acme",
@@ -339,7 +217,6 @@ mod tests {
     #[test]
     fn json_escaping_survives_hostile_messages() {
         let log = EventLog::default();
-        log.set_echo_stderr(false);
         log.emit(LogLevel::Info, "t", "quote \" slash \\ newline \n end");
         let json = log.tail_json(1);
         assert!(json.contains("quote \\\" slash \\\\ newline \\n end"));

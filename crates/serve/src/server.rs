@@ -10,17 +10,18 @@
 //!    breaker may short-circuit to a stale-but-certified answer, and the
 //!    bounded queue sheds overload with `429 + Retry-After`.
 //! 3. **Solve** — a worker applies the mutation through the admission
-//!    gate, re-solves warm via the session cache under the tenant's
-//!    deadline budget, retrying transient failures with jittered backoff.
+//!    gate and re-solves warm via the session cache under the tenant's
+//!    deadline budget. A tenant is scheduled on at most one worker at a
+//!    time; its jobs run in arrival order.
 //! 4. **Certify & publish** — only placements passing
 //!    `certify_placement` are published; an uncertified round leaves the
-//!    previous placement in effect and the client is told so.
+//!    previous placement in effect and the client is told so at once
+//!    (stale), with no in-process retry.
 //!
 //! Panics are isolated per connection and per solve round; a caught panic
 //! is counted, reported to the breaker, and answered with the last
 //! certified placement when one exists.
 
-use crate::backoff::BackoffSchedule;
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker};
 use crate::http::{read_request, HttpError, HttpLimits, Request, Response};
 use crate::log;
@@ -35,7 +36,7 @@ use rasa_core::Deadline;
 use rasa_model::Problem;
 use rasa_obs::flight;
 use rasa_obs::RequestContext;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -66,16 +67,8 @@ pub struct ServeConfig {
     /// How long a handler waits for its round's result before answering
     /// 504 (the round still completes and publishes).
     pub request_timeout: Duration,
-    /// Retries after a transient solve failure (certification failure).
-    pub max_retries: u32,
-    /// Jittered-backoff base delay between retries.
-    pub backoff_base: Duration,
-    /// Jittered-backoff delay cap.
-    pub backoff_cap: Duration,
     /// Per-tenant circuit breaker tuning.
     pub breaker: BreakerConfig,
-    /// Seed for backoff jitter (per-tenant streams derive from it).
-    pub seed: u64,
     /// Pipeline configuration used by every tenant session.
     pub rasa: RasaConfig,
     /// How long drain waits for in-flight rounds before black-boxing the
@@ -105,11 +98,7 @@ impl Default for ServeConfig {
             default_deadline: Duration::from_secs(2),
             max_deadline: Duration::from_secs(10),
             request_timeout: Duration::from_secs(30),
-            max_retries: 2,
-            backoff_base: Duration::from_millis(20),
-            backoff_cap: Duration::from_millis(500),
             breaker: BreakerConfig::default(),
-            seed: 42,
             rasa: RasaConfig::default(),
             drain_grace: Duration::from_secs(5),
             metrics_flush_path: None,
@@ -158,7 +147,6 @@ struct PublishedView {
 /// Everything about a tenant that is read without the engine lock.
 struct TenantState {
     breaker: CircuitBreaker,
-    backoff: BackoffSchedule,
     /// The last certified placement — set only after it was journaled.
     published: Option<PublishedView>,
     /// Latest accepted snapshot generation (the session's, readable
@@ -215,7 +203,8 @@ impl TenantState {
 
 /// One tenant behind three locks, each with one job.
 ///
-/// Lock order: tenants map → `engine` → `journal` → `state`. `state` is
+/// Lock order: `work` → tenants map → `engine` → `journal` → `state`
+/// (`work` only ever wraps a map lookup and a queue-length read). `state` is
 /// always innermost: while it is held nothing does I/O, sleeps, solves,
 /// writes a socket or takes another daemon lock (only the metric
 /// registry's and event log's leaf locks). A round journals under
@@ -248,10 +237,8 @@ fn new_slot(
     journal: Option<TenantJournal>,
     quarantined: Option<String>,
 ) -> Arc<TenantSlot> {
-    let seed = config.seed ^ fnv1a(tenant);
     let state = TenantState {
         breaker: CircuitBreaker::new(config.breaker),
-        backoff: BackoffSchedule::new(config.backoff_base, config.backoff_cap, seed),
         published: engine.published().map(|p| PublishedView {
             certified: p.clone(),
             request_id: String::new(),
@@ -322,12 +309,16 @@ fn checkpoint_state(session: &AllocationSession) -> Option<CheckpointState<'_>> 
     })
 }
 
-/// Tenants with queued jobs, in arrival order, plus the workers' stop
+/// Tenants ready for a worker, in arrival order, and the workers' stop
 /// flag — under one mutex, so a stop cannot slip between a worker's check
-/// and its wait.
+/// and its wait. A tenant stays in `scheduled` from the job that makes it
+/// ready until a worker finds its queue empty, so it is in `ready` at most
+/// once and never on two workers: a second worker would only block on
+/// the first one's `engine` while other tenants wait.
 #[derive(Default)]
 struct Work {
     ready: VecDeque<String>,
+    scheduled: BTreeSet<String>,
     stop: bool,
 }
 
@@ -351,11 +342,42 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Shared {
-    fn enqueue_work(&self, tenant: &str) {
-        lock_or_recover(&self.work)
-            .ready
-            .push_back(tenant.to_string());
-        self.work_cv.notify_one();
+    fn new(config: ServeConfig, tenants: BTreeMap<String, Arc<TenantSlot>>) -> Self {
+        Shared {
+            config,
+            tenants: Mutex::new(tenants),
+            work: Mutex::default(),
+            work_cv: Condvar::new(),
+            draining: AtomicBool::new(false),
+            active_rounds: AtomicU64::new(0),
+            open_connections: AtomicU64::new(0),
+            abandoned_jobs: AtomicU64::new(0),
+            inflight_completed: AtomicU64::new(0),
+        }
+    }
+
+    /// Call after pushing a job onto `tenant`'s queue.
+    fn schedule(&self, tenant: &str) {
+        let mut work = lock_or_recover(&self.work);
+        if work.scheduled.insert(tenant.to_string()) {
+            work.ready.push_back(tenant.to_string());
+            self.work_cv.notify_one();
+        }
+    }
+
+    /// Call when a worker is done with `tenant`'s round: queue it again
+    /// behind the other ready tenants if jobs wait, else clear its mark.
+    /// The queue is read under `work`, after any concurrent `schedule`'s
+    /// push, so no job is stranded; the slot is looked up again because a
+    /// tenant removed and re-created meanwhile has a new queue.
+    fn finish(&self, tenant: &str) {
+        let mut work = lock_or_recover(&self.work);
+        if self.tenant(tenant).is_some_and(|slot| !slot.queue.is_empty()) {
+            work.ready.push_back(tenant.to_string());
+            self.work_cv.notify_one();
+        } else {
+            work.scheduled.remove(tenant);
+        }
     }
 
     fn tenant(&self, name: &str) -> Option<Arc<TenantSlot>> {
@@ -370,15 +392,6 @@ impl Shared {
     fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
     }
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn valid_tenant(name: &str) -> bool {
@@ -427,17 +440,7 @@ impl Server {
         // cardinality to the tenant cap (overflow folds into `other`)
         rasa_obs::global().set_label_cap(config.max_tenants);
         let tenants = recover_tenants(&config);
-        let shared = Arc::new(Shared {
-            config,
-            tenants: Mutex::new(tenants),
-            work: Mutex::default(),
-            work_cv: Condvar::new(),
-            draining: AtomicBool::new(false),
-            active_rounds: AtomicU64::new(0),
-            open_connections: AtomicU64::new(0),
-            abandoned_jobs: AtomicU64::new(0),
-            inflight_completed: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(config, tenants));
         Ok(Server { listener, shared })
     }
 
@@ -713,6 +716,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         if let Some(slot) = shared.tenant(&name) {
             process_one(shared, &slot);
         }
+        shared.finish(&name);
     }
 }
 
@@ -736,9 +740,7 @@ fn process_one(shared: &Arc<Shared>, slot: &Arc<TenantSlot>) {
     // the worker thread adopts the request's identity for the round, so
     // flight recordings and log lines carry the ingress request id
     let _ctx_guard = flight::with_request_context(ctx);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_round(shared, slot, kind, deadline)
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_round(slot, kind, deadline)));
     let response = match outcome {
         Ok(response) => response,
         Err(_) => {
@@ -755,17 +757,12 @@ fn process_one(shared: &Arc<Shared>, slot: &Arc<TenantSlot>) {
         shared.inflight_completed.fetch_add(1, Ordering::SeqCst);
     }
     shared.active_rounds.fetch_sub(1, Ordering::SeqCst);
-    if !slot.queue.is_empty() {
-        shared.enqueue_work(&slot.name);
-    }
 }
 
-/// Apply the job's mutation and solve-with-retries. Returns the response
-/// to send. The mutation and the certified placement are journaled first;
-/// the published view, verdict and breaker then change in one `state`
-/// section.
+/// Apply the job's mutation and solve once. Returns the response to send.
+/// The mutation and the certified placement are journaled first; the
+/// published view, verdict and breaker then change in one `state` section.
 fn run_round(
-    shared: &Arc<Shared>,
     slot: &Arc<TenantSlot>,
     kind: JobKind,
     deadline: Duration,
@@ -802,105 +799,87 @@ fn run_round(
     journal_write(slot, |j| j.append(&wal_record));
     slot.state().generation = session.generation();
 
-    let mut attempt: u32 = 0;
-    loop {
-        let mut scope = flight::begin_solve(
-            "serve.round",
-            &[
-                ("tenant", slot.name.clone()),
-                ("attempt", attempt.to_string()),
-            ],
-        );
-        match session.resolve(Deadline::after(deadline)) {
-            Ok(round) => {
-                let verdict = if round.degraded { "degraded" } else { "ok" };
-                scope.set_verdict(verdict, round.degraded);
-                drop(scope);
-                obs.inc("serve.rounds_published");
-                if round.degraded {
-                    obs.inc("serve.rounds_degraded");
-                    log::warn(
-                        "serve",
-                        format!("degraded round {} published for {}", round.round, slot.name),
-                    );
-                }
-                // the placement passed Gate 2 — journal it and compact if
-                // the journal is due, and only then let readers see it
-                let certified = session.published().expect("a resolved round publishes");
-                journal_write(slot, |j| {
-                    j.append(&WalRecord::placement(certified.into()))?;
-                    match checkpoint_state(&session) {
-                        Some(state) if j.needs_checkpoint() => j.checkpoint(&state),
-                        _ => Ok(()),
-                    }
-                });
-                let view = PublishedView {
-                    certified: certified.clone(),
-                    request_id: round.request_id.clone().unwrap_or_default(),
-                };
-                {
-                    let mut state = slot.state();
-                    state.published = Some(view);
-                    state.last_verdict = verdict;
-                    // A degraded round is still published (it certified),
-                    // but it counts as ladder exhaustion for the breaker.
-                    state.report(!round.degraded);
-                }
-                let (hits, misses) = round
-                    .run
-                    .cache
-                    .as_ref()
-                    .map(|c| (c.hits, c.misses))
-                    .unwrap_or((0, 0));
-                if is_delta {
-                    // the split the published round itself solved by: a
-                    // miss (poisoned entries included) was dirty, a hit
-                    // was reused
-                    obs.add("serve.delta_dirty", misses as u64);
-                    obs.add("serve.delta_unchanged", hits as u64);
-                }
-                return Response::json(
-                    200,
-                    format!(
-                        "{{\"tenant\":\"{}\",\"accepted\":true,\"certified\":true,\"stale\":false,\
-                         \"round\":{},\"objective\":{:.6},\"normalized\":{:.6},\"degraded\":{},\
-                         \"cache\":{{\"hits\":{hits},\"misses\":{misses}}},\
-                         \"admission\":{{\"clean\":{},\"quarantined_services\":{},\"quarantined_machines\":{}}}}}",
-                        slot.name,
-                        round.round,
-                        round.objective,
-                        round.normalized,
-                        round.degraded,
-                        admission.is_clean(),
-                        admission.quarantined_services.len(),
-                        admission.quarantined_machines.len(),
-                    ),
+    let mut scope = flight::begin_solve("serve.round", &[("tenant", slot.name.clone())]);
+    match session.resolve(Deadline::after(deadline)) {
+        Ok(round) => {
+            let verdict = if round.degraded { "degraded" } else { "ok" };
+            scope.set_verdict(verdict, round.degraded);
+            drop(scope);
+            obs.inc("serve.rounds_published");
+            if round.degraded {
+                obs.inc("serve.rounds_degraded");
+                log::warn(
+                    "serve",
+                    format!("degraded round {} published for {}", round.round, slot.name),
                 );
             }
-            Err(SessionError::Uncertified(_)) => {
-                scope.set_verdict("uncertified", true);
-                drop(scope);
-                obs.inc("serve.uncertified_rejected");
-                if attempt < shared.config.max_retries
-                    && !shared.draining.load(Ordering::SeqCst)
-                {
-                    obs.inc("serve.retries");
-                    let delay = slot.state().backoff.next_delay(attempt);
-                    attempt += 1;
-                    thread::sleep(delay);
-                    continue;
+            // the placement passed Gate 2 — journal it and compact if
+            // the journal is due, and only then let readers see it
+            let certified = session.published().expect("a resolved round publishes");
+            journal_write(slot, |j| {
+                j.append(&WalRecord::placement(certified.into()))?;
+                match checkpoint_state(&session) {
+                    Some(state) if j.needs_checkpoint() => j.checkpoint(&state),
+                    _ => Ok(()),
                 }
-                return stale_or_unavailable(slot, "uncertified_after_retries", true);
+            });
+            let view = PublishedView {
+                certified: certified.clone(),
+                request_id: round.request_id.clone().unwrap_or_default(),
+            };
+            {
+                let mut state = slot.state();
+                state.published = Some(view);
+                state.last_verdict = verdict;
+                // A degraded round is still published (it certified),
+                // but it counts as ladder exhaustion for the breaker.
+                state.report(!round.degraded);
             }
-            Err(e) => {
-                scope.set_verdict("rejected", true);
-                drop(scope);
-                slot.state().last_verdict = "rejected";
-                return Response::json(
-                    422,
-                    format!("{{\"error\":\"rejected\",\"detail\":\"{e}\"}}"),
-                );
+            let (hits, misses) = round
+                .run
+                .cache
+                .as_ref()
+                .map(|c| (c.hits, c.misses))
+                .unwrap_or((0, 0));
+            if is_delta {
+                // the split the published round itself solved by: a
+                // miss (poisoned entries included) was dirty, a hit
+                // was reused
+                obs.add("serve.delta_dirty", misses as u64);
+                obs.add("serve.delta_unchanged", hits as u64);
             }
+            Response::json(
+                200,
+                format!(
+                    "{{\"tenant\":\"{}\",\"accepted\":true,\"certified\":true,\"stale\":false,\
+                     \"round\":{},\"objective\":{:.6},\"normalized\":{:.6},\"degraded\":{},\
+                     \"cache\":{{\"hits\":{hits},\"misses\":{misses}}},\
+                     \"admission\":{{\"clean\":{},\"quarantined_services\":{},\"quarantined_machines\":{}}}}}",
+                    slot.name,
+                    round.round,
+                    round.objective,
+                    round.normalized,
+                    round.degraded,
+                    admission.is_clean(),
+                    admission.quarantined_services.len(),
+                    admission.quarantined_machines.len(),
+                ),
+            )
+        }
+        Err(SessionError::Uncertified(_)) => {
+            scope.set_verdict("uncertified", true);
+            drop(scope);
+            obs.inc("serve.uncertified_rejected");
+            stale_or_unavailable(slot, "uncertified", true)
+        }
+        Err(e) => {
+            scope.set_verdict("rejected", true);
+            drop(scope);
+            slot.state().last_verdict = "rejected";
+            Response::json(
+                422,
+                format!("{{\"error\":\"rejected\",\"detail\":\"{e}\"}}"),
+            )
         }
     }
 }
@@ -1406,7 +1385,7 @@ fn ingest(shared: &Arc<Shared>, request: &Request, is_snapshot: bool) -> Respons
             .with_header("Retry-After", retry_after.to_string());
         }
     }
-    shared.enqueue_work(tenant);
+    shared.schedule(tenant);
 
     match rx.recv_timeout(shared.config.request_timeout) {
         Ok(response) => response,
@@ -1421,5 +1400,110 @@ fn ingest(shared: &Arc<Shared>, request: &Request, is_snapshot: bool) -> Respons
                 "{\"error\":\"round still running; poll /placement\"}".to_string(),
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A daemon core with `names` as tenants and no listener or workers:
+    /// the tests below play the workers' part step by step.
+    fn core(names: &[&str]) -> Shared {
+        let config = ServeConfig::default();
+        let tenants = names
+            .iter()
+            .map(|&name| {
+                let session = AllocationSession::new(config.rasa.clone());
+                (name.to_string(), new_slot(&config, name, session, None, None))
+            })
+            .collect();
+        Shared::new(config, tenants)
+    }
+
+    /// What `ingest` does once a request is accepted: queue the job, then
+    /// schedule the tenant.
+    fn ingest_job(shared: &Shared, tenant: &str) {
+        let slot = shared.tenant(tenant).expect("known tenant");
+        let job = Job {
+            kind: JobKind::Delta(SnapshotDelta::default()),
+            deadline: Duration::from_secs(1),
+            probe: false,
+            reply: sync_channel(1).0,
+            ctx: RequestContext::default(),
+        };
+        assert!(slot.queue.try_push(job).is_ok(), "queue has room");
+        shared.schedule(tenant);
+    }
+
+    /// A worker's wait, without the wait: the next ready tenant, if any.
+    fn take(shared: &Shared) -> Option<String> {
+        lock_or_recover(&shared.work).ready.pop_front()
+    }
+
+    /// A worker's round, without the solve: pop one job of `tenant`.
+    fn pop_job(shared: &Shared, tenant: &str) {
+        let slot = shared.tenant(tenant).expect("known tenant");
+        assert!(slot.queue.pop().is_some(), "a scheduled tenant has a job");
+    }
+
+    #[test]
+    fn a_tenant_is_never_handed_to_two_workers_at_once() {
+        let shared = core(&["a", "b"]);
+        ingest_job(&shared, "a");
+        ingest_job(&shared, "a");
+        ingest_job(&shared, "b");
+
+        // two idle workers: one gets `a`, the other `b`, never `a` twice
+        let first = take(&shared);
+        let second = take(&shared);
+        assert_eq!(first.as_deref(), Some("a"));
+        assert_eq!(second.as_deref(), Some("b"));
+        assert_eq!(take(&shared), None, "`a` is ready once though it has two jobs");
+
+        // the first worker's round leaves a job behind: `a` is ready again
+        pop_job(&shared, "a");
+        shared.finish("a");
+        pop_job(&shared, "b");
+        shared.finish("b");
+        assert_eq!(take(&shared).as_deref(), Some("a"));
+        assert_eq!(take(&shared), None);
+        pop_job(&shared, "a");
+        shared.finish("a");
+        assert_eq!(take(&shared), None, "nothing queued, nothing ready");
+        let work = lock_or_recover(&shared.work);
+        assert!(work.scheduled.is_empty() && work.ready.is_empty());
+    }
+
+    #[test]
+    fn a_job_pushed_between_the_last_pop_and_finish_still_runs() {
+        let shared = core(&["a"]);
+        ingest_job(&shared, "a");
+        assert_eq!(take(&shared).as_deref(), Some("a"));
+        pop_job(&shared, "a");
+
+        // a request lands while the round runs: its tenant is still
+        // scheduled, so it is not handed to a second worker ...
+        ingest_job(&shared, "a");
+        assert_eq!(take(&shared), None);
+        // ... and the finishing worker sees the job and re-queues `a`
+        shared.finish("a");
+        assert_eq!(take(&shared).as_deref(), Some("a"));
+        pop_job(&shared, "a");
+        shared.finish("a");
+
+        // once the mark is clear, the next job schedules the tenant afresh
+        ingest_job(&shared, "a");
+        assert_eq!(take(&shared).as_deref(), Some("a"));
+    }
+
+    #[test]
+    fn finishing_a_removed_tenant_clears_its_mark() {
+        let shared = core(&["a"]);
+        ingest_job(&shared, "a");
+        assert_eq!(take(&shared).as_deref(), Some("a"));
+        lock_or_recover(&shared.tenants).remove("a");
+        shared.finish("a");
+        assert!(lock_or_recover(&shared.work).scheduled.is_empty());
     }
 }

@@ -5,46 +5,17 @@
 
 #![allow(clippy::unwrap_used)]
 
+use rasa_serve::http::{call, Reply};
 use rasa_serve::{BreakerConfig, ServeConfig, Server, ServerHandle};
 use rasa_trace::{generate, tiny_cluster, ClusterSpec};
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
-struct Reply {
-    status: u16,
-    headers: BTreeMap<String, String>,
-    body: String,
-}
-
 fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let request = format!(
-        "{method} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("write");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("head/body split");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Reply {
-        status,
-        headers,
-        body: body.to_string(),
-    }
+    call(addr, method, target, &[], body, None).expect("http exchange")
 }
 
 fn spec(services: usize, seed: u64) -> ClusterSpec {
@@ -367,13 +338,11 @@ fn graceful_drain_completes_in_flight_rounds() {
 
     // post-drain the listener is closed: connections fail or are reset —
     // either way no new work is admitted
-    if let Ok(mut stream) = TcpStream::connect(addr) {
-        let _ = stream.write_all(b"POST /snapshot?tenant=late HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}");
-        let mut raw = String::new();
-        let _ = stream.read_to_string(&mut raw);
+    if let Ok(reply) = call(addr, "POST", "/snapshot?tenant=late", &[], "{}", None) {
         assert!(
-            raw.is_empty() || !raw.contains("\"accepted\":true"),
-            "a drained daemon must not accept new work: {raw}"
+            !reply.body.contains("\"accepted\":true"),
+            "a drained daemon must not accept new work: {}",
+            reply.body
         );
     }
 }

@@ -6,23 +6,14 @@
 #![allow(clippy::unwrap_used)]
 
 use rasa_model::{FeatureMask, Problem, ProblemBuilder, ResourceVec, Service, ServiceId};
+use rasa_serve::http::call;
 use rasa_serve::{ServeConfig, Server};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::thread;
 
 fn post(addr: SocketAddr, target: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let request = format!(
-        "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("write");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("head/body split");
-    let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
-    (status, body.to_string())
+    let reply = call(addr, "POST", target, &[], body, None).expect("http exchange");
+    (reply.status, reply.body)
 }
 
 /// Three feature-fenced rings of four services: three subproblems, and an

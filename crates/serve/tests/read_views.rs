@@ -9,10 +9,9 @@
 
 use rasa_core::{FaultInjection, RasaConfig};
 use rasa_model::{FeatureMask, ProblemBuilder, ResourceVec};
-use rasa_serve::{BreakerConfig, ServeConfig, Server};
+use rasa_serve::{http, BreakerConfig, ServeConfig, Server};
 use serde::Deserialize;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
 
@@ -51,22 +50,9 @@ fn call(
     body: &str,
     id: Option<&str>,
 ) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let id_header = id.map_or(String::new(), |id| format!("X-Rasa-Request-Id: {id}\r\n"));
-    let request = format!(
-        "{method} {target} HTTP/1.1\r\nHost: t\r\n{id_header}Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("write");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("head/body split");
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    (status, body.to_string())
+    let headers: Vec<_> = id.map(|id| ("X-Rasa-Request-Id", id)).into_iter().collect();
+    let reply = http::call(addr, method, target, &headers, body, None).expect("http exchange");
+    (reply.status, reply.body)
 }
 
 /// The tenant's `/tenants` row, its `/placement`, and the `/healthz` reply.

@@ -11,57 +11,13 @@
 #![allow(clippy::unwrap_used)]
 
 use rasa_obs::flight::{recorder, FlightConfig, FlightRecording};
+use rasa_serve::http::call;
 use rasa_serve::{ServeConfig, Server};
 use rasa_trace::{generate, tiny_cluster, ClusterSpec};
-use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
 
-struct Reply {
-    status: u16,
-    headers: BTreeMap<String, String>,
-    body: String,
-}
-
-/// One HTTP/1.1 exchange, optionally carrying `X-Rasa-Request-Id`.
-fn request(
-    addr: SocketAddr,
-    method: &str,
-    target: &str,
-    body: &str,
-    request_id: Option<&str>,
-) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let id_header = match request_id {
-        Some(id) => format!("X-Rasa-Request-Id: {id}\r\n"),
-        None => String::new(),
-    };
-    let raw_request = format!(
-        "{method} {target} HTTP/1.1\r\nHost: t\r\n{id_header}Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(raw_request.as_bytes()).expect("write");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("head/body split");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Reply {
-        status,
-        headers,
-        body: body.to_string(),
-    }
-}
+const ID: &str = "X-Rasa-Request-Id";
 
 fn spec(services: usize, seed: u64) -> ClusterSpec {
     let mut s = tiny_cluster(seed);
@@ -94,13 +50,14 @@ fn request_id_joins_response_blackbox_log_and_tenants() {
     // healthy round under a caller-supplied id: echoed on the response and
     // pinned to the published placement
     let body = serde_json::to_string(&generate(&spec(40, 13))).unwrap();
-    let ok = request(addr, "POST", "/snapshot?tenant=acme", &body, Some("trace-ok-1"));
+    let target = "/snapshot?tenant=acme";
+    let ok = call(addr, "POST", target, &[(ID, "trace-ok-1")], &body, None).unwrap();
     assert_eq!(ok.status, 200, "body: {}", ok.body);
     assert_eq!(
         ok.headers.get("x-rasa-request-id").map(String::as_str),
         Some("trace-ok-1")
     );
-    let placement = request(addr, "GET", "/placement?tenant=acme", "", None);
+    let placement = call(addr, "GET", "/placement?tenant=acme", &[], "", None).unwrap();
     assert_eq!(placement.status, 200);
     assert!(
         placement.body.contains("\"request_id\":\"trace-ok-1\""),
@@ -109,7 +66,8 @@ fn request_id_joins_response_blackbox_log_and_tenants() {
     );
 
     // an invalid caller id is replaced by a daemon-minted one
-    let hostile = request(addr, "GET", "/healthz", "", Some("not a valid id!!"));
+    let hostile = call(addr, "GET", "/healthz", &[(ID, "not a valid id!!")], "", None);
+    let hostile = hostile.unwrap();
     let minted = hostile
         .headers
         .get("x-rasa-request-id")
@@ -120,13 +78,15 @@ fn request_id_joins_response_blackbox_log_and_tenants() {
     // chaos-injected failing round: a 1ms deadline over 40 services
     // exhausts the fallback ladder — certified but degraded, black-boxed
     let delta = "{\"edge_updates\":[{\"a\":0,\"b\":1,\"weight\":9.0}],\"replica_updates\":[]}";
-    let failing = request(
+    let failing = call(
         addr,
         "POST",
         "/delta?tenant=acme&deadline_ms=1",
+        &[(ID, "trace-fail-7")],
         delta,
-        Some("trace-fail-7"),
-    );
+        None,
+    )
+    .unwrap();
     assert_eq!(failing.status, 200, "body: {}", failing.body);
     assert!(
         failing.body.contains("\"degraded\":true"),
@@ -156,7 +116,7 @@ fn request_id_joins_response_blackbox_log_and_tenants() {
     assert_eq!(rec.tenant, "acme");
 
     // the same id appears in the structured log tail...
-    let log_tail = request(addr, "GET", "/debug/log?tail=256", "", None);
+    let log_tail = call(addr, "GET", "/debug/log?tail=256", &[], "", None).unwrap();
     assert_eq!(log_tail.status, 200);
     assert!(
         log_tail.body.contains("trace-fail-7"),
@@ -165,7 +125,7 @@ fn request_id_joins_response_blackbox_log_and_tenants() {
     );
 
     // ...and in the tenant roster, alongside the round's verdict
-    let tenants = request(addr, "GET", "/tenants", "", None);
+    let tenants = call(addr, "GET", "/tenants", &[], "", None).unwrap();
     assert_eq!(tenants.status, 200);
     assert!(tenants.body.contains("\"tenant\":\"acme\""), "{}", tenants.body);
     assert!(

@@ -1,96 +1,21 @@
-//! Retry semantics under overload: the jittered backoff schedule must
-//! stay inside its documented envelope (`[ceil/2, ceil]`, ceiling capped,
-//! deterministic per seed), and the `Retry-After` hints the daemon sends
-//! with 429s must match their documented values — the queue-full hint
-//! tracks the tenant's deadline budget, the tenant-capacity hint is a
-//! flat 30 seconds.
+//! Retry semantics under overload: the `Retry-After` hints the daemon
+//! sends with 429s must match their documented values — the queue-full
+//! hint tracks the tenant's deadline budget, the tenant-capacity hint is a
+//! flat 30 seconds. The daemon itself never retries a round; clients do,
+//! guided by these hints.
 
 #![allow(clippy::unwrap_used)]
 
-use rasa_serve::{BackoffSchedule, ServeConfig, Server};
+use rasa_serve::http::{call, Reply};
+use rasa_serve::{ServeConfig, Server};
 use rasa_trace::{generate, tiny_cluster};
-use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
-struct Reply {
-    status: u16,
-    headers: BTreeMap<String, String>,
-    body: String,
-}
-
 fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let request = format!(
-        "{method} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("write");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("head/body split");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Reply {
-        status,
-        headers,
-        body: body.to_string(),
-    }
-}
-
-#[test]
-fn backoff_delays_stay_inside_the_equal_jitter_envelope() {
-    let base = Duration::from_millis(50);
-    let cap = Duration::from_secs(2);
-    for seed in 0..32u64 {
-        let mut schedule = BackoffSchedule::new(base, cap, seed);
-        for attempt in 0..12u32 {
-            let ceil = schedule.ceiling(attempt);
-            let delay = schedule.next_delay(attempt);
-            assert!(
-                delay >= ceil / 2 && delay <= ceil,
-                "seed {seed} attempt {attempt}: delay {delay:?} outside [{:?}, {ceil:?}]",
-                ceil / 2
-            );
-        }
-    }
-}
-
-#[test]
-fn backoff_ceiling_doubles_then_caps() {
-    let schedule = BackoffSchedule::new(Duration::from_millis(100), Duration::from_secs(1), 7);
-    assert_eq!(schedule.ceiling(0), Duration::from_millis(100));
-    assert_eq!(schedule.ceiling(1), Duration::from_millis(200));
-    assert_eq!(schedule.ceiling(2), Duration::from_millis(400));
-    assert_eq!(schedule.ceiling(3), Duration::from_millis(800));
-    // capped from attempt 4 on, including absurd attempt counts
-    assert_eq!(schedule.ceiling(4), Duration::from_secs(1));
-    assert_eq!(schedule.ceiling(31), Duration::from_secs(1));
-    assert_eq!(schedule.ceiling(u32::MAX), Duration::from_secs(1));
-}
-
-#[test]
-fn backoff_seeds_desynchronize_concurrent_retriers() {
-    // the point of jitter: two tenants failing simultaneously must not
-    // retry in lockstep
-    let base = Duration::from_millis(50);
-    let cap = Duration::from_secs(2);
-    let mut a = BackoffSchedule::new(base, cap, 1);
-    let mut b = BackoffSchedule::new(base, cap, 2);
-    let sa: Vec<Duration> = (0..8).map(|k| a.next_delay(k)).collect();
-    let sb: Vec<Duration> = (0..8).map(|k| b.next_delay(k)).collect();
-    assert_ne!(sa, sb, "different seeds must produce different schedules");
+    call(addr, method, target, &[], body, None).expect("http exchange")
 }
 
 #[test]

@@ -532,7 +532,7 @@ mod tests {
         let c = b.add_service("c", 4, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(machines, ResourceVec::cpu_mem(6.0, 6.0), FeatureMask::EMPTY);
         b.add_affinity(a, c, 10.0);
-        b.build().unwrap()
+        b.build().expect("well-formed test cluster")
     }
 
     #[test]
@@ -609,7 +609,7 @@ mod tests {
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert!(report.dead_machines.is_empty());
         // nothing died, so the full replica set stays alive
-        assert!((report.rounds.last().unwrap().alive_fraction - 1.0).abs() < 1e-12);
+        assert!((report.rounds.last().expect("at least one round").alive_fraction - 1.0).abs() < 1e-12);
     }
 
     #[test]

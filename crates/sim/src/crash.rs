@@ -26,10 +26,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rasa_serve::http::{call, Reply};
 use rasa_trace::{generate, tiny_cluster};
 use serde::Serialize;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -168,7 +169,6 @@ fn spawn_daemon(
     config: &CrashConfig,
     wal_dir: &Path,
     stderr_path: &Path,
-    seed: u64,
     crash_at: Option<&str>,
 ) -> Result<Daemon, String> {
     let stderr_file = std::fs::File::create(stderr_path)
@@ -188,8 +188,6 @@ fn spawn_daemon(
         "--wal-segment-bytes",
         "8192",
     ])
-    .arg("--seed")
-    .arg(seed.to_string())
     .arg("--wal-dir")
     .arg(wal_dir)
     .stdout(Stdio::piped())
@@ -235,29 +233,8 @@ fn spawn_daemon(
     })
 }
 
-struct Reply {
-    status: u16,
-    body: String,
-}
-
 fn exchange(addr: SocketAddr, method: &str, target: &str, body: &str) -> Option<Reply> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .ok()?;
-    let request = format!(
-        "{method} {target} HTTP/1.1\r\nHost: crash\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).ok()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).ok()?;
-    let (head, body) = raw.split_once("\r\n\r\n")?;
-    let status: u16 = head.split_whitespace().nth(1).and_then(|s| s.parse().ok())?;
-    Some(Reply {
-        status,
-        body: body.to_string(),
-    })
+    call(addr, method, target, &[], body, Some(Duration::from_secs(30))).ok()
 }
 
 /// Round number and placement JSON out of a `GET /placement` body — the
@@ -375,7 +352,6 @@ fn run_round(config: &CrashConfig, i: usize, rng: &mut StdRng) -> CrashRound {
         config,
         &wal_dir,
         &round_dir.join("serve_before.stderr"),
-        config.seed ^ i as u64,
         crash_at.as_deref(),
     ) {
         Ok(daemon) => daemon,
@@ -456,8 +432,7 @@ fn run_round(config: &CrashConfig, i: usize, rng: &mut StdRng) -> CrashRound {
 
     // restart on the same journals and interrogate the recovered state
     let stderr_after = round_dir.join("serve_after.stderr");
-    let daemon2 = match spawn_daemon(config, &wal_dir, &stderr_after, config.seed ^ i as u64, None)
-    {
+    let daemon2 = match spawn_daemon(config, &wal_dir, &stderr_after, None) {
         Ok(daemon) => daemon,
         Err(e) => {
             return CrashRound {

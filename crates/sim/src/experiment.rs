@@ -302,7 +302,7 @@ mod tests {
         for i in 0..4 {
             b.add_affinity(svcs[2 * i], svcs[2 * i + 1], 10.0 - i as f64);
         }
-        b.build().unwrap()
+        b.build().expect("well-formed test cluster")
     }
 
     #[test]

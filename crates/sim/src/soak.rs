@@ -32,6 +32,7 @@
 
 use crate::corruption::{inject, CorruptionKind};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use rasa_serve::http::{call, Reply};
 use rasa_serve::{BreakerConfig, HttpLimits, ServeConfig, Server};
 use rasa_trace::{generate, tiny_cluster};
 use serde::{Deserialize, Serialize};
@@ -215,34 +216,10 @@ impl SoakReport {
     }
 }
 
-struct Reply {
-    status: u16,
-    body: String,
-}
-
 /// One-shot HTTP exchange; `None` when the connection failed or was reset
 /// (which the soak treats as data, not an error).
 fn exchange(addr: SocketAddr, method: &str, target: &str, body: &str) -> Option<Reply> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .ok()?;
-    let request = format!(
-        "{method} {target} HTTP/1.1\r\nHost: soak\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).ok()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).ok()?;
-    let (head, body) = raw.split_once("\r\n\r\n")?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())?;
-    Some(Reply {
-        status,
-        body: body.to_string(),
-    })
+    call(addr, method, target, &[], body, Some(Duration::from_secs(60))).ok()
 }
 
 fn tally_response(report: &mut SoakReport, reply: Option<Reply>) {
