@@ -14,8 +14,9 @@
 
 use rasa_core::{Deadline, MigrateConfig, RasaConfig, RasaPipeline};
 use rasa_migrate::{plan_migration, replay_plan};
-use rasa_model::{ContainerAssignment, Placement, Problem};
-use rasa_trace::{generate, s_clusters, tiny_cluster, ClusterSpec};
+use rasa_model::{ContainerAssignment, Placement};
+use rasa_trace::{generate, load_problem, s_clusters, save_problem, tiny_cluster, ClusterSpec};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -49,10 +50,6 @@ fn main() -> ExitCode {
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-fn load_problem(path: &str) -> Result<Problem, Box<dyn std::error::Error>> {
-    Ok(serde_json::from_str(&std::fs::read_to_string(path)?)?)
-}
-
 fn cmd_generate(args: &[String]) -> CliResult {
     let [preset, out] = args else {
         return Err("usage: rasa generate <preset|spec.json> <out.json>".into());
@@ -66,14 +63,14 @@ fn cmd_generate(args: &[String]) -> CliResult {
         path => {
             // specs are not serde types (they hold defaults); accept a
             // problem JSON instead and copy it through
-            let problem = load_problem(path)?;
-            std::fs::write(out, serde_json::to_string(&problem)?)?;
+            let problem = load_problem(Path::new(path))?;
+            save_problem(&problem, Path::new(out))?;
             println!("copied problem with {} services", problem.num_services());
             return Ok(());
         }
     };
     let problem = generate(&spec);
-    std::fs::write(out, serde_json::to_string(&problem)?)?;
+    save_problem(&problem, Path::new(out))?;
     let st = problem.stats();
     println!(
         "generated {}: {} services / {} containers / {} machines / {} edges → {}",
@@ -105,7 +102,7 @@ fn cmd_optimize(args: &[String]) -> CliResult {
             other => return Err(format!("unknown flag {other}").into()),
         }
     }
-    let problem = load_problem(path)?;
+    let problem = load_problem(Path::new(path))?;
     let deadline = match timeout {
         Some(secs) => Deadline::after(Duration::from_secs(secs)),
         None => Deadline::none(),
@@ -147,7 +144,7 @@ fn cmd_migrate(args: &[String]) -> CliResult {
     let [problem_path, from_path, to_path] = args else {
         return Err("usage: rasa migrate <problem.json> <from.json> <to.json>".into());
     };
-    let problem = load_problem(problem_path)?;
+    let problem = load_problem(Path::new(problem_path))?;
     let from_placement: Placement = serde_json::from_str(&std::fs::read_to_string(from_path)?)?;
     let to_placement: Placement = serde_json::from_str(&std::fs::read_to_string(to_path)?)?;
     let from = ContainerAssignment::materialize(&problem, &from_placement);
@@ -181,7 +178,7 @@ fn cmd_stats(args: &[String]) -> CliResult {
     let Some(path) = args.first() else {
         return Err("usage: rasa stats <problem.json>".into());
     };
-    let problem = load_problem(path)?;
+    let problem = load_problem(Path::new(path))?;
     let st = problem.stats();
     println!("services:       {}", st.services);
     println!("containers:     {}", st.containers);

@@ -82,10 +82,7 @@ impl Default for RasaConfig {
             complete: false,
             ..Default::default()
         };
-        let cg = CgOptions {
-            complete: false,
-            ..Default::default()
-        };
+        let cg = CgOptions { complete: false };
         let pop = PopOptions {
             complete: false,
             sub_mip: MipBasedOptions {

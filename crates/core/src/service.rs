@@ -117,14 +117,6 @@ impl fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-impl SessionError {
-    /// `true` for refusals caused by the request itself (the caller should
-    /// fix the input), `false` for solve-side failures worth retrying.
-    pub fn is_client_error(&self) -> bool {
-        !matches!(self, SessionError::Uncertified(_))
-    }
-}
-
 /// What an incoming delta implies for the next re-solve, computed by
 /// partitioning the updated problem and diffing subproblem fingerprints
 /// against the warm cache ([`compute_delta`]).
@@ -443,11 +435,6 @@ impl AllocationSession {
         }
     }
 
-    /// Number of warm subproblem solves currently cached.
-    pub fn cached_subsolves(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Replace the session's world with a full snapshot. The problem runs
     /// through the admission gate here, at the trust boundary: the session
     /// stores the repaired copy, and the report says what was quarantined.
@@ -554,9 +541,10 @@ mod tests {
     use std::time::Duration;
 
     fn session() -> AllocationSession {
-        let mut config = RasaConfig::default();
-        config.parallel = false;
-        AllocationSession::new(config)
+        AllocationSession::new(RasaConfig {
+            parallel: false,
+            ..RasaConfig::default()
+        })
     }
 
     #[test]

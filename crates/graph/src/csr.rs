@@ -1,6 +1,6 @@
 //! CSR-backed weighted undirected affinity graph.
 
-use rasa_model::{AffinityEdge, Problem, ServiceId};
+use rasa_model::{Problem, ServiceId};
 
 /// Compressed sparse row view of an affinity graph `G = <V, E>`
 /// (Section II-B). Vertices are dense `usize` indices matching
@@ -65,15 +65,6 @@ impl AffinityGraph {
             .map(|e| (e.a.idx(), e.b.idx(), e.weight))
             .collect();
         Self::from_edges(problem.num_services(), &edges)
-    }
-
-    /// Build from a slice of [`AffinityEdge`]s over `num_vertices` services.
-    pub fn from_affinity_edges(num_vertices: usize, edges: &[AffinityEdge]) -> Self {
-        let raw: Vec<(usize, usize, f64)> = edges
-            .iter()
-            .map(|e| (e.a.idx(), e.b.idx(), e.weight))
-            .collect();
-        Self::from_edges(num_vertices, &raw)
     }
 
     /// Number of vertices.

@@ -4,7 +4,7 @@
 //!
 //! Retained verbatim (minus the tolerance bugs fixed in this crate's
 //! history — the final feasibility verdict and the phase-1 infeasibility
-//! gate now use `feas_tol`, matching the sparse kernel) as the **reference
+//! gate now use `FEAS_TOL`, matching the sparse kernel) as the **reference
 //! implementation for differential testing**: `crates/lp/tests/differential.rs`
 //! solves seeded random LPs with both kernels and requires status
 //! agreement and objectives within `1e-6`. It is *not* on any production
@@ -18,7 +18,7 @@
 #![allow(clippy::needless_range_loop)] // dense index arithmetic over parallel arrays
 
 use crate::model::{LpModel, RowSense};
-use crate::simplex::SimplexOptions;
+use crate::simplex::{SimplexOptions, FEAS_TOL, OPT_TOL, PIVOT_TOL};
 use crate::solution::{Basis, LpSolution, LpStatus, SimplexStats};
 use crate::time::Deadline;
 
@@ -221,20 +221,20 @@ fn run_phase(
                 d -= y[row] * a;
             }
             let dir = if state.at_upper[j] {
-                if d < -options.opt_tol {
+                if d < -OPT_TOL {
                     -1.0
                 } else {
                     continue;
                 }
             } else if l.is_infinite() && u.is_infinite() {
-                if d > options.opt_tol {
+                if d > OPT_TOL {
                     1.0
-                } else if d < -options.opt_tol {
+                } else if d < -OPT_TOL {
                     -1.0
                 } else {
                     continue;
                 }
-            } else if d > options.opt_tol {
+            } else if d > OPT_TOL {
                 1.0
             } else {
                 continue;
@@ -264,7 +264,7 @@ fn run_phase(
         let mut leave: Option<(usize, bool)> = None;
         for i in 0..m {
             let wi = w[i];
-            if wi.abs() <= options.pivot_tol {
+            if wi.abs() <= PIVOT_TOL {
                 continue;
             }
             let k = state.basis[i];
@@ -329,7 +329,7 @@ fn run_phase(
                 state.basic_row[q] = Some(r);
 
                 let wr = w[r];
-                debug_assert!(wr.abs() > options.pivot_tol);
+                debug_assert!(wr.abs() > PIVOT_TOL);
                 let (before, rest) = state.binv.split_at_mut(r * m);
                 let (pivot_row, after) = rest.split_at_mut(m);
                 for v in pivot_row.iter_mut() {
@@ -368,7 +368,7 @@ fn run_phase(
                 .filter(|&j| state.basic_row[j].is_none())
                 .map(|j| cost[j] * state.x[j])
                 .sum::<f64>();
-        if obj > last_obj + options.opt_tol {
+        if obj > last_obj + OPT_TOL {
             state.stall = 0;
         } else {
             state.stall += 1;
@@ -386,7 +386,7 @@ fn run_phase(
 
 /// Validate and revive a warm-start basis (dense twin of the sparse
 /// kernel's warm path).
-fn try_warm_state(tab: &Tableau, n: usize, wb: &Basis, feas_tol: f64) -> Option<State> {
+fn try_warm_state(tab: &Tableau, n: usize, wb: &Basis) -> Option<State> {
     let m = tab.m;
     let total = n + m;
     if wb.basic.len() != m || wb.at_upper.len() != total {
@@ -438,7 +438,7 @@ fn try_warm_state(tab: &Tableau, n: usize, wb: &Basis, feas_tol: f64) -> Option<
     for i in 0..m {
         let k = state.basis[i];
         let v = state.x[k];
-        if v < tab.lower[k] - feas_tol || v > tab.upper[k] + feas_tol {
+        if v < tab.lower[k] - FEAS_TOL || v > tab.upper[k] + FEAS_TOL {
             return None;
         }
     }
@@ -503,7 +503,7 @@ pub fn solve_dense(
         b,
     };
 
-    let warm_state = warm.and_then(|wb| try_warm_state(&tab, n, wb, options.feas_tol));
+    let warm_state = warm.and_then(|wb| try_warm_state(&tab, n, wb));
 
     let (mut state, n_art) = if let Some(mut s) = warm_state {
         s.stats.warm_accepted = true;
@@ -537,7 +537,7 @@ pub fn solve_dense(
         for i in 0..m {
             let s = n + i;
             let (sl, su) = (tab.lower[s], tab.upper[s]);
-            if residual[i] >= sl - options.feas_tol && residual[i] <= su + options.feas_tol {
+            if residual[i] >= sl - FEAS_TOL && residual[i] <= su + FEAS_TOL {
                 basis[i] = s;
                 x[s] = residual[i];
             } else {
@@ -606,9 +606,9 @@ pub fn solve_dense(
         state.stats.phase1_iterations = state.iterations;
         match outcome {
             PhaseOutcome::Done => {
-                // Residual infeasibility is judged at the same feas_tol the
+                // Residual infeasibility is judged at the same FEAS_TOL the
                 // phases pivot against (historically a hardcoded 1e-6).
-                if infeasibility > options.feas_tol {
+                if infeasibility > FEAS_TOL {
                     let mut sol = LpSolution::infeasible(n, m, state.iterations);
                     sol.stats = state.stats;
                     return sol;
@@ -649,10 +649,10 @@ pub fn solve_dense(
 
     let xs: Vec<f64> = state.x[..n].to_vec();
     let objective = model.objective_value(&xs);
-    // The exit verdict uses the same feas_tol the phases pivoted against
-    // (historically `feas_tol.max(1e-6) * 10.0`, 10× looser — solutions it
+    // The exit verdict uses the same FEAS_TOL the phases pivoted against
+    // (historically `FEAS_TOL.max(1e-6) * 10.0`, 10× looser — solutions it
     // blessed could then fail certify_placement).
-    let feasible = model.is_feasible_point(&xs, options.feas_tol);
+    let feasible = model.is_feasible_point(&xs, FEAS_TOL);
 
     let status = match outcome {
         PhaseOutcome::Done => LpStatus::Optimal,

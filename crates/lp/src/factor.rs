@@ -108,15 +108,15 @@ impl LuWorkspace {
 impl LuFactors {
     /// Factorize the basis whose column at position `i` is `col(i)`.
     /// Returns `None` when the basis is numerically singular (no pivot of
-    /// magnitude `>= pivot_tol` in some column).
+    /// magnitude `>= singular_tol` in some column).
     pub fn factorize<'a>(
         m: usize,
         col: impl Fn(usize) -> &'a [(usize, f64)],
-        pivot_tol: f64,
+        singular_tol: f64,
         ws: &mut LuWorkspace,
     ) -> Option<LuFactors> {
         let mut f = LuFactors::default();
-        if f.factorize_into(m, col, pivot_tol, ws) {
+        if f.factorize_into(m, col, singular_tol, ws) {
             Some(f)
         } else {
             None
@@ -132,7 +132,7 @@ impl LuFactors {
         &mut self,
         m: usize,
         col: impl Fn(usize) -> &'a [(usize, f64)],
-        pivot_tol: f64,
+        singular_tol: f64,
         ws: &mut LuWorkspace,
     ) -> bool {
         ws.resize(m);
@@ -164,7 +164,7 @@ impl LuFactors {
             // and artificial of a typical basis) is its own pivot: nothing
             // to eliminate, no fill.
             if let [(r, v)] = *a {
-                if ws.row_step[r] == usize::MAX && v.abs() >= pivot_tol {
+                if ws.row_step[r] == usize::MAX && v.abs() >= singular_tol {
                     self.udiag[k] = v;
                     self.prow[k] = r;
                     ws.row_step[r] = k;
@@ -243,7 +243,7 @@ impl LuFactors {
                     consider(r, &ws.row, &mut piv_row, &mut piv_val);
                 }
             }
-            if piv_val < pivot_tol {
+            if piv_val < singular_tol {
                 // clean the work vector before bailing
                 for &(r, _) in a {
                     ws.row[r] = 0.0;

@@ -68,11 +68,11 @@
 //! optimality. A long degenerate stall still switches permanently to
 //! Bland's rule. The ratio test is a Harris-style two-pass: pass 1
 //! computes the minimum *relaxed* ratio (each basic variable may overshoot
-//! its bound by `feas_tol`), pass 2 picks the largest-|pivot| row among
+//! its bound by `FEAS_TOL`), pass 2 picks the largest-|pivot| row among
 //! those whose exact ratio fits under that bound — degenerate ties break
 //! toward numerical stability instead of first-row order. The dual mirrors
 //! it: largest violation leaves, one BTRAN yields the pivot row, reduced
-//! costs may overshoot zero by `opt_tol` in pass 1 and the largest |α|
+//! costs may overshoot zero by `OPT_TOL` in pass 1 and the largest |α|
 //! inside that window enters. It has no Bland mode — a lowest-index rule
 //! would have to accept whatever pivot comes first, however small — so
 //! [`SimplexOptions::degenerate_stall`] zero-length steps end the repair
@@ -94,17 +94,19 @@ use std::sync::{Arc, OnceLock};
 
 pub use crate::dense::MAX_DENSE_ROWS;
 
-/// Tunable knobs for [`solve_simplex`].
+/// Reduced-cost optimality tolerance.
+pub const OPT_TOL: f64 = 1e-7;
+/// Primal feasibility tolerance.
+pub const FEAS_TOL: f64 = 1e-7;
+/// Smallest acceptable pivot magnitude.
+pub const PIVOT_TOL: f64 = 1e-9;
+
+/// Limits for [`solve_simplex`]. Its tolerances are the constants
+/// [`OPT_TOL`], [`FEAS_TOL`] and [`PIVOT_TOL`].
 #[derive(Clone, Debug)]
 pub struct SimplexOptions {
     /// Hard cap on simplex iterations across both phases.
     pub max_iterations: usize,
-    /// Reduced-cost optimality tolerance.
-    pub opt_tol: f64,
-    /// Primal feasibility tolerance.
-    pub feas_tol: f64,
-    /// Smallest acceptable pivot magnitude.
-    pub pivot_tol: f64,
     /// Refactorize the basis every this many pivots (also bounds the eta
     /// file length, and with it FTRAN/BTRAN cost drift).
     pub refactor_every: usize,
@@ -118,9 +120,6 @@ impl Default for SimplexOptions {
     fn default() -> Self {
         SimplexOptions {
             max_iterations: 50_000,
-            opt_tol: 1e-7,
-            feas_tol: 1e-7,
-            pivot_tol: 1e-9,
             refactor_every: 120,
             degenerate_stall: 200,
         }
@@ -394,7 +393,6 @@ fn eligibility(
     state: &State,
     cost: &[f64],
     y: &[f64],
-    opt_tol: f64,
     j: usize,
 ) -> Option<(f64, f64)> {
     if state.basic_row[j].is_some() {
@@ -406,21 +404,21 @@ fn eligibility(
     }
     let d = reduced_cost(tab, cost, y, j);
     let dir = if state.at_upper[j] {
-        if d < -opt_tol {
+        if d < -OPT_TOL {
             -1.0
         } else {
             return None;
         }
     } else if l.is_infinite() && u.is_infinite() {
         // free at 0: move either way
-        if d > opt_tol {
+        if d > OPT_TOL {
             1.0
-        } else if d < -opt_tol {
+        } else if d < -OPT_TOL {
             -1.0
         } else {
             return None;
         }
-    } else if d > opt_tol {
+    } else if d > OPT_TOL {
         1.0
     } else {
         return None;
@@ -462,19 +460,17 @@ fn run_phase(
         // best reduced cost in its cyclic window.
         let entering: Option<(usize, f64, f64)> = if state.use_bland {
             (0..total).find_map(|j| {
-                eligibility(tab, state, cost, &scratch.y, options.opt_tol, j)
-                    .map(|(d, dir)| (j, d, dir))
+                eligibility(tab, state, cost, &scratch.y, j).map(|(d, dir)| (j, d, dir))
             })
         } else {
             let picked = {
                 let y = &scratch.y;
                 pricer.select(total, |j| {
-                    eligibility(tab, state, cost, y, options.opt_tol, j).map(|(d, _)| d.abs())
+                    eligibility(tab, state, cost, y, j).map(|(d, _)| d.abs())
                 })
             };
             picked.and_then(|j| {
-                eligibility(tab, state, cost, &scratch.y, options.opt_tol, j)
-                    .map(|(d, dir)| (j, d, dir))
+                eligibility(tab, state, cost, &scratch.y, j).map(|(d, dir)| (j, d, dir))
             })
         };
 
@@ -487,7 +483,7 @@ fn run_phase(
 
         // ---- Harris two-pass ratio test ----
         // Pass 1: smallest ratio when every basic variable may overshoot
-        // its bound by feas_tol. Pass 2: among rows whose *exact* ratio
+        // its bound by FEAS_TOL. Pass 2: among rows whose *exact* ratio
         // fits under that relaxed bound, take the largest |pivot| — on
         // degenerate ties this prefers the numerically stable pivot where
         // the historical rule took whichever row came first.
@@ -495,7 +491,7 @@ fn run_phase(
         let mut t_relax = f64::INFINITY;
         for i in 0..m {
             let wi = scratch.w[i];
-            if wi.abs() <= options.pivot_tol {
+            if wi.abs() <= PIVOT_TOL {
                 continue;
             }
             let k = state.basis[i];
@@ -507,14 +503,14 @@ fn run_phase(
                 if !lk.is_finite() {
                     continue;
                 }
-                ((xk - lk + options.feas_tol) / step).max(0.0)
+                ((xk - lk + FEAS_TOL) / step).max(0.0)
             } else {
                 // basic var increases toward its upper bound
                 let uk = tab.upper[k];
                 if !uk.is_finite() {
                     continue;
                 }
-                ((uk - xk + options.feas_tol) / -step).max(0.0)
+                ((uk - xk + FEAS_TOL) / -step).max(0.0)
             };
             if t < t_relax {
                 t_relax = t;
@@ -534,7 +530,7 @@ fn run_phase(
             let mut candidates = 0usize;
             for i in 0..m {
                 let wi = scratch.w[i];
-                if wi.abs() <= options.pivot_tol {
+                if wi.abs() <= PIVOT_TOL {
                     continue;
                 }
                 let k = state.basis[i];
@@ -584,7 +580,7 @@ fn run_phase(
                     ((tab.upper[k] - xk) / -step).max(0.0)
                 };
             } else {
-                // all finite-bound rows were filtered by pivot_tol slack;
+                // all finite-bound rows were filtered by PIVOT_TOL slack;
                 // fall back to the entering variable's own span
                 if span_q.is_finite() {
                     t_star = span_q;
@@ -636,7 +632,7 @@ fn run_phase(
 
                 // product-form update: append an eta instead of touching
                 // an O(m²) inverse
-                debug_assert!(scratch.w[r].abs() > options.pivot_tol);
+                debug_assert!(scratch.w[r].abs() > PIVOT_TOL);
                 let stored = state.etas.push(r, &scratch.w[..m]);
                 state.stats.eta_updates += 1;
                 state.stats.eta_nnz += stored;
@@ -654,7 +650,7 @@ fn run_phase(
         // degeneracy / cycling guard: the objective gain of this iteration
         // is exactly |reduced cost| × step length, so a full O(columns)
         // objective recompute is unnecessary here.
-        if d_q.abs() * t_star > options.opt_tol {
+        if d_q.abs() * t_star > OPT_TOL {
             // progress resets the stall counter but NOT `use_bland`: the
             // switch to Bland's rule is permanent for the rest of the solve.
             // Degenerate LPs alternate improving and stalled stretches, and
@@ -697,12 +693,7 @@ fn compute_reduced_costs(tab: &Tableau, state: &State, scratch: &mut Scratch) {
 /// other bound when that one is finite. Returns `false` when a one-sided
 /// (or free) variable has a wrong-signed reduced cost — the dual simplex
 /// cannot start from this basis. Leaves the reduced costs in `scratch.d`.
-fn make_dual_feasible(
-    tab: &Tableau,
-    state: &mut State,
-    scratch: &mut Scratch,
-    opt_tol: f64,
-) -> bool {
+fn make_dual_feasible(tab: &Tableau, state: &mut State, scratch: &mut Scratch) -> bool {
     compute_reduced_costs(tab, state, scratch);
     let mut flips = 0usize;
     for j in 0..tab.num_cols() {
@@ -712,7 +703,7 @@ fn make_dual_feasible(
         }
         let d = scratch.d[j];
         if state.at_upper[j] {
-            if d < -opt_tol {
+            if d < -OPT_TOL {
                 if !l.is_finite() {
                     return false;
                 }
@@ -720,14 +711,14 @@ fn make_dual_feasible(
                 state.x[j] = l;
                 flips += 1;
             }
-        } else if d > opt_tol {
+        } else if d > OPT_TOL {
             if !u.is_finite() {
                 return false;
             }
             state.at_upper[j] = true;
             state.x[j] = u;
             flips += 1;
-        } else if d < -opt_tol && !l.is_finite() {
+        } else if d < -OPT_TOL && !l.is_finite() {
             return false; // free variable resting at 0
         }
     }
@@ -756,15 +747,8 @@ enum DualOutcome {
 /// column can enter at all: `a` is its pivot-row entry oriented so that a
 /// negative value moves the leaving variable toward its bound when the
 /// column rises from its lower bound.
-fn dual_slack(
-    tab: &Tableau,
-    state: &State,
-    d: f64,
-    j: usize,
-    a: f64,
-    pivot_tol: f64,
-) -> Option<f64> {
-    if a.abs() <= pivot_tol {
+fn dual_slack(tab: &Tableau, state: &State, d: f64, j: usize, a: f64) -> Option<f64> {
+    if a.abs() <= PIVOT_TOL {
         None
     } else if tab.lower[j].is_infinite() && tab.upper[j].is_infinite() {
         Some(0.0) // free: any dual step breaks d = 0
@@ -813,7 +797,7 @@ fn run_dual(
             let k = state.basis[i];
             let v = state.x[k];
             let viol = (tab.lower[k] - v).max(v - tab.upper[k]);
-            if viol > options.feas_tol && leave.map_or(true, |(_, worst)| viol > worst) {
+            if viol > FEAS_TOL && leave.map_or(true, |(_, worst)| viol > worst) {
                 leave = Some((i, viol));
             }
         }
@@ -832,7 +816,7 @@ fn run_dual(
 
         // ---- Harris two-pass dual ratio test ----
         // Pass 1: smallest ratio when every reduced cost may overshoot zero
-        // by opt_tol. Pass 2: among columns whose exact ratio fits under
+        // by OPT_TOL. Pass 2: among columns whose exact ratio fits under
         // it, the largest |α| (the smaller ratio on equal |α|).
         let mut theta_relax = f64::INFINITY;
         for j in 0..total {
@@ -845,18 +829,15 @@ fn run_dual(
                 a += scratch.y[row] * v;
             }
             scratch.alpha[j] = a;
-            if let Some(slack) =
-                dual_slack(tab, state, scratch.d[j], j, sigma * a, options.pivot_tol)
-            {
-                theta_relax = theta_relax.min((slack + options.opt_tol) / a.abs());
+            if let Some(slack) = dual_slack(tab, state, scratch.d[j], j, sigma * a) {
+                theta_relax = theta_relax.min((slack + OPT_TOL) / a.abs());
             }
         }
         let mut enter: Option<(usize, f64, f64)> = None; // (column, |α|, ratio)
         let mut candidates = 0usize;
         for j in 0..total {
             let a = scratch.alpha[j];
-            let Some(slack) = dual_slack(tab, state, scratch.d[j], j, sigma * a, options.pivot_tol)
-            else {
+            let Some(slack) = dual_slack(tab, state, scratch.d[j], j, sigma * a) else {
                 continue;
             };
             let ratio = slack / a.abs();
@@ -892,7 +873,7 @@ fn run_dual(
         }
 
         // dual step of length ratio_q: d_q → 0 and the leaving variable
-        // takes −θ. A reduced cost already past zero (inside opt_tol) makes
+        // takes −θ. A reduced cost already past zero (inside OPT_TOL) makes
         // the step zero-length rather than backwards, so tolerated dual
         // infeasibilities never feed on each other.
         let theta = sigma * ratio_q;
@@ -938,7 +919,7 @@ fn run_dual(
         // largest-violation rule is no guide and the iterate drifts far
         // outside its bounds), so after `degenerate_stall` of them in total
         // it is abandoned for the cold start.
-        if theta.abs() * viol <= options.opt_tol {
+        if theta.abs() * viol <= OPT_TOL {
             stalled += 1;
             if stalled >= options.degenerate_stall {
                 return DualOutcome::Failed;
@@ -1123,12 +1104,12 @@ fn warm_start(
     let primal_feasible = (0..m).all(|i| {
         let k = state.basis[i];
         let v = state.x[k];
-        v >= tab.lower[k] - options.feas_tol && v <= tab.upper[k] + options.feas_tol
+        v >= tab.lower[k] - FEAS_TOL && v <= tab.upper[k] + FEAS_TOL
     });
     if primal_feasible {
         return WarmStart::Ready;
     }
-    if !make_dual_feasible(tab, state, scratch, options.opt_tol) {
+    if !make_dual_feasible(tab, state, scratch) {
         return WarmStart::Rejected;
     }
     match run_dual(tab, state, scratch, n, options, deadline, cutoff) {
@@ -1320,7 +1301,7 @@ fn solve_tableau(
             for i in 0..m {
                 let s = n + i;
                 let (sl, su) = (tab.lower[s], tab.upper[s]);
-                if residual[i] >= sl - options.feas_tol && residual[i] <= su + options.feas_tol {
+                if residual[i] >= sl - FEAS_TOL && residual[i] <= su + FEAS_TOL {
                     basis.push(s);
                     x[s] = residual[i];
                 } else {
@@ -1375,13 +1356,13 @@ fn solve_tableau(
         state.stats.phase1_iterations = state.iterations - phase1_start;
         match outcome {
             PhaseOutcome::Done => {
-                // Judge the residual infeasibility at the same feas_tol the
+                // Judge the residual infeasibility at the same FEAS_TOL the
                 // phases pivot against. This gate was historically a
                 // hardcoded 1e-6, an order looser than the default
                 // tolerance — near-infeasible models slipped through and
                 // were only (wrongly) blessed by the equally loose exit
                 // verdict below.
-                if infeasibility > options.feas_tol {
+                if infeasibility > FEAS_TOL {
                     let mut sol = LpSolution::infeasible(n, m, state.iterations);
                     sol.stats = state.stats;
                     return sol;
@@ -1440,11 +1421,11 @@ fn solve_tableau(
 
     let xs: Vec<f64> = state.x[..n].to_vec();
     let objective = model.objective_value(&xs);
-    // The exit verdict uses the same feas_tol the phases pivoted against.
-    // It was historically `feas_tol.max(1e-6) * 10.0` — 10× looser than
+    // The exit verdict uses the same FEAS_TOL the phases pivoted against.
+    // It was historically `FEAS_TOL.max(1e-6) * 10.0` — 10× looser than
     // anything the solve enforced, so a solution could be declared
     // Optimal+feasible here and then rejected by certify_placement.
-    let feasible = model.is_feasible_point(&xs, options.feas_tol);
+    let feasible = model.is_feasible_point(&xs, FEAS_TOL);
 
     let status = match outcome {
         PhaseOutcome::Done => LpStatus::Optimal,

@@ -1,6 +1,6 @@
 //! Regression tests for the LP numerics bugfix sweep:
 //!
-//! 1. the exit feasibility verdict used `feas_tol.max(1e-6) * 10.0` — 10×
+//! 1. the exit feasibility verdict used `FEAS_TOL.max(1e-6) * 10.0` — 10×
 //!    looser than the tolerance the phases pivoted against, so the solver
 //!    could declare Optimal+feasible a point `certify_placement` rejects;
 //! 2. the ratio test broke degenerate ties by first-row order, never
@@ -9,11 +9,12 @@
 //! 3. a singular warm-start refactorization silently cold-started with no
 //!    counter or flight event, hiding warm-start decay from BENCH artifacts.
 
+use rasa_lp::simplex::FEAS_TOL;
 use rasa_lp::time::Deadline;
 use rasa_lp::{LpModel, LpStatus, SimplexOptions};
 
 /// Bugfix 1: an LP infeasible by 5e-7 — inside the old verdict's 1e-5
-/// slack, an order outside the default `feas_tol` of 1e-7.
+/// slack, an order outside `FEAS_TOL` = 1e-7.
 ///
 /// `x + y == 2 + 5e-7` with `x, y ∈ [0, 1]` caps `x + y` at exactly 2.
 /// Phase 1 parks an artificial at 5e-7, which slipped past the old
@@ -45,18 +46,17 @@ fn near_infeasible_lp_is_no_longer_blessed() {
 
 /// Bugfix 1, verdict/point consistency: whenever the solver reports
 /// `feasible`, the point must pass `is_feasible_point` at the same
-/// `feas_tol` — no hidden slack between the two.
+/// `FEAS_TOL` — no hidden slack between the two.
 #[test]
 fn feasible_verdict_matches_feas_tol_exactly() {
-    let opts = SimplexOptions::default();
     let mut m = LpModel::new();
     let x = m.add_var(0.0, 4.0, 3.0);
     let y = m.add_var(0.0, 4.0, 2.0);
     m.add_row_le(vec![(x, 1.0), (y, 1.0)], 5.0);
     m.add_row_eq(vec![(x, 1.0), (y, -1.0)], 1.0);
-    let sol = m.solve_with(&opts, Deadline::none());
+    let sol = m.solve();
     assert_eq!(sol.status, LpStatus::Optimal);
-    assert_eq!(sol.feasible, m.is_feasible_point(&sol.x, opts.feas_tol));
+    assert_eq!(sol.feasible, m.is_feasible_point(&sol.x, FEAS_TOL));
     assert!(sol.feasible);
 }
 

@@ -97,7 +97,7 @@ proptest! {
         let mut remaining = cap;
         let mut expect = 0.0;
         for &i in &order {
-            let take = (remaining / weights[i]).min(1.0).max(0.0);
+            let take = (remaining / weights[i]).clamp(0.0, 1.0);
             expect += take * values[i];
             remaining -= take * weights[i];
             if remaining <= 0.0 {

@@ -7,16 +7,18 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
-/// Options for [`MipModel::solve_with`].
+/// Integrality tolerance: a value within this of an integer counts as
+/// integral.
+pub const INT_TOL: f64 = 1e-6;
+/// Relative gap at which the incumbent is declared optimal.
+pub const GAP_TOL: f64 = 1e-6;
+
+/// Limits and heuristics for [`MipModel::solve_with`]. Its tolerances are
+/// the constants [`INT_TOL`] and [`GAP_TOL`].
 #[derive(Clone, Debug)]
 pub struct MipOptions {
     /// Simplex options used for every relaxation.
     pub lp: SimplexOptions,
-    /// Integrality tolerance: a value within this of an integer counts as
-    /// integral.
-    pub int_tol: f64,
-    /// Relative gap at which the incumbent is declared optimal.
-    pub gap_tol: f64,
     /// Maximum branch-and-bound nodes.
     pub max_nodes: usize,
     /// Try the LP-rounding incumbent heuristic at the root and every this
@@ -31,8 +33,6 @@ impl Default for MipOptions {
     fn default() -> Self {
         MipOptions {
             lp: SimplexOptions::default(),
-            int_tol: 1e-6,
-            gap_tol: 1e-6,
             max_nodes: 200_000,
             rounding_every: 64,
             dive: true,
@@ -116,14 +116,14 @@ impl PackedBasis {
 }
 
 /// Most-fractional integer variable, if any.
-fn pick_branch_var(model: &MipModel, x: &[f64], int_tol: f64) -> Option<usize> {
+fn pick_branch_var(model: &MipModel, x: &[f64]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (j, (&is_int, &v)) in model.is_integer.iter().zip(x).enumerate() {
         if !is_int {
             continue;
         }
         let frac = (v - v.round()).abs();
-        if frac > int_tol {
+        if frac > INT_TOL {
             let dist = (v - v.floor() - 0.5).abs(); // 0 = most fractional
             if best.map_or(true, |(_, bd)| dist < bd) {
                 best = Some((j, dist));
@@ -182,7 +182,7 @@ fn diving_heuristic(
             }
             let v = sol.x[j];
             let dist = (v - v.round()).abs();
-            if dist <= options.int_tol {
+            if dist <= INT_TOL {
                 let r = v.round().clamp(l, u);
                 lp.set_bounds(rasa_lp::VarId(j), r, r);
             } else {
@@ -196,7 +196,7 @@ fn diving_heuristic(
                     x[k] = x[k].round();
                 }
             }
-            if model.is_feasible_point(&x, options.int_tol.max(1e-6)) {
+            if model.is_feasible_point(&x, INT_TOL) {
                 let obj = model.objective_value(&x);
                 return Some((x, obj));
             }
@@ -219,14 +219,14 @@ fn diving_heuristic(
 
 /// Round the relaxation's integer variables to the nearest integers and
 /// check full feasibility — a cheap incumbent heuristic.
-fn rounding_heuristic(model: &MipModel, x: &[f64], int_tol: f64) -> Option<(Vec<f64>, f64)> {
+fn rounding_heuristic(model: &MipModel, x: &[f64]) -> Option<(Vec<f64>, f64)> {
     let mut rounded = x.to_vec();
     for (j, &is_int) in model.is_integer.iter().enumerate() {
         if is_int {
             rounded[j] = rounded[j].round();
         }
     }
-    if model.is_feasible_point(&rounded, int_tol.max(1e-6)) {
+    if model.is_feasible_point(&rounded, INT_TOL) {
         let obj = model.objective_value(&rounded);
         Some((rounded, obj))
     } else {
@@ -258,7 +258,7 @@ struct BnbCounters {
     node_lp_failures: u64,
 }
 
-/// Solve `model` by branch-and-bound. See [`MipOptions`] for knobs;
+/// Solve `model` by branch-and-bound. See [`MipOptions`] for limits;
 /// `deadline` makes the solve anytime (incumbent returned on expiry).
 pub fn solve_branch_and_bound(
     model: &MipModel,
@@ -373,7 +373,7 @@ fn solve_bnb_impl(
     let mut global_bound;
 
     // root incumbent attempts
-    if pick_branch_var(model, &root.x, options.int_tol).is_none() {
+    if pick_branch_var(model, &root.x).is_none() {
         // relaxation already integral
         let obj = root.objective;
         return MipSolution {
@@ -387,7 +387,7 @@ fn solve_bnb_impl(
         };
     }
     if options.rounding_every > 0 {
-        incumbent = rounding_heuristic(model, &root.x, options.int_tol);
+        incumbent = rounding_heuristic(model, &root.x);
         if let Some((_, obj)) = &incumbent {
             counters.incumbent_updates += 1;
             let (obj, bound) = (*obj, root.objective);
@@ -484,7 +484,7 @@ fn solve_bnb_impl(
         // prune against incumbent
         if let Some((_, inc_obj)) = &incumbent {
             let gap = (global_bound - inc_obj) / inc_obj.abs().max(1.0);
-            if gap <= options.gap_tol {
+            if gap <= GAP_TOL {
                 return finish(
                     MipStatus::Optimal,
                     incumbent,
@@ -516,7 +516,7 @@ fn solve_bnb_impl(
         // as its falling bound says otherwise.
         let cutoff = incumbent
             .as_ref()
-            .map_or(f64::NEG_INFINITY, |(_, inc_obj)| inc_obj + options.gap_tol);
+            .map_or(f64::NEG_INFINITY, |(_, inc_obj)| inc_obj + GAP_TOL);
         let mut relax = match &node.basis {
             Some(packed) => {
                 counters.warm_nodes += 1;
@@ -571,13 +571,13 @@ fn solve_bnb_impl(
 
         // prune by bound
         if let Some((_, inc_obj)) = &incumbent {
-            if relax.objective <= *inc_obj + options.gap_tol {
+            if relax.objective <= *inc_obj + GAP_TOL {
                 counters.pruned_bound += 1;
                 continue;
             }
         }
 
-        match pick_branch_var(model, &relax.x, options.int_tol) {
+        match pick_branch_var(model, &relax.x) {
             None => {
                 // integral: candidate incumbent
                 let obj = relax.objective;
@@ -591,7 +591,7 @@ fn solve_bnb_impl(
             Some(j) => {
                 // occasionally try rounding deeper in the tree
                 if options.rounding_every > 0 && nodes % options.rounding_every == 0 {
-                    if let Some((x, obj)) = rounding_heuristic(model, &relax.x, options.int_tol) {
+                    if let Some((x, obj)) = rounding_heuristic(model, &relax.x) {
                         if incumbent.as_ref().map_or(true, |(_, best)| obj > *best) {
                             incumbent = Some((x, obj));
                             counters.incumbent_updates += 1;
@@ -648,13 +648,9 @@ mod tests {
         m.add_int_var(0.0, 10.0, 1.0);
         m.add_var(0.0, 10.0, 1.0);
         let x = vec![2.9, 1.5, 0.5];
-        assert_eq!(pick_branch_var(&m, &x, 1e-6), Some(1));
+        assert_eq!(pick_branch_var(&m, &x), Some(1));
         let x = vec![3.0, 2.0, 0.5];
-        assert_eq!(
-            pick_branch_var(&m, &x, 1e-6),
-            None,
-            "continuous vars ignored"
-        );
+        assert_eq!(pick_branch_var(&m, &x), None, "continuous vars ignored");
     }
 
     #[test]
@@ -678,8 +674,8 @@ mod tests {
         let a = m.add_int_var(0.0, 10.0, 1.0);
         m.add_row_le(vec![(a, 1.0)], 3.2);
         // 3.4 rounds to 3 — feasible
-        assert!(rounding_heuristic(&m, &[3.4], 1e-6).is_some());
+        assert!(rounding_heuristic(&m, &[3.4]).is_some());
         // 3.6 rounds to 4 — violates the row
-        assert!(rounding_heuristic(&m, &[3.6], 1e-6).is_none());
+        assert!(rounding_heuristic(&m, &[3.6]).is_none());
     }
 }

@@ -39,7 +39,7 @@ pub mod branch_and_bound;
 pub mod model;
 pub mod solution;
 
-pub use branch_and_bound::MipOptions;
+pub use branch_and_bound::{MipOptions, GAP_TOL, INT_TOL};
 pub use model::MipModel;
 pub use rasa_lp::{Deadline, VarId};
 pub use solution::{MipSolution, MipStatus};

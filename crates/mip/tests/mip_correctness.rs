@@ -169,9 +169,9 @@ fn assignment_problem_is_integral() {
             v[i][j] = m.add_bin_var(score[i][j]);
         }
     }
-    for i in 0..3 {
-        m.add_row_eq((0..3).map(|j| (v[i][j], 1.0)).collect(), 1.0);
-        m.add_row_eq((0..3).map(|j| (v[j][i], 1.0)).collect(), 1.0);
+    for (i, row) in v.iter().enumerate() {
+        m.add_row_eq(row.iter().map(|&x| (x, 1.0)).collect(), 1.0);
+        m.add_row_eq(v.iter().map(|r| (r[i], 1.0)).collect(), 1.0);
     }
     let sol = m.solve();
     assert_eq!(sol.status, MipStatus::Optimal);

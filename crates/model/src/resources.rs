@@ -111,12 +111,6 @@ impl ResourceVec {
             .all(|(need, have)| *need <= *have + eps)
     }
 
-    /// `true` if all dimensions are `>= 0` (within `eps`).
-    #[inline]
-    pub fn is_non_negative(&self, eps: f64) -> bool {
-        self.0.iter().all(|v| *v >= -eps)
-    }
-
     /// Component-wise maximum.
     pub fn max(&self, other: &ResourceVec) -> ResourceVec {
         let mut out = [0.0; NUM_RESOURCES];

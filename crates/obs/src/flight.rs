@@ -581,13 +581,14 @@ pub struct FlightConfig {
     /// Cap on black-box files written per process run; further dumps are
     /// counted (`flight.dumps_suppressed`) but not written.
     pub max_dumps: u64,
-    /// Ring-buffer capacity for events per recording (oldest dropped).
-    pub event_capacity: usize,
-    /// Cap on spans per recording (further spans are counted, not kept).
-    pub span_capacity: usize,
-    /// How many finished recordings [`FlightRecorder::recent`] retains.
-    pub keep_recent: usize,
 }
+
+/// Ring-buffer capacity for events per recording (oldest dropped).
+pub const EVENT_CAPACITY: usize = 4096;
+/// Cap on spans per recording (further spans are counted, not kept).
+pub const SPAN_CAPACITY: usize = 2048;
+/// How many finished recordings [`FlightRecorder::recent`] retains.
+pub const KEEP_RECENT: usize = 8;
 
 impl Default for FlightConfig {
     fn default() -> Self {
@@ -595,9 +596,6 @@ impl Default for FlightConfig {
             dump_dir: None,
             sample_every: 0,
             max_dumps: 16,
-            event_capacity: 4096,
-            span_capacity: 2048,
-            keep_recent: 8,
         }
     }
 }
@@ -640,11 +638,6 @@ impl FlightRecorder {
         self.set_enabled(true);
     }
 
-    /// Current configuration (defaults when never configured).
-    pub fn config(&self) -> FlightConfig {
-        self.lock_state().config.clone().unwrap_or_default()
-    }
-
     /// Configure from the environment and enable if any variable is set:
     ///
     /// * `RASA_FLIGHT_DIR` — black-box dump directory;
@@ -676,7 +669,7 @@ impl FlightRecorder {
     }
 
     /// The most recent finished recordings, oldest first (bounded by
-    /// [`FlightConfig::keep_recent`]).
+    /// [`KEEP_RECENT`]).
     pub fn recent(&self) -> Vec<FlightRecording> {
         self.lock_state().recent.iter().cloned().collect()
     }
@@ -740,8 +733,7 @@ impl FlightRecorder {
         }
 
         let mut state = self.lock_state();
-        let keep = config.keep_recent;
-        while state.recent.len() >= keep.max(1) {
+        while state.recent.len() >= KEEP_RECENT {
             state.recent.pop_front();
         }
         state.recent.push_back(rec);
@@ -808,8 +800,6 @@ struct ActiveTrace {
     spans: Vec<RawSpan>,
     stack: Vec<usize>,
     events: VecDeque<TraceEvent>,
-    event_capacity: usize,
-    span_capacity: usize,
     dropped_events: u64,
     dropped_spans: u64,
     degraded: bool,
@@ -819,14 +809,12 @@ struct ActiveTrace {
 }
 
 impl ActiveTrace {
-    fn new(config: &FlightConfig) -> Self {
+    fn new() -> Self {
         ActiveTrace {
             origin: Instant::now(),
             spans: Vec::with_capacity(64),
             stack: Vec::with_capacity(8),
-            events: VecDeque::with_capacity(config.event_capacity.min(256)),
-            event_capacity: config.event_capacity.max(1),
-            span_capacity: config.span_capacity.max(1),
+            events: VecDeque::with_capacity(256),
             dropped_events: 0,
             dropped_spans: 0,
             degraded: false,
@@ -842,7 +830,7 @@ impl ActiveTrace {
     /// Open a span under the current stack top. Returns its index, or
     /// `None` when the span cap is reached (counted).
     fn open_span(&mut self, name: &str, attrs: Vec<(String, String)>) -> Option<usize> {
-        if self.spans.len() >= self.span_capacity {
+        if self.spans.len() >= SPAN_CAPACITY {
             self.dropped_spans += 1;
             return None;
         }
@@ -879,7 +867,7 @@ impl ActiveTrace {
     /// Append an event to the ring buffer (oldest dropped past capacity).
     fn push_event(&mut self, mut ev: TraceEvent) {
         ev.t_secs = self.now_secs();
-        if self.events.len() >= self.event_capacity {
+        if self.events.len() >= EVENT_CAPACITY {
             self.events.pop_front();
             self.dropped_events += 1;
         }
@@ -1064,7 +1052,7 @@ pub fn begin_solve(name: &str, attrs: &[(&str, String)]) -> FlightScope {
                 None => FlightScope::inert(),
             },
             None => {
-                let mut trace = ActiveTrace::new(&recorder().config());
+                let mut trace = ActiveTrace::new();
                 let mut attrs = attrs;
                 if let Some(ctx) = &trace.context {
                     attrs.push(("request_id".to_string(), ctx.request_id.clone()));
@@ -1235,40 +1223,36 @@ mod tests {
     #[test]
     fn ring_buffer_drops_oldest_and_counts() {
         with_recorder_lock(|| {
-            recorder().configure(FlightConfig {
-                event_capacity: 4,
-                ..Default::default()
-            });
+            recorder().configure(FlightConfig::default());
             let mut scope = begin_solve("solve.ring", &[]);
-            for i in 0..10u64 {
+            let total = EVENT_CAPACITY as u64 + 6;
+            for i in 0..total {
                 emit(|| TraceEvent::bnb_bound(i as f64, i));
             }
             scope.set_verdict("ok", false);
             drop(scope);
             let rec = &recorder().recent()[0];
-            assert_eq!(rec.events.len(), 4);
+            assert_eq!(rec.events.len(), EVENT_CAPACITY);
             assert_eq!(rec.dropped_events, 6);
             // survivors are the newest, in order
             let nodes: Vec<f64> = rec.events.iter().filter_map(|e| e.field("node")).collect();
-            assert_eq!(nodes, vec![6.0, 7.0, 8.0, 9.0]);
+            let newest: Vec<f64> = (6..total).map(|i| i as f64).collect();
+            assert_eq!(nodes, newest);
         });
     }
 
     #[test]
     fn span_cap_stops_recording_but_keeps_tree_valid() {
         with_recorder_lock(|| {
-            recorder().configure(FlightConfig {
-                span_capacity: 3,
-                ..Default::default()
-            });
+            recorder().configure(FlightConfig::default());
             let mut scope = begin_solve("solve.cap", &[]);
-            for _ in 0..5 {
+            for _ in 0..SPAN_CAPACITY + 2 {
                 let _sp = span("child");
             }
             scope.set_verdict("ok", false);
             drop(scope);
             let rec = &recorder().recent()[0];
-            assert_eq!(rec.root.children.len(), 2, "root + 2 children = cap 3");
+            assert_eq!(rec.root.children.len(), SPAN_CAPACITY - 1, "root + children = cap");
             assert_eq!(rec.dropped_spans, 3);
         });
     }

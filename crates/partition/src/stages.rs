@@ -7,28 +7,28 @@ use rasa_graph::{bfs_seeded_partition, cut_weight, is_balanced, AffinityGraph, P
 use rasa_model::{Placement, Problem, ServiceId, SubproblemMapping};
 use std::time::Instant;
 
-/// Knobs for [`multi_stage_partition`].
+/// Balance criterion for stage 4 (paper: largest ≤ 2 × smallest).
+pub const BALANCE_RATIO: f64 = 2.0;
+/// Cap on the number of candidate partitions stage 4 samples (the paper
+/// samples `|E|`; at industrial scale that is parallelized — we cap for
+/// single-machine reproduction).
+pub const MAX_SAMPLES: usize = 64;
+
+/// Knobs for [`multi_stage_partition`]. Stage 4's balance criterion and
+/// sample cap are the constants [`BALANCE_RATIO`] and [`MAX_SAMPLES`].
 #[derive(Clone, Debug)]
 pub struct PartitionConfig {
     /// Master ratio `α`; `None` uses the paper's `45 · ln^0.66(N) / N`.
     pub master_ratio: Option<f64>,
-    /// Balance criterion for stage 4 (paper: largest ≤ 2 × smallest).
-    pub balance_ratio: f64,
     /// Service sets larger than this are split by stage 4.
     pub max_subproblem_services: usize,
-    /// Cap on the number of candidate partitions stage 4 samples (the paper
-    /// samples `|E|`; at industrial scale that is parallelized — we cap for
-    /// single-machine reproduction).
-    pub max_samples: usize,
 }
 
 impl Default for PartitionConfig {
     fn default() -> Self {
         PartitionConfig {
             master_ratio: None,
-            balance_ratio: 2.0,
             max_subproblem_services: 24,
-            max_samples: 64,
         }
     }
 }
@@ -202,13 +202,13 @@ pub fn multi_stage_partition<R: Rng>(
                     }
                     let piece_graph = AffinityGraph::from_edges(piece.len(), &piece_edges);
                     let h = piece.len().div_ceil(config.max_subproblem_services);
-                    let samples = piece_graph.num_edges().clamp(1, config.max_samples);
+                    let samples = piece_graph.num_edges().clamp(1, MAX_SAMPLES);
                     let mut best: Option<(f64, Partition)> = None;
                     let mut best_unbalanced: Option<(f64, Partition)> = None;
                     for _ in 0..samples {
                         let p = bfs_seeded_partition(&piece_graph, h.min(piece.len()), rng);
                         let cut = cut_weight(&piece_graph, &p);
-                        if is_balanced(&p, config.balance_ratio) {
+                        if is_balanced(&p, BALANCE_RATIO) {
                             if best.as_ref().map_or(true, |(bc, _)| cut < *bc) {
                                 best = Some((cut, p));
                             }

@@ -47,6 +47,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
+/// Cap for per-request `?deadline_ms=` overrides.
+pub const MAX_DEADLINE: Duration = Duration::from_secs(10);
+
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -62,8 +65,6 @@ pub struct ServeConfig {
     pub http: HttpLimits,
     /// Default per-round solve deadline budget.
     pub default_deadline: Duration,
-    /// Cap for per-request `?deadline_ms=` overrides.
-    pub max_deadline: Duration,
     /// How long a handler waits for its round's result before answering
     /// 504 (the round still completes and publishes).
     pub request_timeout: Duration,
@@ -96,7 +97,6 @@ impl Default for ServeConfig {
             max_tenants: 64,
             http: HttpLimits::default(),
             default_deadline: Duration::from_secs(2),
-            max_deadline: Duration::from_secs(10),
             request_timeout: Duration::from_secs(30),
             breaker: BreakerConfig::default(),
             rasa: RasaConfig::default(),
@@ -1298,7 +1298,7 @@ fn ingest(shared: &Arc<Shared>, request: &Request, is_snapshot: bool) -> Respons
     let deadline = match request.param("deadline_ms") {
         None => shared.config.default_deadline,
         Some(raw) => match raw.parse::<u64>() {
-            Ok(ms) if ms > 0 => Duration::from_millis(ms).min(shared.config.max_deadline),
+            Ok(ms) if ms > 0 => Duration::from_millis(ms).min(MAX_DEADLINE),
             _ => {
                 obs.inc("serve.bad_requests");
                 return Response::json(

@@ -32,45 +32,29 @@ use rasa_model::{MachineGroup, Placement, Problem, ResourceVec, ServiceId, NUM_R
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
-/// Options for [`ColumnGeneration`].
+/// Maximum pricing rounds (`while` iterations of Algorithm 1).
+const MAX_ROUNDS: usize = 60;
+/// Branch-and-bound node cap for a pricing MIP (kept small — a pricing MIP
+/// covers one machine).
+const PRICING_MAX_NODES: usize = 2_000;
+/// Wall-clock slice granted to each pricing MIP.
+const PRICING_SLICE: Duration = Duration::from_millis(500);
+/// Branch-and-bound node cap for the final integral rounding.
+const ROUNDING_MAX_NODES: usize = 20_000;
+/// Reduced-cost threshold for accepting a new pattern.
+const REDUCED_COST_TOL: f64 = 1e-6;
+
+/// Options for [`ColumnGeneration`]. The round cap, pricing and rounding
+/// limits and the reduced-cost threshold are constants of this module.
 #[derive(Clone, Debug)]
 pub struct CgOptions {
-    /// Maximum pricing rounds (`while` iterations of Algorithm 1).
-    pub max_rounds: usize,
-    /// Branch-and-bound knobs for the pricing subproblems (kept small — a
-    /// pricing MIP covers one machine).
-    pub pricing_mip: MipOptions,
-    /// Wall-clock slice granted to each pricing MIP.
-    pub pricing_slice: Duration,
-    /// Simplex knobs for the master LP.
-    pub master_lp: SimplexOptions,
-    /// Branch-and-bound knobs for the final integral rounding.
-    pub rounding_mip: MipOptions,
-    /// Reduced-cost threshold for accepting a new pattern.
-    pub reduced_cost_tol: f64,
     /// Run the completion pass afterwards.
     pub complete: bool,
 }
 
 impl Default for CgOptions {
     fn default() -> Self {
-        let pricing_mip = MipOptions {
-            max_nodes: 2_000,
-            ..MipOptions::default()
-        };
-        let rounding_mip = MipOptions {
-            max_nodes: 20_000,
-            ..MipOptions::default()
-        };
-        CgOptions {
-            max_rounds: 60,
-            pricing_mip,
-            pricing_slice: Duration::from_millis(500),
-            master_lp: SimplexOptions::default(),
-            rounding_mip,
-            reduced_cost_tol: 1e-6,
-            complete: true,
-        }
+        CgOptions { complete: true }
     }
 }
 
@@ -206,7 +190,7 @@ impl ColumnGeneration {
         let master_rows = groups.len() + active.len();
         let mut converged = false;
         let (mut helper_rounds, mut pricing_helped) = (0u64, 0u64);
-        for _round in 0..self.options.max_rounds {
+        for _round in 0..MAX_ROUNDS {
             if deadline.expired() {
                 break;
             }
@@ -353,7 +337,9 @@ impl ColumnGeneration {
         warm: Option<&Basis>,
     ) -> Option<(MasterDuals, Option<Basis>)> {
         let (lp, _vars) = build_master(problem, groups, patterns, active, false);
-        let sol = lp.lp().solve_warm(&self.options.master_lp, deadline, warm);
+        let sol = lp
+            .lp()
+            .solve_warm(&SimplexOptions::default(), deadline, warm);
         if sol.status != LpStatus::Optimal {
             return None;
         }
@@ -442,8 +428,12 @@ impl ColumnGeneration {
             mip.add_row_le(vec![(a, 1.0), (vb, -e.weight / db)], 0.0);
         }
 
-        let slice = deadline.min_with(self.options.pricing_slice);
-        let sol = mip.solve_with(&self.options.pricing_mip, slice);
+        let slice = deadline.min_with(PRICING_SLICE);
+        let options = MipOptions {
+            max_nodes: PRICING_MAX_NODES,
+            ..MipOptions::default()
+        };
+        let sol = mip.solve_with(&options, slice);
         if !sol.has_incumbent() {
             return None;
         }
@@ -464,8 +454,7 @@ impl ColumnGeneration {
             .map(|(s, n)| pi.get(s).copied().unwrap_or(0.0) * f64::from(*n))
             .sum();
         let reduced_cost = value - priced - mu;
-        (reduced_cost > self.options.reduced_cost_tol)
-            .then_some((Pattern { counts, value }, reduced_cost))
+        (reduced_cost > REDUCED_COST_TOL).then_some((Pattern { counts, value }, reduced_cost))
     }
 
     /// `Round`: solve the master as an integer program; greedy fallback.
@@ -478,7 +467,11 @@ impl ColumnGeneration {
         deadline: Deadline,
     ) -> Placement {
         let (mip, vars) = build_master(problem, groups, patterns, active, true);
-        let sol = mip.solve_with(&self.options.rounding_mip, deadline);
+        let options = MipOptions {
+            max_nodes: ROUNDING_MAX_NODES,
+            ..MipOptions::default()
+        };
+        let sol = mip.solve_with(&options, deadline);
         let copies: Vec<Vec<u32>> = if sol.has_incumbent() {
             vars.iter()
                 .map(|per_g| {

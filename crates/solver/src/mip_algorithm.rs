@@ -9,19 +9,17 @@ use rasa_mip::{MipOptions, MipStatus};
 use rasa_model::{Placement, Problem};
 use std::time::Instant;
 
+/// Row budget for choosing the exact formulation: [`MipBasedOptions::kind_for`]
+/// picks the *exact* per-machine formulation while the estimated row count
+/// stays within it, otherwise the machine-group aggregation (the paper's
+/// `a_{s,s',g}` indexing). Exactness matters: the aggregated model's bound
+/// is not always realizable per machine, and the paper aims the MIP
+/// algorithm at small subproblems where exact solving is affordable.
+pub const MAX_EXACT_ROWS: usize = 2_600;
+
 /// Options for [`MipBased`].
 #[derive(Clone, Debug)]
 pub struct MipBasedOptions {
-    /// Formulation flavor. `None` (the default) picks automatically: the
-    /// *exact* per-machine formulation while its row count stays within
-    /// [`MipBasedOptions::max_exact_rows`], otherwise the machine-group
-    /// aggregation (the paper's `a_{s,s',g}` indexing). Exactness matters:
-    /// the aggregated model's bound is not always realizable per machine,
-    /// and the paper aims the MIP algorithm at small subproblems where
-    /// exact solving is affordable.
-    pub kind: Option<FormulationKind>,
-    /// Row budget for choosing the exact formulation automatically.
-    pub max_exact_rows: usize,
     /// Branch-and-bound knobs.
     pub mip: MipOptions,
     /// Run the default-scheduler completion pass on the result so trivial
@@ -34,8 +32,6 @@ pub struct MipBasedOptions {
 impl Default for MipBasedOptions {
     fn default() -> Self {
         MipBasedOptions {
-            kind: None,
-            max_exact_rows: 2_600,
             mip: MipOptions::default(),
             complete: true,
             include_non_affinity: false,
@@ -44,16 +40,13 @@ impl Default for MipBasedOptions {
 }
 
 impl MipBasedOptions {
-    /// Resolve the formulation kind for `problem`.
+    /// Resolve the formulation kind for `problem` against [`MAX_EXACT_ROWS`].
     pub fn kind_for(&self, problem: &Problem) -> FormulationKind {
-        if let Some(kind) = self.kind {
-            return kind;
-        }
         // estimated dominant row count of the exact model: 2 affinity rows
         // per edge per machine plus resources
         let m = problem.num_machines();
         let est = problem.num_services() + 4 * m + 2 * problem.affinity_edges.len() * m;
-        if est <= self.max_exact_rows {
+        if est <= MAX_EXACT_ROWS {
             FormulationKind::PerMachine
         } else {
             FormulationKind::MachineGroup
@@ -75,16 +68,6 @@ impl MipBased {
     /// MIP-based algorithm with default options.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// With a specific formulation kind.
-    pub fn with_kind(kind: FormulationKind) -> Self {
-        MipBased {
-            options: MipBasedOptions {
-                kind: Some(kind),
-                ..Default::default()
-            },
-        }
     }
 }
 
@@ -177,13 +160,42 @@ mod tests {
     #[test]
     fn exact_and_aggregated_agree_on_objective() {
         let p = chain_problem();
-        let exact = MipBased::with_kind(FormulationKind::PerMachine).schedule(&p, Deadline::none());
-        let agg = MipBased::with_kind(FormulationKind::MachineGroup).schedule(&p, Deadline::none());
+        let realized = |kind| {
+            let f = RasaFormulation::build(&p, kind, false);
+            let sol = f.mip().solve();
+            assert_eq!(sol.status, MipStatus::Optimal, "{kind:?}");
+            rasa_model::gained_affinity(&p, &f.extract_placement(&p, &sol.x))
+        };
+        let exact = realized(FormulationKind::PerMachine);
+        let agg = realized(FormulationKind::MachineGroup);
         assert!(
-            (exact.gained_affinity - agg.gained_affinity).abs() < 1e-6,
-            "exact {} vs aggregated {}",
-            exact.gained_affinity,
-            agg.gained_affinity
+            (exact - agg).abs() < 1e-6,
+            "exact {exact} vs aggregated {agg}"
+        );
+    }
+
+    #[test]
+    fn kind_for_switches_above_max_exact_rows() {
+        // 10 machines and 127 edges among 20 services estimate
+        // 20 + 4·10 + 2·127·10 = 2,600 rows; one more service tips it over.
+        let problem = |services: usize| {
+            let mut b = ProblemBuilder::new();
+            let s: Vec<_> = (0..services)
+                .map(|i| b.add_service(format!("s{i}"), 1, ResourceVec::cpu_mem(1.0, 1.0)))
+                .collect();
+            b.add_machines(10, ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
+            let pairs = (0..20).flat_map(|i| (i + 1..20).map(move |j| (i, j)));
+            for (i, j) in pairs.take(127) {
+                b.add_affinity(s[i], s[j], 1.0);
+            }
+            b.build().unwrap()
+        };
+        let options = MipBasedOptions::default();
+        assert_eq!(MAX_EXACT_ROWS, 2_600);
+        assert_eq!(options.kind_for(&problem(20)), FormulationKind::PerMachine);
+        assert_eq!(
+            options.kind_for(&problem(21)),
+            FormulationKind::MachineGroup
         );
     }
 
