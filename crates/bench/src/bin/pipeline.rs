@@ -52,16 +52,6 @@ struct Run {
     statuses: BTreeMap<&'static str, usize>,
 }
 
-fn status_key(s: SolveStatus) -> &'static str {
-    match s {
-        SolveStatus::Ok => "ok",
-        SolveStatus::DeadlineExpired => "deadline_expired",
-        SolveStatus::Panicked => "panicked",
-        SolveStatus::Infeasible => "infeasible",
-        SolveStatus::FellBackTo(_) => "fell_back",
-    }
-}
-
 /// Median of an odd-sized sample.
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
@@ -158,7 +148,7 @@ fn main() {
             let cold = &rounds[0];
             let mut statuses = BTreeMap::new();
             for report in &cold.subproblems {
-                *statuses.entry(status_key(report.status)).or_insert(0) += 1;
+                *statuses.entry(report.status.as_str()).or_insert(0) += 1;
             }
             runs.push(Run {
                 trace: name.clone(),

@@ -112,15 +112,11 @@ pub fn certify_placement(
     source: &str,
 ) -> Result<f64, CertificationFailure> {
     let obs = rasa_obs::global();
-    if obs.enabled() {
-        obs.inc("certify.checks");
-    }
+    obs.inc("certify.checks");
     // Structural defects first: validating a placement shaped for a
     // different problem would index out of bounds.
     if let Some(defect) = structural_defect(problem, placement) {
-        if obs.enabled() {
-            obs.inc("certify.structural_failures");
-        }
+        obs.inc("certify.structural_failures");
         let failure = CertificationFailure {
             violations: Vec::new(),
             structural: Some(defect),
@@ -134,9 +130,7 @@ pub fn certify_placement(
     let violations = validate(problem, placement, check_sla);
     let recomputed = gained_affinity(problem, placement);
     if !violations.is_empty() {
-        if obs.enabled() {
-            obs.inc("certify.constraint_failures");
-        }
+        obs.inc("certify.constraint_failures");
         let failure = CertificationFailure {
             violations,
             structural: None,
@@ -158,9 +152,7 @@ pub fn certify_placement(
     let tol = OBJECTIVE_REL_TOL * recomputed.abs().max(1.0);
     // non-finite diff (a NaN or infinite claim) must also reject
     if !diff.is_finite() || diff > tol {
-        if obs.enabled() {
-            obs.inc("certify.objective_failures");
-        }
+        obs.inc("certify.objective_failures");
         let failure = CertificationFailure {
             violations: Vec::new(),
             structural: None,
@@ -171,9 +163,7 @@ pub fn certify_placement(
         flight::emit(|| TraceEvent::certify_failure(0, claimed_objective, recomputed, source));
         return Err(failure);
     }
-    if obs.enabled() {
-        obs.inc("certify.ok");
-    }
+    obs.inc("certify.ok");
     Ok(recomputed)
 }
 

@@ -554,7 +554,7 @@ impl RasaPipeline {
         let fallbacks: Vec<(PoolAlgorithm, &dyn Scheduler)> =
             fallback_algs.iter().map(|&a| (a, arm(a))).collect();
         let panicking = PanickingScheduler;
-        let primary: &dyn Scheduler = if self.config.fault_injection.panics(job.index) {
+        let primary: &dyn Scheduler = if self.config.fault_injection.panics() {
             &panicking
         } else {
             arm(job.alg)

@@ -426,15 +426,6 @@ impl AllocationSession {
         self.generation
     }
 
-    /// `true` when the published placement predates the current snapshot
-    /// generation (or nothing is published at all).
-    pub fn is_stale(&self) -> bool {
-        match &self.published {
-            Some(p) => p.generation < self.generation,
-            None => true,
-        }
-    }
-
     /// Replace the session's world with a full snapshot. The problem runs
     /// through the admission gate here, at the trust boundary: the session
     /// stores the repaired copy, and the report says what was quarantined.
@@ -561,7 +552,11 @@ mod tests {
         assert_eq!(round.round, 1);
         assert!(round.objective >= 0.0);
         assert!(s.published().is_some());
-        assert!(!s.is_stale(), "fresh publish matches the generation");
+        assert_eq!(
+            s.published().unwrap().generation,
+            s.generation(),
+            "fresh publish matches the generation"
+        );
     }
 
     #[test]
@@ -590,14 +585,17 @@ mod tests {
             replica_updates: vec![],
         };
         s.apply_delta(&delta).unwrap();
-        assert!(s.is_stale(), "delta bumped the generation past the publish");
+        assert!(
+            s.published().unwrap().generation < s.generation(),
+            "delta bumped the generation past the publish"
+        );
         let edges = &s.problem().unwrap().affinity_edges;
         assert!(edges.len() <= before + 1);
         assert!(edges
             .iter()
             .any(|e| (e.weight - 3.5).abs() < 1e-12 || e.weight == 3.5));
         s.resolve(Deadline::after(Duration::from_secs(5))).unwrap();
-        assert!(!s.is_stale());
+        assert_eq!(s.published().unwrap().generation, s.generation());
     }
 
     #[test]

@@ -54,6 +54,24 @@ impl SolveStatus {
     pub fn is_degraded(&self) -> bool {
         !matches!(self, SolveStatus::Ok)
     }
+
+    /// Stable snake-case name (`ok`, `deadline_expired`, …): the flight
+    /// verdict and the suffix of the status's `guard.status.*` counter.
+    pub fn as_str(&self) -> &'static str {
+        &self.counter()["guard.status.".len()..]
+    }
+
+    /// The `guard.status.*` counter a guarded solve ending in this status
+    /// increments.
+    fn counter(&self) -> &'static str {
+        match self {
+            SolveStatus::Ok => "guard.status.ok",
+            SolveStatus::DeadlineExpired => "guard.status.deadline_expired",
+            SolveStatus::Panicked => "guard.status.panicked",
+            SolveStatus::Infeasible => "guard.status.infeasible",
+            SolveStatus::FellBackTo(_) => "guard.status.fell_back",
+        }
+    }
 }
 
 /// A [`ScheduleOutcome`] annotated with how it was obtained.
@@ -98,8 +116,6 @@ pub enum FaultInjection {
     /// No injected faults (the default).
     #[default]
     None,
-    /// The primary solver panics for subproblems with these indices.
-    PanicOnSubproblems(Vec<usize>),
     /// The primary solver panics for every subproblem.
     PanicAlways,
     /// These subproblems are handed an already-expired deadline
@@ -108,13 +124,9 @@ pub enum FaultInjection {
 }
 
 impl FaultInjection {
-    /// Should the primary solver of subproblem `index` panic?
-    pub fn panics(&self, index: usize) -> bool {
-        match self {
-            FaultInjection::PanicAlways => true,
-            FaultInjection::PanicOnSubproblems(set) => set.contains(&index),
-            _ => false,
-        }
+    /// Should the primary solvers panic?
+    pub fn panics(&self) -> bool {
+        matches!(self, FaultInjection::PanicAlways)
     }
 
     /// Should subproblem `index` see an expired deadline?
@@ -226,39 +238,22 @@ pub fn guarded_schedule(
         ],
     );
     let g = guarded_schedule_impl(index, primary, fallbacks, problem, deadline);
-    scope.set_verdict(
-        match g.status {
-            SolveStatus::Ok => "ok",
-            SolveStatus::DeadlineExpired => "deadline_expired",
-            SolveStatus::Panicked => "panicked",
-            SolveStatus::Infeasible => "infeasible",
-            SolveStatus::FellBackTo(_) => "fell_back",
-        },
-        g.status.is_degraded(),
-    );
+    scope.set_verdict(g.status.as_str(), g.status.is_degraded());
     drop(scope);
     let obs = rasa_obs::global();
-    if obs.enabled() {
-        obs.inc(match g.status {
-            SolveStatus::Ok => "guard.status.ok",
-            SolveStatus::DeadlineExpired => "guard.status.deadline_expired",
-            SolveStatus::Panicked => "guard.status.panicked",
-            SolveStatus::Infeasible => "guard.status.infeasible",
-            SolveStatus::FellBackTo(_) => "guard.status.fell_back",
-        });
-        let depth = match g.status {
-            // deadline exits keep the primary's (or completion's) result
-            // without walking the ladder; count them at the primary rung
-            SolveStatus::Ok | SolveStatus::DeadlineExpired => 0,
-            SolveStatus::FellBackTo(alg) => fallbacks
-                .iter()
-                .position(|&(a, _)| a == alg)
-                .map_or(1, |p| p + 1),
-            SolveStatus::Panicked | SolveStatus::Infeasible => fallbacks.len() + 1,
-        };
-        obs.record("guard.ladder_depth", depth as f64);
-        obs.record_duration("guard.subproblem_seconds", start.elapsed());
-    }
+    obs.inc(g.status.counter());
+    let depth = match g.status {
+        // deadline exits keep the primary's (or completion's) result
+        // without walking the ladder; count them at the primary rung
+        SolveStatus::Ok | SolveStatus::DeadlineExpired => 0,
+        SolveStatus::FellBackTo(alg) => fallbacks
+            .iter()
+            .position(|&(a, _)| a == alg)
+            .map_or(1, |p| p + 1),
+        SolveStatus::Panicked | SolveStatus::Infeasible => fallbacks.len() + 1,
+    };
+    obs.record("guard.ladder_depth", depth as f64);
+    obs.record_duration("guard.subproblem_seconds", start.elapsed());
     g
 }
 
@@ -558,12 +553,10 @@ mod tests {
 
     #[test]
     fn fault_injection_predicates() {
-        assert!(!FaultInjection::None.panics(0));
-        assert!(FaultInjection::PanicAlways.panics(7));
-        assert!(FaultInjection::PanicOnSubproblems(vec![1, 3]).panics(3));
-        assert!(!FaultInjection::PanicOnSubproblems(vec![1, 3]).panics(2));
+        assert!(!FaultInjection::None.panics());
+        assert!(FaultInjection::PanicAlways.panics());
         assert!(FaultInjection::StarveSubproblems(vec![0]).starves(0));
-        assert!(!FaultInjection::StarveSubproblems(vec![0]).panics(0));
+        assert!(!FaultInjection::StarveSubproblems(vec![0]).panics());
     }
 
     #[test]
@@ -579,5 +572,26 @@ mod tests {
         }
         // validate all services placed helper used by the suite compiles
         let _ = ServiceId(0);
+    }
+
+    #[test]
+    fn status_names_are_the_counter_suffixes() {
+        let statuses = [
+            SolveStatus::Ok,
+            SolveStatus::DeadlineExpired,
+            SolveStatus::Panicked,
+            SolveStatus::Infeasible,
+            SolveStatus::FellBackTo(PoolAlgorithm::Mip),
+        ];
+        assert_eq!(
+            statuses.map(|s| s.as_str()),
+            [
+                "ok",
+                "deadline_expired",
+                "panicked",
+                "infeasible",
+                "fell_back"
+            ]
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! CSR-backed weighted undirected affinity graph.
 
-use rasa_model::{Problem, ServiceId};
+use rasa_model::Problem;
 
 /// Compressed sparse row view of an affinity graph `G = <V, E>`
 /// (Section II-B). Vertices are dense `usize` indices matching
@@ -154,12 +154,6 @@ impl AffinityGraph {
         }
         out
     }
-
-    /// Map a local vertex index back to a `ServiceId` (identity mapping for
-    /// graphs built via [`from_problem`](Self::from_problem)).
-    pub fn service_id(&self, v: usize) -> ServiceId {
-        ServiceId(v as u32)
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +233,6 @@ mod tests {
         let g = AffinityGraph::from_problem(&p);
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_weight(0, 1), Some(4.5));
-        assert_eq!(g.service_id(1), s1);
     }
 
     #[test]

@@ -982,27 +982,25 @@ pub(crate) fn solve_simplex_above(
         put_scratch(scratch);
         sol
     };
-    if rasa_obs::global().enabled() {
-        let stats = &sol.stats;
-        let values = [
-            1,
-            stats.pivots,
-            stats.bound_flips,
-            stats.refactorizations,
-            stats.refactor_singular,
-            stats.eta_updates,
-            stats.eta_nnz,
-            stats.harris_ties,
-            stats.bland_activations,
-            stats.phase1_iterations,
-            stats.phase2_iterations,
-            stats.dual_iterations,
-            usize::from(stats.warm_accepted),
-            usize::from(stats.warm_rejected),
-        ];
-        for (counter, value) in counters().iter().zip(values) {
-            counter.add(value as u64);
-        }
+    let stats = &sol.stats;
+    let values = [
+        1,
+        stats.pivots,
+        stats.bound_flips,
+        stats.refactorizations,
+        stats.refactor_singular,
+        stats.eta_updates,
+        stats.eta_nnz,
+        stats.harris_ties,
+        stats.bland_activations,
+        stats.phase1_iterations,
+        stats.phase2_iterations,
+        stats.dual_iterations,
+        usize::from(stats.warm_accepted),
+        usize::from(stats.warm_rejected),
+    ];
+    for (counter, value) in counters().iter().zip(values) {
+        counter.add(value as u64);
     }
     sol
 }

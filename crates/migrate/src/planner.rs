@@ -5,6 +5,9 @@ use rasa_model::{
 };
 use std::collections::VecDeque;
 
+/// Safety valve on planner iterations.
+pub const MAX_STEPS: usize = 10_000;
+
 /// Options for [`plan_migration`].
 #[derive(Clone, Copy, Debug)]
 pub struct MigrateConfig {
@@ -12,15 +15,12 @@ pub struct MigrateConfig {
     /// step (the paper relaxes SLAs to 75% during reallocation). The floor
     /// is `⌊fraction · d_s⌋`, so single-replica services can still migrate.
     pub min_alive_fraction: f64,
-    /// Safety valve on planner iterations.
-    pub max_steps: usize,
 }
 
 impl Default for MigrateConfig {
     fn default() -> Self {
         MigrateConfig {
             min_alive_fraction: 0.75,
-            max_steps: 10_000,
         }
     }
 }
@@ -231,7 +231,7 @@ pub fn plan_migration(
     };
 
     let mut plan = MigrationPlan::default();
-    for _ in 0..config.max_steps {
+    for _ in 0..MAX_STEPS {
         // --- SelectDelete: one per machine. The commands in the batch run
         // in parallel, so the SLA guard must account for deletes already
         // chosen for *other* machines in this same batch — counters update
@@ -450,7 +450,6 @@ mod tests {
         target.add(s1, MachineId(0), 1);
         let strict = MigrateConfig {
             min_alive_fraction: 1.0,
-            ..Default::default()
         };
         let err = plan_migration(&p, &from, &target, &strict).unwrap_err();
         assert!(matches!(err, MigrateError::Stuck { remaining: 2 }));

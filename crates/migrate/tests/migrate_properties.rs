@@ -97,8 +97,8 @@ proptest! {
             return Ok(());
         };
         let from = ContainerAssignment::materialize(&problem, &from_p);
-        let relaxed = MigrateConfig { min_alive_fraction: 0.5, ..Default::default() };
-        let strict = MigrateConfig { min_alive_fraction: 0.9, ..Default::default() };
+        let relaxed = MigrateConfig { min_alive_fraction: 0.5 };
+        let strict = MigrateConfig { min_alive_fraction: 0.9 };
         let (Ok(p_relaxed), Ok(p_strict)) = (
             plan_migration(&problem, &from, &to_p, &relaxed),
             plan_migration(&problem, &from, &to_p, &strict),

@@ -269,19 +269,17 @@ pub fn solve_branch_and_bound(
     let _fs = rasa_obs::flight::span("mip.bnb");
     let sol = solve_bnb_impl(model, options, deadline, &mut counters);
     let obs = rasa_obs::global();
-    if obs.enabled() {
-        obs.add("bnb.solves", 1);
-        obs.add("bnb.nodes", sol.nodes as u64);
-        obs.add("bnb.lp_iterations", sol.lp_iterations as u64);
-        obs.add("bnb.pruned_infeasible", counters.pruned_infeasible);
-        obs.add("bnb.pruned_bound", counters.pruned_bound);
-        obs.add("bnb.incumbent_updates", counters.incumbent_updates);
-        obs.add("bnb.warm_nodes", counters.warm_nodes);
-        obs.add("bnb.warm_fallbacks", counters.warm_fallbacks);
-        obs.add("bnb.node_lp_failures", counters.node_lp_failures);
-        if sol.gap.is_finite() {
-            obs.record("bnb.final_gap", sol.gap);
-        }
+    obs.add("bnb.solves", 1);
+    obs.add("bnb.nodes", sol.nodes as u64);
+    obs.add("bnb.lp_iterations", sol.lp_iterations as u64);
+    obs.add("bnb.pruned_infeasible", counters.pruned_infeasible);
+    obs.add("bnb.pruned_bound", counters.pruned_bound);
+    obs.add("bnb.incumbent_updates", counters.incumbent_updates);
+    obs.add("bnb.warm_nodes", counters.warm_nodes);
+    obs.add("bnb.warm_fallbacks", counters.warm_fallbacks);
+    obs.add("bnb.node_lp_failures", counters.node_lp_failures);
+    if sol.gap.is_finite() {
+        obs.record("bnb.final_gap", sol.gap);
     }
     sol
 }

@@ -47,11 +47,6 @@ impl MipModel {
         self.lp.num_rows()
     }
 
-    /// Number of integer variables.
-    pub fn num_int_vars(&self) -> usize {
-        self.is_integer.iter().filter(|&&b| b).count()
-    }
-
     /// Is `v` marked integral?
     pub fn is_integer(&self, v: VarId) -> bool {
         self.is_integer[v.0]
@@ -122,7 +117,6 @@ mod tests {
         assert!(!m.is_integer(a));
         assert!(m.is_integer(b));
         assert!(m.is_integer(c));
-        assert_eq!(m.num_int_vars(), 2);
         assert_eq!(m.num_vars(), 3);
     }
 

@@ -62,11 +62,6 @@ impl AffinityEdge {
             panic!("{s} is not an endpoint of edge ({}, {})", self.a, self.b)
         }
     }
-
-    /// `true` if `s` is an endpoint.
-    pub fn touches(&self, s: ServiceId) -> bool {
-        self.a == s || self.b == s
-    }
 }
 
 #[cfg(test)]
@@ -86,8 +81,6 @@ mod tests {
         let e = AffinityEdge::new(ServiceId(0), ServiceId(1), 1.0);
         assert_eq!(e.other(ServiceId(0)), ServiceId(1));
         assert_eq!(e.other(ServiceId(1)), ServiceId(0));
-        assert!(e.touches(ServiceId(0)));
-        assert!(!e.touches(ServiceId(2)));
     }
 
     #[test]

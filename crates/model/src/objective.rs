@@ -1,6 +1,5 @@
 //! The gained-affinity objective (Definition 1 / Expression (2)).
 
-use crate::ids::MachineId;
 use crate::placement::Placement;
 use crate::problem::Problem;
 
@@ -40,25 +39,6 @@ pub fn gained_affinity_of_edge(problem: &Problem, placement: &Placement, edge_id
     gained
 }
 
-/// Gained affinity of one edge restricted to a single machine:
-/// `a_{s,s',m} = w · min(x_{s,m}/d_s, x_{s',m}/d_{s'})`.
-pub fn gained_affinity_on_machine(
-    problem: &Problem,
-    placement: &Placement,
-    edge_idx: usize,
-    m: MachineId,
-) -> f64 {
-    let e = &problem.affinity_edges[edge_idx];
-    let da = f64::from(problem.services[e.a.idx()].replicas);
-    let db = f64::from(problem.services[e.b.idx()].replicas);
-    if da == 0.0 || db == 0.0 {
-        return 0.0;
-    }
-    let xa = f64::from(placement.count(e.a, m));
-    let xb = f64::from(placement.count(e.b, m));
-    e.weight * (xa / da).min(xb / db)
-}
-
 /// The overall gained affinity `Σ_{(s,s') ∈ E} Σ_m a_{s,s',m}`
 /// (Expression (2)) in *absolute* weight units.
 pub fn gained_affinity(problem: &Problem, placement: &Placement) -> f64 {
@@ -81,7 +61,7 @@ pub fn normalized_gained_affinity(problem: &Problem, placement: &Placement) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ServiceId;
+    use crate::ids::{MachineId, ServiceId};
     use crate::machine::FeatureMask;
     use crate::problem::ProblemBuilder;
     use crate::resources::ResourceVec;
@@ -138,8 +118,6 @@ mod tests {
         x.add(ServiceId(1), MachineId(0), 4);
         // m0: min(1/2, 4/4) = 0.5; m1: min(1/2, 0) = 0
         assert!((gained_affinity(&p, &x) - 0.5).abs() < 1e-12);
-        assert!((gained_affinity_on_machine(&p, &x, 0, MachineId(0)) - 0.5).abs() < 1e-12);
-        assert_eq!(gained_affinity_on_machine(&p, &x, 0, MachineId(1)), 0.0);
     }
 
     #[test]

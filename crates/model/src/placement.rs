@@ -50,15 +50,6 @@ impl Placement {
         self.per_service[s.idx()].get(&m).copied().unwrap_or(0)
     }
 
-    /// Set `x_{s,m}` (removing the entry when zero).
-    pub fn set_count(&mut self, s: ServiceId, m: MachineId, count: u32) {
-        if count == 0 {
-            self.per_service[s.idx()].remove(&m);
-        } else {
-            self.per_service[s.idx()].insert(m, count);
-        }
-    }
-
     /// Add `delta` containers of `s` on `m`.
     pub fn add(&mut self, s: ServiceId, m: MachineId, delta: u32) {
         if delta == 0 {
@@ -123,15 +114,6 @@ impl Placement {
             usage[m.idx()] += problem.services[s.idx()].demand * f64::from(c);
         }
         usage
-    }
-
-    /// Per-machine total container count under this placement.
-    pub fn machine_container_counts(&self, num_machines: usize) -> Vec<u32> {
-        let mut counts = vec![0u32; num_machines];
-        for (_, m, c) in self.iter() {
-            counts[m.idx()] += c;
-        }
-        counts
     }
 
     /// Merge a sub-problem solution back into a parent-shaped placement
@@ -286,14 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn set_count_zero_prunes() {
-        let mut p = Placement::empty(1);
-        p.set_count(ServiceId(0), MachineId(0), 5);
-        p.set_count(ServiceId(0), MachineId(0), 0);
-        assert_eq!(p.iter().count(), 0);
-    }
-
-    #[test]
     fn machine_usage_accumulates_demand() {
         let prob = problem();
         let mut p = Placement::empty_for(&prob);
@@ -313,7 +287,6 @@ mod tests {
         p.add(ServiceId(1), MachineId(1), 2);
         assert_eq!(p.placed_count(ServiceId(0)), 2);
         assert_eq!(p.total_placed(), 4);
-        assert_eq!(p.machine_container_counts(2), vec![2, 2]);
     }
 
     #[test]

@@ -71,17 +71,8 @@ impl Problem {
         self.affinity_edges.iter().map(|e| e.weight).sum()
     }
 
-    /// Total affinity of a single service,
-    /// `T(s) = Σ_{s' ∈ N(s)} w_{s,s'}` (Section IV-B2).
-    pub fn service_total_affinity(&self, s: ServiceId) -> f64 {
-        self.affinity_edges
-            .iter()
-            .filter(|e| e.touches(s))
-            .map(|e| e.weight)
-            .sum()
-    }
-
-    /// `T(s)` for every service in one pass.
+    /// Total affinity of every service,
+    /// `T(s) = Σ_{s' ∈ N(s)} w_{s,s'}` (Section IV-B2), in one pass.
     pub fn all_service_total_affinities(&self) -> Vec<f64> {
         let mut t = vec![0.0; self.services.len()];
         for e in &self.affinity_edges {
@@ -366,7 +357,6 @@ mod tests {
     fn total_affinity_sums_weights() {
         let p = two_service_problem();
         assert_eq!(p.total_affinity(), 10.0);
-        assert_eq!(p.service_total_affinity(ServiceId(0)), 10.0);
         assert_eq!(p.all_service_total_affinities(), vec![10.0, 10.0]);
     }
 

@@ -53,12 +53,6 @@ impl Service {
         self
     }
 
-    /// Builder-style setter for statefulness.
-    pub fn with_stateless(mut self, stateless: bool) -> Self {
-        self.stateless = stateless;
-        self
-    }
-
     /// Builder-style setter for the priority weight.
     pub fn with_priority(mut self, weight: f64) -> Self {
         self.priority_weight = weight;
@@ -85,10 +79,8 @@ mod tests {
     fn builder_setters() {
         let s = Service::new(ServiceId(1), "db", 2, ResourceVec::cpu_mem(1.0, 1.0))
             .with_features(FeatureMask(0b101))
-            .with_stateless(false)
             .with_priority(2.5);
         assert_eq!(s.required_features, FeatureMask(0b101));
-        assert!(!s.stateless);
         assert_eq!(s.priority_weight, 2.5);
     }
 }

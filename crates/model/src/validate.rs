@@ -176,11 +176,6 @@ pub fn validate(problem: &Problem, placement: &Placement, check_sla: bool) -> Ve
     violations
 }
 
-/// `true` if `placement` satisfies every constraint (including SLA).
-pub fn is_feasible(problem: &Problem, placement: &Placement) -> bool {
-    validate(problem, placement, true).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,7 +208,6 @@ mod tests {
         // Keep SLA check off to test the rest first.
         let v = validate(&p, &x, false);
         assert!(v.is_empty(), "{v:?}");
-        assert!(!is_feasible(&p, &x), "SLA short for s1");
     }
 
     #[test]

@@ -188,11 +188,6 @@ impl Matrix {
         }
         (max, arg)
     }
-
-    /// Frobenius norm (used in tests).
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +261,6 @@ mod tests {
         let m = Matrix::xavier(20, 30, &mut rng);
         let bound = (6.0f64 / 50.0).sqrt();
         assert!(m.data.iter().all(|&v| v.abs() <= bound));
-        assert!(m.norm() > 0.0);
     }
 
     #[test]

@@ -32,8 +32,7 @@
 //! [`MetricsRegistry::histogram`] and record lock-free.
 //!
 //! The process-wide registry behind [`global()`] is what the solver crates
-//! flush into; [`set_enabled(false)`](MetricsRegistry::set_enabled) turns
-//! every recording call into a single relaxed atomic load and branch.
+//! flush into; it always records.
 //!
 //! ```
 //! let reg = rasa_obs::MetricsRegistry::new();

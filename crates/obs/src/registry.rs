@@ -5,7 +5,6 @@ use crate::labels::{labeled_name, sanitize_label, DEFAULT_LABEL_CAP, OTHER_LABEL
 use crate::metrics::{Counter, Histogram};
 use crate::snapshot::MetricsSnapshot;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -47,46 +46,21 @@ impl LabelTable {
 /// should hold the [`Arc`] handle from
 /// [`counter`](MetricsRegistry::counter) /
 /// [`histogram`](MetricsRegistry::histogram) and record lock-free.
-///
-/// When disabled, every recording call is a relaxed atomic load and a
-/// branch — near-zero cost, so instrumented code needs no `cfg` gates.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    enabled: AtomicBool,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     labels: Mutex<LabelTable>,
 }
 
 impl MetricsRegistry {
-    /// An enabled, empty registry.
+    /// An empty registry.
     pub fn new() -> Self {
-        MetricsRegistry {
-            enabled: AtomicBool::new(true),
-            ..Default::default()
-        }
-    }
-
-    /// A disabled registry: all recording calls are no-ops until
-    /// [`set_enabled`](MetricsRegistry::set_enabled)`(true)`.
-    pub fn disabled() -> Self {
         MetricsRegistry::default()
     }
 
-    /// Turn recording on or off. Snapshots work either way.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Is recording on?
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// The counter registered under `name` (created on first use). The
-    /// handle records lock-free and ignores the enabled flag — callers on
-    /// hot paths check [`enabled`](MetricsRegistry::enabled) once.
+    /// handle records lock-free.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(
@@ -104,28 +78,21 @@ impl MetricsRegistry {
         )
     }
 
-    /// Add `n` to the counter `name`. No-op when disabled. Adding zero
-    /// still registers the name, so always-reported counters (e.g.
-    /// `pipeline.lost_slots`) appear in snapshots even when they never
-    /// fired.
+    /// Add `n` to the counter `name`. Adding zero still registers the
+    /// name, so always-reported counters (e.g. `pipeline.lost_slots`)
+    /// appear in snapshots even when they never fired.
     pub fn add(&self, name: &str, n: u64) {
-        if self.enabled() {
-            self.counter(name).add(n);
-        }
+        self.counter(name).add(n);
     }
 
-    /// Add one to the counter `name`. No-op when disabled.
+    /// Add one to the counter `name`.
     pub fn inc(&self, name: &str) {
-        if self.enabled() {
-            self.counter(name).inc();
-        }
+        self.counter(name).inc();
     }
 
-    /// Record `v` into the histogram `name`. No-op when disabled.
+    /// Record `v` into the histogram `name`.
     pub fn record(&self, name: &str, v: f64) {
-        if self.enabled() {
-            self.histogram(name).record(v);
-        }
+        self.histogram(name).record(v);
     }
 
     /// Record a duration (in seconds) into the histogram `name`.
@@ -251,12 +218,10 @@ impl MetricsRegistry {
     /// Add `n` to the `tenant=label` series of counter family `base`
     /// (stored under the key `base{tenant=label}`). Only the labeled
     /// series is touched — callers wanting a global total record the
-    /// unlabeled `base` separately. No-op when disabled.
+    /// unlabeled `base` separately.
     pub fn add_labeled(&self, base: &str, label: &str, n: u64) {
-        if self.enabled() {
-            let label = self.resolve_label(label);
-            self.counter(&labeled_name(base, &label)).add(n);
-        }
+        let label = self.resolve_label(label);
+        self.counter(&labeled_name(base, &label)).add(n);
     }
 
     /// Add one to the `tenant=label` series of counter family `base`.
@@ -265,12 +230,10 @@ impl MetricsRegistry {
     }
 
     /// Record `v` into the `tenant=label` series of histogram family
-    /// `base`. No-op when disabled.
+    /// `base`.
     pub fn record_labeled(&self, base: &str, label: &str, v: f64) {
-        if self.enabled() {
-            let label = self.resolve_label(label);
-            self.histogram(&labeled_name(base, &label)).record(v);
-        }
+        let label = self.resolve_label(label);
+        self.histogram(&labeled_name(base, &label)).record(v);
     }
 
     /// Record a duration (seconds) into the `tenant=label` series of
@@ -280,12 +243,11 @@ impl MetricsRegistry {
     }
 
     /// A scoped timer that records its elapsed seconds into the histogram
-    /// `name` when dropped. Returns an inert span when disabled.
+    /// `name` when dropped.
     pub fn span(&self, name: &str) -> Span {
         Span {
-            target: self
-                .enabled()
-                .then(|| (self.histogram(name), Instant::now())),
+            hist: self.histogram(name),
+            start: Instant::now(),
         }
     }
 
@@ -356,19 +318,17 @@ impl MetricsRegistry {
 /// Scoped timer from [`MetricsRegistry::span`]; records on drop.
 #[must_use = "a span records when dropped — bind it with `let _span = …`"]
 pub struct Span {
-    target: Option<(Arc<Histogram>, Instant)>,
+    hist: Arc<Histogram>,
+    start: Instant,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((hist, start)) = self.target.take() {
-            hist.record_duration(start.elapsed());
-        }
+        self.hist.record_duration(self.start.elapsed());
     }
 }
 
-/// The process-wide registry every solver layer flushes into. Enabled by
-/// default; `global().set_enabled(false)` silences all built-in telemetry.
+/// The process-wide registry every solver layer flushes into.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
     GLOBAL.get_or_init(MetricsRegistry::new)
@@ -389,23 +349,6 @@ mod tests {
         assert_eq!(snap.histogram("a.secs").map(|h| h.count), Some(1));
         reg.reset();
         assert_eq!(reg.snapshot().counter("a.count"), 0);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let reg = MetricsRegistry::disabled();
-        reg.add("x", 5);
-        reg.record("y", 1.0);
-        {
-            let _span = reg.span("z");
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("x"), 0);
-        assert!(snap.histogram("y").is_none());
-        assert!(snap.histogram("z").is_none());
-        reg.set_enabled(true);
-        reg.add("x", 5);
-        assert_eq!(reg.snapshot().counter("x"), 5);
     }
 
     #[test]

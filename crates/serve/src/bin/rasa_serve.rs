@@ -4,13 +4,14 @@
 //! rasa-serve [--addr 127.0.0.1:7070] [--workers 2] [--queue-capacity 4]
 //!            [--max-tenants 64] [--deadline-ms 2000]
 //!            [--drain-grace-ms 5000] [--metrics-out PATH]
-//!            [--wal-dir PATH] [--wal-sync POLICY]
+//!            [--wal-dir PATH] [--wal-sync always|never]
+//!            [--wal-compact-every N] [--wal-segment-bytes N]
 //! ```
 //!
 //! `--wal-dir` turns on per-tenant write-ahead journaling: acked state is
 //! durable before the 200, and on restart the daemon replays the journals
-//! through both trust gates (`--wal-sync` is `always` (default), `never`,
-//! or `every:N`).
+//! through both trust gates (`--wal-sync` is `always`, the default, or
+//! `never`).
 //!
 //! The bound address is printed as `listening on <addr>` once the socket
 //! is open (scripts parse this when binding port 0). SIGTERM or SIGINT
@@ -57,7 +58,7 @@ fn usage() -> &'static str {
     "usage: rasa-serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]\n\
      \x20                 [--max-tenants N] [--deadline-ms N]\n\
      \x20                 [--drain-grace-ms N] [--metrics-out PATH] [--wal-dir PATH]\n\
-     \x20                 [--wal-sync always|never|every:N] [--wal-compact-every N]\n\
+     \x20                 [--wal-sync always|never] [--wal-compact-every N]\n\
      \x20                 [--wal-segment-bytes N]"
 }
 

@@ -19,23 +19,8 @@
 
 use std::time::{Duration, Instant};
 
-/// Breaker tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip Closed → Open.
-    pub failure_threshold: u32,
-    /// How long the breaker stays Open before admitting a probe.
-    pub cooldown: Duration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_secs(10),
-        }
-    }
-}
+/// Consecutive failures that trip Closed → Open.
+pub const FAILURE_THRESHOLD: u32 = 3;
 
 /// The breaker's externally visible state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +49,7 @@ pub enum BreakerDecision {
 /// keeps one behind the tenant's control lock.
 #[derive(Debug)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
+    cooldown: Duration,
     state: BreakerState,
     consecutive_failures: u32,
     opened_at: Option<Instant>,
@@ -74,10 +59,11 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with the given tuning.
-    pub fn new(config: BreakerConfig) -> Self {
+    /// A closed breaker that stays Open for `cooldown` before admitting a
+    /// probe.
+    pub fn new(cooldown: Duration) -> Self {
         CircuitBreaker {
-            config,
+            cooldown,
             state: BreakerState::Closed,
             consecutive_failures: 0,
             opened_at: None,
@@ -146,7 +132,7 @@ impl CircuitBreaker {
             }
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.config.failure_threshold {
+                if self.consecutive_failures >= FAILURE_THRESHOLD {
                     self.state = BreakerState::Open;
                     self.opened_at = Some(now);
                     self.trips += 1;
@@ -176,7 +162,7 @@ impl CircuitBreaker {
 
     fn cooldown_elapsed(&self, now: Instant) -> bool {
         self.opened_at
-            .is_some_and(|t| now.duration_since(t) >= self.config.cooldown)
+            .is_some_and(|t| now.duration_since(t) >= self.cooldown)
     }
 }
 
@@ -186,10 +172,7 @@ mod tests {
     use super::*;
 
     fn breaker() -> CircuitBreaker {
-        CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_secs(10),
-        })
+        CircuitBreaker::new(Duration::from_secs(10))
     }
 
     #[test]

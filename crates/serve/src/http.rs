@@ -14,26 +14,10 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// Parser limits and socket timeouts.
-#[derive(Clone, Copy, Debug)]
-pub struct HttpLimits {
-    /// Maximum bytes of request line + headers.
-    pub max_head_bytes: usize,
-    /// Maximum body bytes (larger declared bodies are refused with 413).
-    pub max_body_bytes: usize,
-    /// Socket read timeout; a client quieter than this is dropped (408).
-    pub read_timeout: Duration,
-}
-
-impl Default for HttpLimits {
-    fn default() -> Self {
-        HttpLimits {
-            max_head_bytes: 16 * 1024,
-            max_body_bytes: 4 * 1024 * 1024,
-            read_timeout: Duration::from_secs(2),
-        }
-    }
-}
+/// Maximum bytes of request line + headers.
+pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+/// Maximum body bytes (larger declared bodies are refused with 413).
+pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// Why a request could not be read. Each variant maps to one response
 /// status in the server (`Timeout` → 408, `BodyTooLarge` → 413,
@@ -42,8 +26,8 @@ impl Default for HttpLimits {
 pub enum HttpError {
     /// The client went quiet longer than the read timeout (slow-loris).
     Timeout,
-    /// Declared or actual body exceeded [`HttpLimits::max_body_bytes`],
-    /// or the head exceeded [`HttpLimits::max_head_bytes`].
+    /// Declared or actual body exceeded [`MAX_BODY_BYTES`], or the head
+    /// exceeded [`MAX_HEAD_BYTES`].
     BodyTooLarge {
         /// The configured limit that was exceeded.
         limit: usize,
@@ -102,10 +86,11 @@ impl Request {
     }
 }
 
-/// Read and parse one request from `stream` under `limits`.
-pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, HttpError> {
+/// Read and parse one request from `stream`; a client quieter than
+/// `read_timeout` is dropped ([`HttpError::Timeout`]).
+pub fn read_request(stream: &mut TcpStream, read_timeout: Duration) -> Result<Request, HttpError> {
     stream
-        .set_read_timeout(Some(limits.read_timeout))
+        .set_read_timeout(Some(read_timeout))
         .map_err(HttpError::Io)?;
 
     // read until the blank line separating head from body
@@ -115,9 +100,9 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         if let Some(pos) = find_head_end(&buf) {
             break pos;
         }
-        if buf.len() > limits.max_head_bytes {
+        if buf.len() > MAX_HEAD_BYTES {
             return Err(HttpError::BodyTooLarge {
-                limit: limits.max_head_bytes,
+                limit: MAX_HEAD_BYTES,
             });
         }
         match stream.read(&mut chunk) {
@@ -160,9 +145,9 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
             value.trim().to_string(),
         );
     }
-    if content_length > limits.max_body_bytes {
+    if content_length > MAX_BODY_BYTES {
         return Err(HttpError::BodyTooLarge {
-            limit: limits.max_body_bytes,
+            limit: MAX_BODY_BYTES,
         });
     }
 
@@ -353,7 +338,9 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::thread;
 
-    fn round_trip(raw: &[u8], limits: HttpLimits) -> Result<Request, HttpError> {
+    const READ_TIMEOUT: Duration = Duration::from_secs(2);
+
+    fn round_trip(raw: &[u8]) -> Result<Request, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let raw = raw.to_vec();
@@ -364,7 +351,7 @@ mod tests {
             thread::sleep(Duration::from_millis(200));
         });
         let (mut stream, _) = listener.accept().unwrap();
-        let result = read_request(&mut stream, &limits);
+        let result = read_request(&mut stream, READ_TIMEOUT);
         writer.join().unwrap();
         result
     }
@@ -373,7 +360,7 @@ mod tests {
     fn parses_a_post_with_query_and_body() {
         let raw =
             b"POST /snapshot?tenant=acme&deadline_ms=250 HTTP/1.1\r\nHost: x\r\nContent-Length: 9\r\n\r\n{\"a\": 1}x";
-        let req = round_trip(raw, HttpLimits::default()).unwrap();
+        let req = round_trip(raw).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/snapshot");
         assert_eq!(req.param("tenant"), Some("acme"));
@@ -385,7 +372,7 @@ mod tests {
     #[test]
     fn headers_are_lowercased_and_values_trimmed() {
         let raw = b"GET /placement HTTP/1.1\r\nX-Rasa-Request-Id:  Req-7 \r\nHost: x\r\n\r\n";
-        let req = round_trip(raw, HttpLimits::default()).unwrap();
+        let req = round_trip(raw).unwrap();
         assert_eq!(req.header("x-rasa-request-id"), Some("Req-7"));
         assert_eq!(req.header("X-RASA-REQUEST-ID"), Some("Req-7"));
         assert_eq!(req.header("absent"), None);
@@ -393,23 +380,20 @@ mod tests {
 
     #[test]
     fn oversized_declared_body_is_refused() {
-        let raw = b"POST /snapshot HTTP/1.1\r\nContent-Length: 999999\r\n\r\n";
-        let limits = HttpLimits {
-            max_body_bytes: 1024,
-            ..HttpLimits::default()
-        };
+        let raw = format!(
+            "POST /snapshot HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
         assert!(matches!(
-            round_trip(raw, limits),
-            Err(HttpError::BodyTooLarge { limit: 1024 })
+            round_trip(raw.as_bytes()),
+            Err(HttpError::BodyTooLarge {
+                limit: MAX_BODY_BYTES
+            })
         ));
     }
 
     #[test]
     fn slow_loris_times_out() {
-        let limits = HttpLimits {
-            read_timeout: Duration::from_millis(50),
-            ..HttpLimits::default()
-        };
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let writer = thread::spawn(move || {
@@ -418,7 +402,7 @@ mod tests {
             thread::sleep(Duration::from_millis(300));
         });
         let (mut stream, _) = listener.accept().unwrap();
-        let result = read_request(&mut stream, &limits);
+        let result = read_request(&mut stream, Duration::from_millis(50));
         assert!(matches!(result, Err(HttpError::Timeout)));
         writer.join().unwrap();
     }
@@ -434,7 +418,7 @@ mod tests {
             // drop: connection closes with 96 body bytes missing
         });
         let (mut stream, _) = listener.accept().unwrap();
-        let result = read_request(&mut stream, &HttpLimits::default());
+        let result = read_request(&mut stream, READ_TIMEOUT);
         assert!(matches!(result, Err(HttpError::Disconnected)));
         writer.join().unwrap();
     }
@@ -442,10 +426,7 @@ mod tests {
     #[test]
     fn garbage_is_malformed_not_a_panic() {
         let raw = b"NONSENSE\r\n\r\n";
-        assert!(matches!(
-            round_trip(raw, HttpLimits::default()),
-            Err(HttpError::Malformed(_))
-        ));
+        assert!(matches!(round_trip(raw), Err(HttpError::Malformed(_))));
     }
 
     #[test]
@@ -477,7 +458,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let req = read_request(&mut stream, &HttpLimits::default()).unwrap();
+            let req = read_request(&mut stream, READ_TIMEOUT).unwrap();
             let id = req.header("x-rasa-request-id").unwrap().to_string();
             Response::json(201, format!("{} {} {}", req.method, req.path, req.body))
                 .with_header("X-Rasa-Request-Id", id)

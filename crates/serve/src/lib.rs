@@ -45,12 +45,12 @@ pub mod server;
 pub mod slo;
 pub mod wal;
 
-pub use breaker::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker};
-pub use http::{HttpError, HttpLimits, Request, Response};
+pub use breaker::{BreakerDecision, BreakerState, CircuitBreaker};
+pub use http::{HttpError, Request, Response};
 pub use log::{event_log, EventLog, LogEntry, LogLevel};
 pub use queue::{BoundedQueue, QueueFull};
 pub use server::{DrainReport, ServeConfig, Server, ServerHandle};
-pub use slo::{SloBurn, SloConfig, SloTracker};
+pub use slo::{SloBurn, SloTracker};
 pub use wal::{
     recover_all, recover_tenant, JournaledPlacement, RecoveredTenant, RecoveryOutcome,
     ReplayStats, SyncPolicy, TenantJournal, WalConfig, WalError, WalRecord, WalRecordKind,

@@ -9,6 +9,7 @@
 //! are also echoed to stderr, so a crashing daemon still leaves a trail.
 
 use rasa_obs::flight::current_request_context;
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -39,8 +40,14 @@ impl LogLevel {
     }
 }
 
+impl Serialize for LogLevel {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Str(self.as_str().to_string())
+    }
+}
+
 /// One structured log entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct LogEntry {
     /// Monotone per-process sequence number.
     pub seq: u64,
@@ -59,37 +66,11 @@ pub struct LogEntry {
     pub tenant: String,
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl LogEntry {
-    /// Render as one JSON object (the `/debug/log` wire format).
+    /// Render as one JSON object (the `/debug/log` wire format), fields in
+    /// declaration order.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seq\":{},\"unix_ms\":{},\"level\":\"{}\",\"target\":\"{}\",\
-             \"message\":\"{}\",\"request_id\":\"{}\",\"tenant\":\"{}\"}}",
-            self.seq,
-            self.unix_ms,
-            self.level.as_str(),
-            json_escape(&self.target),
-            json_escape(&self.message),
-            json_escape(&self.request_id),
-            json_escape(&self.tenant),
-        )
+        serde_json::to_string(self).expect("strings and integers always serialize")
     }
 }
 

@@ -22,11 +22,11 @@
 //! is counted, reported to the breaker, and answered with the last
 //! certified placement when one exists.
 
-use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker};
-use crate::http::{read_request, HttpError, HttpLimits, Request, Response};
+use crate::breaker::{BreakerDecision, BreakerState, CircuitBreaker};
+use crate::http::{read_request, HttpError, Request, Response};
 use crate::log;
 use crate::queue::{BoundedQueue, QueueFull};
-use crate::slo::{SloConfig, SloTracker};
+use crate::slo::SloTracker;
 use crate::wal::{
     self, CheckpointState, JournaledPlacement, RecoveryOutcome, TenantJournal, WalConfig,
     WalRecord,
@@ -50,6 +50,10 @@ use std::time::{Duration, Instant};
 /// Cap for per-request `?deadline_ms=` overrides.
 pub const MAX_DEADLINE: Duration = Duration::from_secs(10);
 
+/// How long a handler waits for its round's result before answering 504
+/// (the round still completes and publishes).
+pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -61,15 +65,13 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Maximum simultaneous tenants (beyond it: 429 on new tenants).
     pub max_tenants: usize,
-    /// HTTP parser limits and socket timeout.
-    pub http: HttpLimits,
+    /// Socket read timeout; a client quieter than this is dropped (408).
+    pub read_timeout: Duration,
     /// Default per-round solve deadline budget.
     pub default_deadline: Duration,
-    /// How long a handler waits for its round's result before answering
-    /// 504 (the round still completes and publishes).
-    pub request_timeout: Duration,
-    /// Per-tenant circuit breaker tuning.
-    pub breaker: BreakerConfig,
+    /// How long an open per-tenant circuit breaker waits before admitting
+    /// a probe.
+    pub breaker_cooldown: Duration,
     /// Pipeline configuration used by every tenant session.
     pub rasa: RasaConfig,
     /// How long drain waits for in-flight rounds before black-boxing the
@@ -77,9 +79,6 @@ pub struct ServeConfig {
     pub drain_grace: Duration,
     /// Where to flush a final Prometheus snapshot on drain (optional).
     pub metrics_flush_path: Option<PathBuf>,
-    /// Per-tenant SLO objectives scored by the burn-rate tracker
-    /// (`GET /tenants`, `slo.*` metrics).
-    pub slo: SloConfig,
     /// Per-tenant write-ahead journaling ([`crate::wal`]). When set, every
     /// acked snapshot, delta, and certified placement is journaled before
     /// the client sees the 200, and [`Server::bind`] replays the journals
@@ -95,14 +94,12 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 4,
             max_tenants: 64,
-            http: HttpLimits::default(),
+            read_timeout: Duration::from_secs(2),
             default_deadline: Duration::from_secs(2),
-            request_timeout: Duration::from_secs(30),
-            breaker: BreakerConfig::default(),
+            breaker_cooldown: Duration::from_secs(10),
             rasa: RasaConfig::default(),
             drain_grace: Duration::from_secs(5),
             metrics_flush_path: None,
-            slo: SloConfig::default(),
             wal: None,
         }
     }
@@ -238,13 +235,13 @@ fn new_slot(
     quarantined: Option<String>,
 ) -> Arc<TenantSlot> {
     let state = TenantState {
-        breaker: CircuitBreaker::new(config.breaker),
+        breaker: CircuitBreaker::new(config.breaker_cooldown),
         published: engine.published().map(|p| PublishedView {
             certified: p.clone(),
             request_id: String::new(),
         }),
         generation: engine.generation(),
-        slo: SloTracker::new(config.slo),
+        slo: SloTracker::default(),
         last_request_id: String::new(),
         last_verdict: "none",
         quarantined,
@@ -942,7 +939,7 @@ fn handle_request(shared: &Arc<Shared>, stream: &mut TcpStream) {
     // The listener is non-blocking and the accepted socket inherits that on
     // some platforms; the parser sets its own read timeout.
     let _ = stream.set_nonblocking(false);
-    let request = match read_request(stream, &shared.config.http) {
+    let request = match read_request(stream, shared.config.read_timeout) {
         Ok(request) => request,
         Err(error) => {
             let status = match &error {
@@ -1031,15 +1028,13 @@ fn finish_slo(shared: &Arc<Shared>, request: &Request, status: u16, elapsed: Dur
     let obs = rasa_obs::global();
     obs.record_duration_labeled("serve.request_seconds", tenant, elapsed);
     obs.inc_labeled("slo.events", tenant);
-    let available = status == 200;
-    let latency_ok = available && elapsed <= shared.config.slo.latency_target;
+    let (available, latency_ok) = slot.state().slo.record(status, elapsed);
     if !available {
         obs.inc_labeled("slo.unavailable", tenant);
     }
     if !latency_ok {
         obs.inc_labeled("slo.latency_misses", tenant);
     }
-    slot.state().slo.record(status, elapsed);
 }
 
 fn route(shared: &Arc<Shared>, request: &Request) -> Response {
@@ -1261,14 +1256,12 @@ fn bad_body(error: &serde_json::Error) -> Response {
         (Some(l), Some(c)) => format!("\"line\":{l},\"column\":{c},"),
         _ => String::new(),
     };
-    let detail: String = error
-        .to_string()
-        .chars()
-        .map(|c| if c == '"' { '\'' } else { c })
-        .collect();
+    // serde_json's encoder escapes what the message may quote: quotes,
+    // backslashes, control characters
+    let detail = serde_json::to_string(&error.to_string()).expect("a string always serializes");
     Response::json(
         400,
-        format!("{{\"error\":\"malformed json\",{position}\"detail\":\"{detail}\"}}"),
+        format!("{{\"error\":\"malformed json\",{position}\"detail\":{detail}}}"),
     )
 }
 
@@ -1387,7 +1380,7 @@ fn ingest(shared: &Arc<Shared>, request: &Request, is_snapshot: bool) -> Respons
     }
     shared.schedule(tenant);
 
-    match rx.recv_timeout(shared.config.request_timeout) {
+    match rx.recv_timeout(REQUEST_TIMEOUT) {
         Ok(response) => response,
         Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
             obs.inc("serve.request_timeouts");

@@ -124,25 +124,20 @@ pub enum SyncPolicy {
     /// fsync after every append — an acked request is durable. The
     /// daemon default.
     Always,
-    /// fsync after every `n` appends: bounded loss window, fewer syncs.
-    EveryN(u32),
     /// Never fsync explicitly; durability is whenever the OS writes
     /// back. For benches and tests only.
     Never,
 }
 
 impl SyncPolicy {
-    /// Parse `"always"`, `"never"`, or `"every:N"` (N ≥ 1).
+    /// Parse `"always"` or `"never"`.
     pub fn parse(s: &str) -> Result<SyncPolicy, String> {
         match s {
             "always" => Ok(SyncPolicy::Always),
             "never" => Ok(SyncPolicy::Never),
-            other => match other.strip_prefix("every:").and_then(|n| n.parse::<u32>().ok()) {
-                Some(n) if n >= 1 => Ok(SyncPolicy::EveryN(n)),
-                _ => Err(format!(
-                    "sync policy must be always, never, or every:N — got {other:?}"
-                )),
-            },
+            other => Err(format!(
+                "sync policy must be always or never — got {other:?}"
+            )),
         }
     }
 }
@@ -383,7 +378,6 @@ pub struct TenantJournal {
     file: File,
     seg_bytes: u64,
     records_since_checkpoint: u64,
-    unsynced: u32,
 }
 
 fn file_seq(name: &str, prefix: &str) -> Option<u64> {
@@ -459,7 +453,6 @@ impl TenantJournal {
             file,
             seg_bytes: MAGIC.len() as u64,
             records_since_checkpoint: 0,
-            unsynced: 0,
         })
     }
 
@@ -485,17 +478,8 @@ impl TenantJournal {
         self.seg_bytes += framed.len() as u64;
         obs.inc("wal.appends");
         obs.add("wal.bytes_written", framed.len() as u64);
-        let must_sync = match self.sync {
-            SyncPolicy::Always => true,
-            SyncPolicy::Never => false,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                self.unsynced >= n
-            }
-        };
-        if must_sync {
+        if self.sync == SyncPolicy::Always {
             self.file.sync_data().map_err(io_err(&path))?;
-            self.unsynced = 0;
             obs.inc("wal.fsyncs");
         }
         self.records_since_checkpoint += 1;
@@ -506,14 +490,12 @@ impl TenantJournal {
     }
 
     fn rotate(&mut self) -> Result<(), WalError> {
-        // make the outgoing segment durable before moving on — a record
-        // acked under EveryN must not be lost just because we rotated
+        // make the outgoing segment durable before moving on
         let path = seg_path(&self.dir, self.seg_seq);
         self.file.sync_data().map_err(io_err(&path))?;
         self.seg_seq += 1;
         self.file = new_segment(&self.dir, self.seg_seq, self.sync)?;
         self.seg_bytes = MAGIC.len() as u64;
-        self.unsynced = 0;
         rasa_obs::global().inc("wal.segments_rotated");
         Ok(())
     }
@@ -564,7 +546,6 @@ impl TenantJournal {
         self.file = new_segment(&self.dir, self.seg_seq, self.sync)?;
         self.seg_bytes = MAGIC.len() as u64;
         self.records_since_checkpoint = 0;
-        self.unsynced = 0;
         let (segs, ckpts) = list_sequences(&self.dir);
         for seq in segs.into_iter().filter(|s| *s <= watermark) {
             let _ = fs::remove_file(seg_path(&self.dir, seq));
@@ -921,8 +902,7 @@ mod tests {
     fn sync_policy_parses() {
         assert_eq!(SyncPolicy::parse("always").unwrap(), SyncPolicy::Always);
         assert_eq!(SyncPolicy::parse("never").unwrap(), SyncPolicy::Never);
-        assert_eq!(SyncPolicy::parse("every:8").unwrap(), SyncPolicy::EveryN(8));
-        assert!(SyncPolicy::parse("every:0").is_err());
+        assert!(SyncPolicy::parse("every:8").is_err());
         assert!(SyncPolicy::parse("sometimes").is_err());
     }
 

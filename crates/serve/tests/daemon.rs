@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used)]
 
 use rasa_serve::http::{call, Reply};
-use rasa_serve::{BreakerConfig, ServeConfig, Server, ServerHandle};
+use rasa_serve::{ServeConfig, Server, ServerHandle};
 use rasa_trace::{generate, tiny_cluster, ClusterSpec};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -80,13 +80,7 @@ fn snapshot_delta_placement_lifecycle() {
 
 #[test]
 fn hostile_bodies_get_typed_rejections() {
-    let (addr, handle, join) = boot(ServeConfig {
-        http: rasa_serve::HttpLimits {
-            max_body_bytes: 64 * 1024,
-            ..rasa_serve::HttpLimits::default()
-        },
-        ..quick_config()
-    });
+    let (addr, handle, join) = boot(quick_config());
 
     // truncated JSON: 400 with the line/column where parsing stopped
     let problem = generate(&spec(6, 2));
@@ -103,6 +97,21 @@ fn hostile_bodies_get_typed_rejections() {
     // valid JSON, wrong shape: 400 without position
     let reply = http(addr, "POST", "/snapshot?tenant=acme", "[1,2,3]");
     assert_eq!(reply.status, 400);
+
+    // parser messages that quote a backslash still answer parseable JSON
+    #[derive(serde::Deserialize)]
+    struct Rejection {
+        error: String,
+        detail: String,
+    }
+    for body in ["\"\\u12", "\u{1}{}"] {
+        let reply = http(addr, "POST", "/snapshot?tenant=acme", body);
+        assert_eq!(reply.status, 400);
+        let rejection: Rejection = serde_json::from_str(&reply.body)
+            .unwrap_or_else(|e| panic!("400 body is not JSON ({e}): {}", reply.body));
+        assert_eq!(rejection.error, "malformed json");
+        assert!(rejection.detail.contains('\\'), "{}", rejection.detail);
+    }
 
     // oversized declared body: 413
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -133,7 +142,6 @@ fn burst_overload_sheds_with_429_and_retry_after() {
     let (addr, handle, join) = boot(ServeConfig {
         workers: 1,
         queue_capacity: 1,
-        request_timeout: Duration::from_secs(60),
         ..quick_config()
     });
     // distinct problems so no round replays another's cache
@@ -180,10 +188,7 @@ fn burst_overload_sheds_with_429_and_retry_after() {
 #[test]
 fn breaker_trips_to_stale_serving_under_starved_deadlines() {
     let (addr, handle, join) = boot(ServeConfig {
-        breaker: BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_secs(3600), // stays open for the test
-        },
+        breaker_cooldown: Duration::from_secs(3600), // stays open for the test
         // every subproblem sees an expired deadline, whatever the box's speed
         rasa: rasa_core::RasaConfig {
             fault_injection: rasa_core::FaultInjection::StarveSubproblems((0..40).collect()),
@@ -241,10 +246,7 @@ fn breaker_trips_to_stale_serving_under_starved_deadlines() {
 #[test]
 fn healthz_degrades_on_open_breaker_and_drain() {
     let (addr, handle, join) = boot(ServeConfig {
-        breaker: BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_secs(3600), // stays open for the test
-        },
+        breaker_cooldown: Duration::from_secs(3600), // stays open for the test
         // every subproblem a 40-service problem can have sees an expired
         // deadline: degraded rounds are never cached, so every round
         // starves and the breaker opens whatever the box's speed

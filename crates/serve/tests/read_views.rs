@@ -9,7 +9,7 @@
 
 use rasa_core::{FaultInjection, RasaConfig};
 use rasa_model::{FeatureMask, ProblemBuilder, ResourceVec};
-use rasa_serve::{http, BreakerConfig, ServeConfig, Server};
+use rasa_serve::{http, ServeConfig, Server};
 use serde::Deserialize;
 use std::net::SocketAddr;
 use std::thread;
@@ -78,10 +78,7 @@ fn edge_delta(weight: f64) -> String {
 #[test]
 fn tenants_placement_and_healthz_agree_at_every_step() {
     let server = Server::bind(ServeConfig {
-        breaker: BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_secs(3600), // stays open for the test
-        },
+        breaker_cooldown: Duration::from_secs(3600), // stays open for the test
         rasa: RasaConfig {
             fault_injection: FaultInjection::StarveSubproblems((0..64).collect()),
             ..RasaConfig::default()

@@ -26,7 +26,6 @@ fn queue_full_retry_after_tracks_the_deadline_budget() {
         workers: 1,
         queue_capacity: 1,
         default_deadline: Duration::from_millis(3000),
-        request_timeout: Duration::from_secs(60),
         drain_grace: Duration::from_secs(10),
         ..ServeConfig::default()
     })

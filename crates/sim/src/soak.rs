@@ -33,7 +33,7 @@
 use crate::corruption::{inject, CorruptionKind};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rasa_serve::http::{call, Reply};
-use rasa_serve::{BreakerConfig, HttpLimits, ServeConfig, Server};
+use rasa_serve::{ServeConfig, Server};
 use rasa_trace::{generate, tiny_cluster};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
@@ -77,15 +77,9 @@ impl Default for SoakConfig {
                 workers: 2,
                 queue_capacity: 2,
                 max_tenants: 8,
-                http: HttpLimits {
-                    read_timeout: Duration::from_millis(150),
-                    ..HttpLimits::default()
-                },
+                read_timeout: Duration::from_millis(150),
                 default_deadline: Duration::from_millis(250),
-                breaker: BreakerConfig {
-                    failure_threshold: 3,
-                    cooldown: Duration::from_secs(2),
-                },
+                breaker_cooldown: Duration::from_secs(2),
                 drain_grace: Duration::from_secs(15),
                 ..ServeConfig::default()
             },
@@ -327,7 +321,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
     let daemon = std::thread::spawn(move || server.run());
 
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let read_timeout = config.serve.http.read_timeout;
+    let read_timeout = config.serve.read_timeout;
 
     // The starved tenant gets a deliberately larger problem so 1 ms
     // deadlines reliably exhaust the ladder and trip its breaker.

@@ -301,27 +301,25 @@ impl ColumnGeneration {
         }
         let outcome = ScheduleOutcome::evaluate(problem, placement, start.elapsed(), converged);
         let obs = rasa_obs::global();
-        if obs.enabled() {
-            obs.add("cg.solves", 1);
-            obs.add("cg.rounds", stats.rounds as u64);
-            obs.add("cg.master_solves", stats.master_solves as u64);
-            obs.add("cg.pricing_solves", stats.pricing_solves as u64);
-            obs.add("cg.helper_rounds", helper_rounds);
-            obs.add("cg.pricing_helped", pricing_helped);
-            obs.add("cg.patterns", stats.patterns as u64);
-            if self.warm.is_some() {
-                obs.add(
-                    if cache_hit {
-                        "cg.cache_hits"
-                    } else {
-                        "cg.cache_misses"
-                    },
-                    1,
-                );
-                obs.add("cg.cache_seeded_patterns", stats.seeded_patterns as u64);
-            }
-            obs.record_duration("cg.solve_seconds", outcome.elapsed);
+        obs.add("cg.solves", 1);
+        obs.add("cg.rounds", stats.rounds as u64);
+        obs.add("cg.master_solves", stats.master_solves as u64);
+        obs.add("cg.pricing_solves", stats.pricing_solves as u64);
+        obs.add("cg.helper_rounds", helper_rounds);
+        obs.add("cg.pricing_helped", pricing_helped);
+        obs.add("cg.patterns", stats.patterns as u64);
+        if self.warm.is_some() {
+            obs.add(
+                if cache_hit {
+                    "cg.cache_hits"
+                } else {
+                    "cg.cache_misses"
+                },
+                1,
+            );
+            obs.add("cg.cache_seeded_patterns", stats.seeded_patterns as u64);
         }
+        obs.record_duration("cg.solve_seconds", outcome.elapsed);
         (outcome, stats)
     }
 
@@ -859,7 +857,7 @@ mod tests {
         let c = b.add_service("B", 4, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(3, ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
         b.add_affinity(a, c, weight);
-        b.build().unwrap()
+        b.build().expect("problem builds")
     }
 
     #[test]
@@ -913,7 +911,7 @@ mod tests {
         b.add_affinity(s[0], s[1], 10.0);
         b.add_affinity(s[1], s[2], 1.0);
         b.add_affinity(s[2], s[3], 10.0);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let cg = ColumnGeneration::new().schedule(&p, Deadline::none());
         let mip = MipBased::new().schedule(&p, Deadline::none());
         assert!(
@@ -964,7 +962,7 @@ mod tests {
         b.add_affinity(s[0], s[1], 10.0);
         b.add_affinity(s[1], s[2], 1.0);
         b.add_affinity(s[2], s[3], 10.0);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
 
         let cache = Arc::new(ColumnCache::new());
         let cg = ColumnGeneration {
@@ -1081,7 +1079,7 @@ mod tests {
         for i in 0..4 {
             b.add_affinity(s[i], s[i + 6], 2.5);
         }
-        b.build().unwrap()
+        b.build().expect("problem builds")
     }
 
     #[test]
@@ -1154,7 +1152,7 @@ mod tests {
         let mut b = ProblemBuilder::new();
         b.add_service("only", 3, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(2, ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let out = ColumnGeneration::new().schedule(&p, Deadline::none());
         assert_eq!(out.gained_affinity, 0.0);
         // completion still satisfies the SLA

@@ -5,7 +5,7 @@
 
 use crate::scheduler::{ScheduleOutcome, Scheduler};
 use rasa_lp::Deadline;
-use rasa_model::{Placement, Problem, ResourceVec, ServiceId};
+use rasa_model::{Placement, Problem, ServiceId};
 use std::time::Instant;
 
 /// Place every still-missing container (up to each service's `d_s`) using
@@ -140,28 +140,17 @@ impl Scheduler for GreedyScheduler {
     }
 }
 
-/// Free capacity per machine under `placement` (helper shared with tests
-/// and the migration planner).
-pub fn free_capacity(problem: &Problem, placement: &Placement) -> Vec<ResourceVec> {
-    placement
-        .machine_usage(problem)
-        .into_iter()
-        .zip(&problem.machines)
-        .map(|(used, m)| m.capacity - used)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rasa_model::{validate, FeatureMask, MachineId, ProblemBuilder};
+    use rasa_model::{validate, FeatureMask, MachineId, ProblemBuilder, ResourceVec};
 
     #[test]
     fn completes_an_empty_placement() {
         let mut b = ProblemBuilder::new();
         let s = b.add_service("svc", 5, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(2, ResourceVec::cpu_mem(4.0, 4.0), FeatureMask::EMPTY);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let mut x = Placement::empty_for(&p);
         let placed = complete_placement(&p, &mut x);
         assert_eq!(placed, 5);
@@ -176,7 +165,7 @@ mod tests {
         let leaf = b.add_service("leaf", 1, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(3, ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
         b.add_affinity(hub, leaf, 5.0);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let mut x = Placement::empty_for(&p);
         x.add(hub, MachineId(2), 1);
         complete_placement(&p, &mut x);
@@ -188,7 +177,7 @@ mod tests {
         let mut b = ProblemBuilder::new();
         let _big = b.add_service("big", 4, ResourceVec::cpu_mem(3.0, 1.0));
         b.add_machine(ResourceVec::cpu_mem(7.0, 64.0), FeatureMask::EMPTY);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let mut x = Placement::empty_for(&p);
         let placed = complete_placement(&p, &mut x);
         assert_eq!(placed, 2, "only two 3-cpu containers fit in 7 cpu");
@@ -201,7 +190,7 @@ mod tests {
         let s = b.add_service("svc", 4, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(2, ResourceVec::cpu_mem(100.0, 100.0), FeatureMask::EMPTY);
         b.add_anti_affinity(vec![s], 1);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let mut x = Placement::empty_for(&p);
         let placed = complete_placement(&p, &mut x);
         assert_eq!(placed, 2, "one per machine under the singleton rule");
@@ -217,7 +206,7 @@ mod tests {
         );
         b.add_machine(ResourceVec::cpu_mem(100.0, 100.0), FeatureMask::EMPTY);
         b.add_machine(ResourceVec::cpu_mem(100.0, 100.0), FeatureMask::bit(0));
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let mut x = Placement::empty_for(&p);
         complete_placement(&p, &mut x);
         assert_eq!(x.count(s, MachineId(0)), 0);
@@ -229,23 +218,11 @@ mod tests {
         let mut b = ProblemBuilder::new();
         let s = b.add_service("svc", 2, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(2, ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let mut x = Placement::empty_for(&p);
         x.add(s, MachineId(0), 2);
         let before = x.clone();
         assert_eq!(complete_placement(&p, &mut x), 0);
         assert_eq!(x, before);
-    }
-
-    #[test]
-    fn free_capacity_accounts_for_usage() {
-        let mut b = ProblemBuilder::new();
-        let s = b.add_service("svc", 2, ResourceVec::cpu_mem(2.0, 3.0));
-        b.add_machine(ResourceVec::cpu_mem(10.0, 10.0), FeatureMask::EMPTY);
-        let p = b.build().unwrap();
-        let mut x = Placement::empty_for(&p);
-        x.add(s, MachineId(0), 2);
-        let free = free_capacity(&p, &x);
-        assert_eq!(free[0], ResourceVec::cpu_mem(6.0, 4.0));
     }
 }

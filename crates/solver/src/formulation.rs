@@ -657,7 +657,7 @@ mod tests {
         let c = b.add_service("B", 4, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(3, ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
         b.add_affinity(a, c, 1.0);
-        b.build().unwrap()
+        b.build().expect("problem builds")
     }
 
     #[test]
@@ -666,7 +666,7 @@ mod tests {
         let s = b.add_service("s", 10, ResourceVec::cpu_mem(3.0, 1.0));
         b.add_machine(ResourceVec::cpu_mem(10.0, 100.0), FeatureMask::EMPTY);
         b.add_anti_affinity(vec![s], 2);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         // resources allow 3 (floor 10/3); singleton anti-affinity caps at 2
         assert_eq!(per_machine_cap(&p, s, &p.machines[0].capacity), 2);
     }
@@ -676,7 +676,7 @@ mod tests {
         let mut b = ProblemBuilder::new();
         let s = b.add_service("s", 1, ResourceVec::cpu_mem(100.0, 1.0));
         b.add_machine(ResourceVec::cpu_mem(10.0, 100.0), FeatureMask::EMPTY);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         assert_eq!(per_machine_cap(&p, s, &p.machines[0].capacity), 0);
     }
 
@@ -726,7 +726,7 @@ mod tests {
         b.add_machine(ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY); // no gpu
         b.add_machine(ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::bit(3)); // gpu
         b.add_affinity(s0, s1, 1.0);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let f = RasaFormulation::build(&p, FormulationKind::PerMachine, false);
         let sol = f.mip().solve();
         assert_eq!(sol.status, MipStatus::Optimal);
@@ -747,7 +747,7 @@ mod tests {
         b.add_affinity(s0, s1, 1.0);
         // at most 2 containers from {x, y} per machine
         b.add_anti_affinity(vec![s0, s1], 2);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let f = RasaFormulation::build(&p, FormulationKind::PerMachine, false);
         let sol = f.mip().solve();
         assert_eq!(sol.status, MipStatus::Optimal);
@@ -765,7 +765,7 @@ mod tests {
         b.add_service("loner", 5, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machine(ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
         b.add_affinity(s0, s1, 1.0);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let f = RasaFormulation::build(&p, FormulationKind::PerMachine, false);
         assert_eq!(f.active_services(), &[s0, s1]);
         let f_all = RasaFormulation::build(&p, FormulationKind::PerMachine, true);
@@ -780,7 +780,7 @@ mod tests {
         let mut b = ProblemBuilder::new();
         let s = b.add_service("fat", 3, ResourceVec::cpu_mem(5.0, 1.0));
         b.add_machines(2, ResourceVec::cpu_mem(8.0, 64.0), FeatureMask::EMPTY);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let g = &p.machine_groups()[0];
         let mut placement = Placement::empty_for(&p);
         deaggregate_group(&p, g, &[(s, 3)], &mut placement);
@@ -796,7 +796,7 @@ mod tests {
         let mut b = ProblemBuilder::new();
         let s = b.add_service("svc", 4, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(2, ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let g = &p.machine_groups()[0];
         let mut placement = Placement::empty_for(&p);
         deaggregate_group(&p, g, &[(s, 4)], &mut placement);
@@ -813,7 +813,7 @@ mod tests {
         let s1 = b.add_service("b", 2, ResourceVec::cpu_mem(4.0, 1.0));
         b.add_machines(4, ResourceVec::cpu_mem(8.0, 64.0), FeatureMask::EMPTY);
         b.add_affinity(s0, s1, 1.0);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let g = &p.machine_groups()[0];
         let mut placement = Placement::empty_for(&p);
         deaggregate_group(&p, g, &[(s0, 2), (s1, 2)], &mut placement);
@@ -833,7 +833,7 @@ mod tests {
         let s1 = b.add_service("b", 10, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machine(ResourceVec::cpu_mem(4.0, 4.0), FeatureMask::EMPTY);
         b.add_affinity(s0, s1, 1.0);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let f = RasaFormulation::build(&p, FormulationKind::PerMachine, false);
         let sol = f.mip().solve();
         assert_eq!(sol.status, MipStatus::Optimal);

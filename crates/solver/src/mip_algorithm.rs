@@ -136,7 +136,7 @@ mod tests {
         b.add_affinity(s[0], s[1], 10.0);
         b.add_affinity(s[1], s[2], 1.0);
         b.add_affinity(s[2], s[3], 10.0);
-        b.build().unwrap()
+        b.build().expect("problem builds")
     }
 
     #[test]
@@ -188,7 +188,7 @@ mod tests {
             for (i, j) in pairs.take(127) {
                 b.add_affinity(s[i], s[j], 1.0);
             }
-            b.build().unwrap()
+            b.build().expect("problem builds")
         };
         let options = MipBasedOptions::default();
         assert_eq!(MAX_EXACT_ROWS, 2_600);
@@ -207,7 +207,7 @@ mod tests {
         b.add_service("trivial", 3, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(2, ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
         b.add_affinity(a, c, 1.0);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let out = MipBased::new().schedule(&p, Deadline::none());
         assert!(validate(&p, &out.placement, true).is_empty());
         assert_eq!(out.placement.total_placed(), 5);

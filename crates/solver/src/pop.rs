@@ -174,7 +174,7 @@ mod tests {
         for i in 0..6 {
             b.add_affinity(svcs[2 * i], svcs[2 * i + 1], 10.0);
         }
-        b.build().unwrap()
+        b.build().expect("problem builds")
     }
 
     #[test]

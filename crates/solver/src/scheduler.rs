@@ -251,7 +251,7 @@ mod tests {
         let s1 = b.add_service("b", 1, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machine(ResourceVec::cpu_mem(4.0, 4.0), FeatureMask::EMPTY);
         b.add_affinity(s0, s1, 8.0);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let mut x = Placement::empty_for(&p);
         x.add(ServiceId(0), MachineId(0), 1);
         x.add(ServiceId(1), MachineId(0), 1);
