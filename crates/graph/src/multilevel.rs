@@ -399,7 +399,7 @@ mod tests {
             cut_weight(&g, &p)
         );
         for size in p.sizes() {
-            assert!(size >= 3 && size <= 9, "balanced-ish sizes, got {size}");
+            assert!((3..=9).contains(&size), "balanced-ish sizes, got {size}");
         }
     }
 

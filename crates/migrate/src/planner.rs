@@ -344,7 +344,7 @@ mod tests {
         let mut b = ProblemBuilder::new();
         b.add_service("svc", replicas, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(machines, ResourceVec::cpu_mem(cap, cap), FeatureMask::EMPTY);
-        b.build().unwrap()
+        b.build().expect("problem builds")
     }
 
     #[test]
@@ -354,7 +354,8 @@ mod tests {
         target.add(ServiceId(0), MachineId(0), 2);
         target.add(ServiceId(0), MachineId(1), 2);
         let from = ContainerAssignment::materialize(&p, &target);
-        let plan = plan_migration(&p, &from, &target, &MigrateConfig::default()).unwrap();
+        let plan =
+            plan_migration(&p, &from, &target, &MigrateConfig::default()).expect("plan exists");
         assert!(plan.is_empty());
     }
 
@@ -367,7 +368,8 @@ mod tests {
         let mut target = Placement::empty_for(&p);
         target.add(ServiceId(0), MachineId(0), 2);
         target.add(ServiceId(0), MachineId(1), 2);
-        let plan = plan_migration(&p, &from, &target, &MigrateConfig::default()).unwrap();
+        let plan =
+            plan_migration(&p, &from, &target, &MigrateConfig::default()).expect("plan exists");
         assert_eq!(plan.total_moves(), 2);
         // SLA floor is 3 for d=4 @ 0.75 → at most one offline at a time →
         // each container moves in its own step
@@ -385,7 +387,8 @@ mod tests {
         let from = ContainerAssignment::materialize(&p, &start);
         let mut target = Placement::empty_for(&p);
         target.add(ServiceId(0), MachineId(1), 3); // one short
-        let err = plan_migration(&p, &from, &target, &MigrateConfig::default()).unwrap_err();
+        let err = plan_migration(&p, &from, &target, &MigrateConfig::default())
+            .expect_err("counts differ");
         assert_eq!(
             err,
             MigrateError::CountMismatch {
@@ -404,7 +407,8 @@ mod tests {
         let from = ContainerAssignment::materialize(&p, &start);
         let mut target = Placement::empty_for(&p);
         target.add(ServiceId(0), MachineId(1), 1);
-        let plan = plan_migration(&p, &from, &target, &MigrateConfig::default()).unwrap();
+        let plan =
+            plan_migration(&p, &from, &target, &MigrateConfig::default()).expect("plan exists");
         assert_eq!(plan.total_moves(), 1);
     }
 
@@ -415,7 +419,7 @@ mod tests {
         let s0 = b.add_service("a", 2, ResourceVec::cpu_mem(4.0, 1.0));
         let s1 = b.add_service("b", 2, ResourceVec::cpu_mem(4.0, 1.0));
         b.add_machines(2, ResourceVec::cpu_mem(8.0, 64.0), FeatureMask::EMPTY);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let mut start = Placement::empty_for(&p);
         start.add(s0, MachineId(0), 2);
         start.add(s1, MachineId(1), 2);
@@ -426,7 +430,8 @@ mod tests {
         target.add(s0, MachineId(1), 1);
         target.add(s1, MachineId(0), 1);
         target.add(s1, MachineId(1), 1);
-        let plan = plan_migration(&p, &from, &target, &MigrateConfig::default()).unwrap();
+        let plan =
+            plan_migration(&p, &from, &target, &MigrateConfig::default()).expect("plan exists");
         assert_eq!(plan.total_moves(), 2);
         // replay to ensure correctness (full invariants checked in verify.rs tests)
         assert!(crate::verify::replay_plan(&p, &from, &target, &plan, 0.75).is_ok());
@@ -440,7 +445,7 @@ mod tests {
         let s0 = b.add_service("a", 1, ResourceVec::cpu_mem(8.0, 1.0));
         let s1 = b.add_service("b", 1, ResourceVec::cpu_mem(8.0, 1.0));
         b.add_machines(2, ResourceVec::cpu_mem(8.0, 64.0), FeatureMask::EMPTY);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let mut start = Placement::empty_for(&p);
         start.add(s0, MachineId(0), 1);
         start.add(s1, MachineId(1), 1);
@@ -451,10 +456,11 @@ mod tests {
         let strict = MigrateConfig {
             min_alive_fraction: 1.0,
         };
-        let err = plan_migration(&p, &from, &target, &strict).unwrap_err();
+        let err = plan_migration(&p, &from, &target, &strict).expect_err("a full swap is stuck");
         assert!(matches!(err, MigrateError::Stuck { remaining: 2 }));
         // with the paper's 75% relaxation the swap succeeds
-        let plan = plan_migration(&p, &from, &target, &MigrateConfig::default()).unwrap();
+        let plan =
+            plan_migration(&p, &from, &target, &MigrateConfig::default()).expect("plan exists");
         assert_eq!(plan.total_moves(), 2);
     }
 
@@ -473,7 +479,7 @@ mod tests {
         let sc = b.add_service("c", 1, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(2, ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
         b.add_anti_affinity(vec![a, sb, sc], 2);
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
 
         let mut start = Placement::empty_for(&p);
         start.add(z, MachineId(0), 1);
@@ -487,7 +493,8 @@ mod tests {
         target.add(sc, MachineId(1), 1);
         target.add(z, MachineId(1), 1);
 
-        let plan = plan_migration(&p, &from, &target, &MigrateConfig::default()).unwrap();
+        let plan =
+            plan_migration(&p, &from, &target, &MigrateConfig::default()).expect("plan exists");
         // replay the plan and audit the intermediate state after every step
         let mut state = from.clone();
         for step in &plan.steps {
@@ -519,7 +526,8 @@ mod tests {
         let from = ContainerAssignment::materialize(&p, &start);
         let mut target = Placement::empty_for(&p);
         target.add(ServiceId(0), MachineId(0), 3);
-        let plan = plan_migration(&p, &from, &target, &MigrateConfig::default()).unwrap();
+        let plan =
+            plan_migration(&p, &from, &target, &MigrateConfig::default()).expect("plan exists");
         for step in &plan.steps {
             assert!(
                 step.deletes.len() <= 1,
@@ -542,7 +550,8 @@ mod tests {
         for m in 0..4 {
             target.add(ServiceId(0), MachineId(m), 2);
         }
-        let plan = plan_migration(&p, &from, &target, &MigrateConfig::default()).unwrap();
+        let plan =
+            plan_migration(&p, &from, &target, &MigrateConfig::default()).expect("plan exists");
         // verify the alive floor holds through replay
         assert!(crate::verify::replay_plan(&p, &from, &target, &plan, 0.75).is_ok());
     }

@@ -103,7 +103,7 @@ mod tests {
         let s1 = b.add_service("b", 2, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machines(3, ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
         b.add_affinity(s0, s1, 5.0);
-        b.build().unwrap()
+        b.build().expect("problem builds")
     }
 
     #[test]
@@ -148,7 +148,7 @@ mod tests {
             .machines_of(ServiceId(0))
             .next()
             .map(|(m, _)| m)
-            .unwrap();
+            .expect("service 0 is placed");
         assert_ne!(home, MachineId(1));
         assert!(current.moves_to(&stable) <= current.moves_to(&candidate));
     }
@@ -160,7 +160,7 @@ mod tests {
         let s = b.add_service("a", 2, ResourceVec::cpu_mem(1.0, 1.0));
         b.add_machine(ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY); // group 1
         b.add_machine(ResourceVec::cpu_mem(4.0, 4.0), FeatureMask::EMPTY); // group 2
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let mut candidate = Placement::empty_for(&p);
         candidate.add(s, MachineId(0), 2);
         let mut current = Placement::empty_for(&p);

@@ -138,7 +138,7 @@ mod tests {
             rasa_model::ResourceVec::cpu_mem(8.0, 8.0),
             FeatureMask::EMPTY,
         );
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let mut start = Placement::empty_for(&p);
         start.add(ServiceId(0), MachineId(0), 4);
         let from = ContainerAssignment::materialize(&p, &start);
@@ -151,7 +151,8 @@ mod tests {
     #[test]
     fn planner_output_replays_cleanly() {
         let (p, from, target) = setup();
-        let plan = plan_migration(&p, &from, &target, &MigrateConfig::default()).unwrap();
+        let plan =
+            plan_migration(&p, &from, &target, &MigrateConfig::default()).expect("plan exists");
         assert_eq!(replay_plan(&p, &from, &target, &plan, 0.75), Ok(()));
     }
 
@@ -211,7 +212,7 @@ mod tests {
             rasa_model::ResourceVec::cpu_mem(4.0, 64.0),
             FeatureMask::EMPTY,
         );
-        let p = b.build().unwrap();
+        let p = b.build().expect("problem builds");
         let mut start = Placement::empty_for(&p);
         start.add(s0, MachineId(0), 1);
         start.add(s0, MachineId(1), 1);

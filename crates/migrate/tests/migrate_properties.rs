@@ -27,7 +27,7 @@ fn random_instance(seed: u64) -> Option<(Problem, Placement, Placement)> {
     b.add_machines(m, ResourceVec::cpu_mem(8.0, 8.0), FeatureMask::EMPTY);
     let problem = b.build().unwrap();
 
-    let mut random_placement = |rng: &mut StdRng| -> Option<Placement> {
+    let random_placement = |rng: &mut StdRng| -> Option<Placement> {
         let mut p = Placement::empty_for(&problem);
         let mut load = vec![0u32; m];
         for svc in &problem.services {

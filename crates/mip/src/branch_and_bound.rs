@@ -115,22 +115,38 @@ impl PackedBasis {
     }
 }
 
-/// Most-fractional integer variable, if any.
+/// The integer variable to branch on, or `None` when the point is
+/// integral. Among the integer variables whose fractionality
+/// `min(v − ⌊v⌋, ⌈v⌉ − v)` exceeds [`INT_TOL`], the candidates are those
+/// within `INT_TOL` of the largest; of these the one with the largest
+/// objective weight `|c_j|` wins, then the more fractional, then the lowest
+/// index. Dual-simplex vertices put many variables near x.5 with
+/// fractionalities that differ only by rounding error, and a zero-cost one
+/// among them moves the bound least.
 fn pick_branch_var(model: &MipModel, x: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (j, (&is_int, &v)) in model.is_integer.iter().zip(x).enumerate() {
-        if !is_int {
-            continue;
-        }
+    let fractional = |(j, (&is_int, &v)): (usize, (&bool, &f64))| {
         let frac = (v - v.round()).abs();
-        if frac > INT_TOL {
-            let dist = (v - v.floor() - 0.5).abs(); // 0 = most fractional
-            if best.map_or(true, |(_, bd)| dist < bd) {
-                best = Some((j, dist));
-            }
-        }
-    }
-    best.map(|(j, _)| j)
+        (is_int && frac > INT_TOL).then_some((j, frac))
+    };
+    let candidates = || {
+        model
+            .is_integer
+            .iter()
+            .zip(x)
+            .enumerate()
+            .filter_map(fractional)
+    };
+    let most = candidates().map(|(_, frac)| frac).reduce(f64::max)?;
+    let weight = |j: usize| model.lp.objective_of(rasa_lp::VarId(j)).abs();
+    candidates()
+        .filter(|&(_, frac)| frac >= most - INT_TOL)
+        .max_by(|&(i, fi), &(j, fj)| {
+            weight(i)
+                .total_cmp(&weight(j))
+                .then(fi.total_cmp(&fj))
+                .then(j.cmp(&i))
+        })
+        .map(|(j, _)| j)
 }
 
 /// LP diving: repeatedly solve the relaxation, pin every integer variable
@@ -204,7 +220,7 @@ fn diving_heuristic(
         }
         // round-pin the third of the fractionals nearest an integer (at
         // least one), so the dive finishes in logarithmically many LP solves
-        fractional.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap());
+        fractional.sort_by(|a, b| a.2.total_cmp(&b.2));
         let take = fractional.len().div_ceil(3);
         last_batch.clear();
         for &(j, v, _) in fractional.iter().take(take) {
@@ -649,6 +665,28 @@ mod tests {
         assert_eq!(pick_branch_var(&m, &x), Some(1));
         let x = vec![3.0, 2.0, 0.5];
         assert_eq!(pick_branch_var(&m, &x), None, "continuous vars ignored");
+    }
+
+    #[test]
+    fn branch_var_breaks_near_ties_by_objective() {
+        let mut m = MipModel::new();
+        m.add_int_var(0.0, 10.0, 0.0);
+        m.add_int_var(0.0, 10.0, -2.0);
+        m.add_int_var(0.0, 10.0, 1.0);
+        m.add_var(0.0, 10.0, 9.0);
+        // 0.5 and 1.5 + 5e-7 (fractionality 0.5 − 5e-7) tie within INT_TOL:
+        // the costlier variable wins although it is the less fractional
+        assert_eq!(pick_branch_var(&m, &[0.5, 1.5 + 5e-7, 0.0, 0.0]), Some(1));
+        // more fractional by more than INT_TOL beats any objective weight
+        assert_eq!(pick_branch_var(&m, &[0.5, 1.3, 0.0, 0.0]), Some(0));
+        // equal |c| and fractionality: the lowest index
+        let mut even = MipModel::new();
+        even.add_int_var(0.0, 10.0, 3.0);
+        even.add_int_var(0.0, 10.0, -3.0);
+        assert_eq!(pick_branch_var(&even, &[4.5, 0.5]), Some(0));
+        // a continuous variable is never a candidate, whatever its weight
+        assert_eq!(pick_branch_var(&m, &[0.5, 2.0, 0.5, 0.5]), Some(2));
+        assert_eq!(pick_branch_var(&m, &[1.0, 2.0, 3.0, 0.5]), None);
     }
 
     #[test]

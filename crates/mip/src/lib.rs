@@ -14,9 +14,10 @@
 //! * **anytime behaviour**: an incumbent is kept at all times and returned
 //!   when the [`Deadline`] fires, so the caller can impose the paper's
 //!   one-minute-style time-outs and still get the best schedule found,
-//! * best-bound node selection with most-fractional branching, every node
-//!   re-solved from its parent's basis by dual simplex, plus LP rounding
-//!   and diving heuristics to find early incumbents,
+//! * best-bound node selection; branching on the costliest variable among
+//!   the near-most-fractional ones, every node re-solved from its parent's
+//!   basis by dual simplex, plus LP rounding and diving heuristics to find
+//!   early incumbents,
 //! * proof of optimality within a relative gap tolerance.
 //!
 //! ## Example

@@ -6,9 +6,10 @@
 //!
 //! The oracle shares nothing with the solver: it walks every integer
 //! point, checks the rows by hand and prices each edge at the closed-form
-//! `min`. On every exit path — optimal, node cap, expired deadline — the
-//! incumbent may not beat the oracle and `best_bound` may not fall under
-//! it; a finished solve must hit it.
+//! `min`. About a third of the prices are exactly zero, as for services
+//! whose dual price is zero. On every exit path — optimal, node cap,
+//! expired deadline — the incumbent may not beat the oracle and
+//! `best_bound` may not fall under it; a finished solve must hit it.
 //!
 //! Plus one fixed 20-variable instance on which warm node re-solves must
 //! cost at least 3× fewer simplex iterations per node than cold ones.
@@ -109,7 +110,10 @@ impl Pricing {
 fn pricing_instance() -> impl Strategy<Value = Pricing> {
     (2usize..7).prop_flat_map(|n| {
         let caps = proptest::collection::vec(1u32..4, n);
-        let prices = proptest::collection::vec(-1.5f64..0.3, n);
+        // a third of the services carry a zero dual price: zero-cost
+        // integer variables that tie with costly ones at the branching step
+        let price = (0u8..3, -1.5f64..0.3).prop_map(|(k, p)| if k == 0 { 0.0 } else { p });
+        let prices = proptest::collection::vec(price, n);
         let resources = proptest::collection::vec(
             (proptest::collection::vec(0.0f64..3.0, n), 2.0f64..9.0),
             1..3,

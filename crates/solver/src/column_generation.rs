@@ -27,7 +27,7 @@ use crate::completion::complete_placement;
 use crate::formulation::per_machine_cap;
 use crate::scheduler::{fan_out, BorrowedThreads, ScheduleOutcome, Scheduler};
 use rasa_lp::{Basis, Deadline, LpStatus, SimplexOptions};
-use rasa_mip::{MipModel, MipOptions};
+use rasa_mip::{MipModel, MipOptions, MipStatus};
 use rasa_model::{MachineGroup, Placement, Problem, ResourceVec, ServiceId, NUM_RESOURCES};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -241,8 +241,10 @@ impl ColumnGeneration {
             drop(borrowed);
             helper_rounds += u64::from(helpers > 0);
             pricing_helped += helped as u64;
+            let verdicts: Vec<Option<MipStatus>> =
+                priced.iter().map(|p| p.as_ref().map(|(v, _)| *v)).collect();
             for (gi, priced) in priced.into_iter().enumerate() {
-                let Some(priced) = priced else {
+                let Some((_, priced)) = priced else {
                     continue; // the deadline fired before this group's turn
                 };
                 stats.pricing_solves += 1;
@@ -273,8 +275,10 @@ impl ColumnGeneration {
                 });
             }
             if !added_any {
-                converged = true;
-                break; // no pattern with negative reduced cost remains
+                // no pricing MIP found a column; that is a proof only if
+                // every one of them finished its search
+                converged = pricing_proved(&verdicts);
+                break;
             }
         }
 
@@ -353,9 +357,9 @@ impl ColumnGeneration {
         Some((duals, sol.basis))
     }
 
-    /// `GenPattern`: price a new pattern for group `g`. Returns the
-    /// pattern together with its (positive) reduced cost when one beats
-    /// the tolerance.
+    /// `GenPattern`: price a new pattern for group `g`. Returns how the
+    /// pricing MIP ended, and the pattern together with its (positive)
+    /// reduced cost when one beats the tolerance.
     #[allow(clippy::too_many_arguments)]
     fn price_pattern(
         &self,
@@ -366,7 +370,7 @@ impl ColumnGeneration {
         pi: &HashMap<ServiceId, f64>,
         mu: f64,
         deadline: Deadline,
-    ) -> Option<(Pattern, f64)> {
+    ) -> (MipStatus, Option<(Pattern, f64)>) {
         let mut mip = MipModel::new();
         // pattern variables in `active` order, plus a by-service index for
         // the rows below: the model is the same in every process and the
@@ -388,7 +392,7 @@ impl ColumnGeneration {
             var_of[s.idx()] = Some(v);
         }
         if p_vars.is_empty() {
-            return None;
+            return (MipStatus::Optimal, None); // the empty pattern is the only one
         }
         // single-machine resources
         for r in 0..NUM_RESOURCES {
@@ -433,7 +437,7 @@ impl ColumnGeneration {
         };
         let sol = mip.solve_with(&options, slice);
         if !sol.has_incumbent() {
-            return None;
+            return (sol.status, None);
         }
         let mut counts: Vec<(ServiceId, u32)> = p_vars
             .iter()
@@ -444,7 +448,7 @@ impl ColumnGeneration {
             .collect();
         counts.sort_by_key(|&(s, _)| s);
         if counts.is_empty() {
-            return None;
+            return (sol.status, None);
         }
         let value = pattern_value(problem, &counts, edge_weight);
         let priced: f64 = counts
@@ -452,7 +456,9 @@ impl ColumnGeneration {
             .map(|(s, n)| pi.get(s).copied().unwrap_or(0.0) * f64::from(*n))
             .sum();
         let reduced_cost = value - priced - mu;
-        (reduced_cost > REDUCED_COST_TOL).then_some((Pattern { counts, value }, reduced_cost))
+        let column =
+            (reduced_cost > REDUCED_COST_TOL).then_some((Pattern { counts, value }, reduced_cost));
+        (sol.status, column)
     }
 
     /// `Round`: solve the master as an integer program; greedy fallback.
@@ -552,6 +558,16 @@ fn price_groups<T: Send>(
     let helped = priced.iter().flatten().filter(|p| p.1).count();
     let slots = priced.into_iter().map(|p| p.map(|(out, _)| out)).collect();
     (slots, helped)
+}
+
+/// Does a pricing round without a new column prove the master LP optimal?
+/// Only when every group was priced (`Some`) and every pricing MIP finished
+/// its search. One stopped by its slice, its node cap or the deadline may
+/// have missed an improving column.
+fn pricing_proved(verdicts: &[Option<MipStatus>]) -> bool {
+    verdicts
+        .iter()
+        .all(|v| matches!(v, Some(MipStatus::Optimal | MipStatus::Infeasible)))
 }
 
 /// Can a cached pattern still run on one machine of group `g` under the
@@ -1144,6 +1160,31 @@ mod tests {
             let (slots, helped) = price_groups(4, helpers, Deadline::after(Duration::ZERO), |g| g);
             assert!(slots.iter().all(Option::is_none));
             assert_eq!(helped, 0);
+        }
+    }
+
+    #[test]
+    fn only_finished_pricing_searches_prove_convergence() {
+        use MipStatus::*;
+        // (verdict, proves "no column"); `None` is a group never priced
+        let cases = [
+            (None, false),
+            (Some(Optimal), true),
+            (Some(Infeasible), true),
+            (Some(Feasible), false),
+            (Some(NoSolution), false),
+            (Some(Unbounded), false),
+        ];
+        assert!(pricing_proved(&[]), "no group, nothing left to price");
+        for (a, a_proves) in cases {
+            assert_eq!(pricing_proved(&[a]), a_proves, "{a:?}");
+            for (b, b_proves) in cases {
+                assert_eq!(
+                    pricing_proved(&[a, b]),
+                    a_proves && b_proves,
+                    "{a:?}, {b:?}"
+                );
+            }
         }
     }
 

@@ -232,7 +232,7 @@ mod tests {
         // journal layer can match on it.
         let err = PersistError::Sync {
             path: PathBuf::from("/tmp/wal/seg-1.wal"),
-            source: io::Error::new(io::ErrorKind::Other, "EIO"),
+            source: io::Error::other("EIO"),
         };
         assert!(err.to_string().contains("fsync failed"));
         assert!(err.to_string().contains("seg-1.wal"));
