@@ -550,7 +550,8 @@ pub fn solve_dense(
         let n_art = needs_artificial.len();
         for &(row, r) in &needs_artificial {
             let j = tab.cols.len();
-            tab.cols.push(vec![(row, if r >= 0.0 { 1.0 } else { -1.0 })]);
+            tab.cols
+                .push(vec![(row, if r >= 0.0 { 1.0 } else { -1.0 })]);
             tab.lower.push(0.0);
             tab.upper.push(f64::INFINITY);
             basis[row] = j;

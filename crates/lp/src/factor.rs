@@ -518,7 +518,12 @@ mod tests {
         lu.ftran(&b, &mut x, &mut ws);
         let bx = mat_vec(m, cols, &x);
         for i in 0..m {
-            assert!((bx[i] - b[i]).abs() < 1e-9, "ftran row {i}: {} vs {}", bx[i], b[i]);
+            assert!(
+                (bx[i] - b[i]).abs() < 1e-9,
+                "ftran row {i}: {} vs {}",
+                bx[i],
+                b[i]
+            );
         }
         // BTRAN: yᵀ B = cᵀ  →  check column-wise
         let c: Vec<f64> = (0..m).map(|i| 1.0 + (i as f64) * 0.25).collect();
@@ -526,7 +531,11 @@ mod tests {
         lu.btran(&c, &mut y, &mut ws);
         for (i, col) in cols.iter().enumerate() {
             let dot: f64 = col.iter().map(|&(r, a)| y[r] * a).sum();
-            assert!((dot - c[i]).abs() < 1e-9, "btran col {i}: {dot} vs {}", c[i]);
+            assert!(
+                (dot - c[i]).abs() < 1e-9,
+                "btran col {i}: {dot} vs {}",
+                c[i]
+            );
         }
     }
 
@@ -554,7 +563,9 @@ mod tests {
         let mut cols: Vec<SparseCol> = Vec::new();
         let mut seed = 9_u64;
         let mut rng = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
         for i in 0..m {

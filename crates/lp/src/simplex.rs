@@ -300,7 +300,9 @@ fn ftran_col(state: &State, scratch: &mut Scratch, col: &Col, m: usize) {
     for &(row, a) in col {
         scratch.rhs[row] += a;
     }
-    state.lu.ftran(&scratch.rhs, &mut scratch.w, &mut scratch.ws);
+    state
+        .lu
+        .ftran(&scratch.rhs, &mut scratch.w, &mut scratch.ws);
     state.etas.apply_ftran(&mut scratch.w[..m]);
 }
 
@@ -317,12 +319,9 @@ fn btran_duals(state: &State, scratch: &mut Scratch, m: usize) {
 fn factor_basis(tab: &Tableau, state: &mut State, scratch: &mut Scratch) -> bool {
     let ok = {
         let basis = &state.basis;
-        scratch.spare.factorize_into(
-            tab.m,
-            |i| tab.col(basis[i]),
-            SINGULAR_TOL,
-            &mut scratch.ws,
-        )
+        scratch
+            .spare
+            .factorize_into(tab.m, |i| tab.col(basis[i]), SINGULAR_TOL, &mut scratch.ws)
     };
     if ok {
         std::mem::swap(&mut state.lu, &mut scratch.spare);
@@ -363,7 +362,9 @@ fn recompute_basics(tab: &Tableau, state: &mut State, scratch: &mut Scratch) {
             }
         }
     }
-    state.lu.ftran(&scratch.rhs, &mut scratch.w, &mut scratch.ws);
+    state
+        .lu
+        .ftran(&scratch.rhs, &mut scratch.w, &mut scratch.ws);
     state.etas.apply_ftran(&mut scratch.w[..m]);
     for i in 0..m {
         state.x[state.basis[i]] = scratch.w[i];

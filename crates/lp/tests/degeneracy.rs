@@ -51,7 +51,11 @@ fn blands_rule_switch_is_sticky_across_improving_iterations() {
     let sol = m.solve_with(&options, Deadline::none());
 
     assert_eq!(sol.status, LpStatus::Optimal);
-    assert!((sol.objective - 6.0).abs() < 1e-9, "obj = {}", sol.objective);
+    assert!(
+        (sol.objective - 6.0).abs() < 1e-9,
+        "obj = {}",
+        sol.objective
+    );
 
     // The first degenerate stall activates Bland's rule.  The improving
     // pivot that follows must NOT re-arm Dantzig: under the old reset, the

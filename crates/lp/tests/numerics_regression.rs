@@ -122,7 +122,11 @@ fn singular_warm_basis_is_counted_not_silent() {
         basic: vec![0, 1], // x basic in row 0, y basic in row 1
         at_upper: vec![false; 4],
     };
-    let sol = m.solve_warm(&SimplexOptions::default(), Deadline::none(), Some(&singular));
+    let sol = m.solve_warm(
+        &SimplexOptions::default(),
+        Deadline::none(),
+        Some(&singular),
+    );
     assert_eq!(sol.status, LpStatus::Optimal);
     assert!(sol.stats.warm_rejected, "singular basis must cold-start");
     assert!(!sol.stats.warm_accepted);

@@ -19,7 +19,9 @@ fn cg_master_like(n_patterns: usize, rows: usize, seed: u64) -> LpModel {
     let mut m = LpModel::new();
     let mut s = seed;
     let mut rnd = move || {
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ((s >> 33) as f64) / (u32::MAX as f64)
     };
     let vars: Vec<_> = (0..n_patterns)
@@ -42,12 +44,18 @@ fn knapsack_like(n: usize, seed: u64) -> LpModel {
     let mut m = LpModel::new();
     let mut s = seed;
     let mut rnd = move || {
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ((s >> 33) as f64) / (u32::MAX as f64)
     };
-    let vars: Vec<_> = (0..n).map(|_| m.add_var(0.0, 1.0, 10.0 + rnd() * 80.0)).collect();
+    let vars: Vec<_> = (0..n)
+        .map(|_| m.add_var(0.0, 1.0, 10.0 + rnd() * 80.0))
+        .collect();
     m.add_row_le(
-        vars.iter().map(|&v| (v, 10.0 + rnd() * 70.0)).collect::<Vec<_>>(),
+        vars.iter()
+            .map(|&v| (v, 10.0 + rnd() * 70.0))
+            .collect::<Vec<_>>(),
         (n as f64) * 15.0,
     );
     m

@@ -102,7 +102,11 @@ fn invalid_basis_falls_back_to_cold_start() {
         basic: vec![0],
         at_upper: vec![false; 4],
     };
-    let sol = m.solve_warm(&SimplexOptions::default(), Deadline::none(), Some(&bad_shape));
+    let sol = m.solve_warm(
+        &SimplexOptions::default(),
+        Deadline::none(),
+        Some(&bad_shape),
+    );
     assert_eq!(sol.status, LpStatus::Optimal);
     assert!(sol.stats.warm_rejected);
     assert!(!sol.stats.warm_accepted);

@@ -155,12 +155,14 @@ fn pick_branch_var(model: &MipModel, x: &[f64]) -> Option<usize> {
 /// infeasible, retry with its floor (for `<=`-dominated models flooring
 /// only relaxes rows), then with its ceiling, before giving up. Returns an
 /// integral feasible point, usually far better than naive rounding, at the
-/// cost of a handful of LP solves.
+/// cost of a handful of LP solves, whose simplex iterations it adds to
+/// `lp_iterations`.
 fn diving_heuristic(
     model: &MipModel,
     lp_template: &LpModel,
     options: &MipOptions,
     deadline: Deadline,
+    lp_iterations: &mut usize,
 ) -> Option<(Vec<f64>, f64)> {
     let mut lp = lp_template.clone();
     let max_rounds = 24usize;
@@ -172,6 +174,7 @@ fn diving_heuristic(
             return None;
         }
         let sol = lp.solve_with(&options.lp, deadline);
+        *lp_iterations += sol.iterations;
         if sol.status != LpStatus::Optimal {
             // the last batch over-constrained the LP: retry it with floors
             if !retried && !last_batch.is_empty() {
@@ -272,18 +275,42 @@ struct BnbCounters {
     /// impossible `Unbounded`) with time left, even cold; each ends the
     /// solve as `Feasible`.
     node_lp_failures: u64,
+    /// Solves ended as `Feasible` because the incumbent cleared the
+    /// caller's target.
+    target_stops: u64,
+}
+
+/// Make `found` the incumbent if it beats the current one, counting and
+/// tracing the update against `bound` after `nodes` nodes.
+fn offer_incumbent(
+    incumbent: &mut Option<(Vec<f64>, f64)>,
+    found: (Vec<f64>, f64),
+    bound: f64,
+    nodes: usize,
+    counters: &mut BnbCounters,
+) {
+    let obj = found.1;
+    if incumbent.as_ref().map_or(true, |(_, best)| obj > *best) {
+        *incumbent = Some(found);
+        counters.incumbent_updates += 1;
+        let n = nodes as u64;
+        rasa_obs::flight::emit(|| rasa_obs::TraceEvent::bnb_incumbent(obj, bound, n));
+    }
 }
 
 /// Solve `model` by branch-and-bound. See [`MipOptions`] for limits;
-/// `deadline` makes the solve anytime (incumbent returned on expiry).
+/// `deadline` makes the solve anytime (incumbent returned on expiry). The
+/// solve also stops, `Feasible`, as soon as an incumbent's objective exceeds
+/// `target` (`f64::INFINITY` never stops it).
 pub fn solve_branch_and_bound(
     model: &MipModel,
     options: &MipOptions,
     deadline: Deadline,
+    target: f64,
 ) -> MipSolution {
     let mut counters = BnbCounters::default();
     let _fs = rasa_obs::flight::span("mip.bnb");
-    let sol = solve_bnb_impl(model, options, deadline, &mut counters);
+    let sol = solve_bnb_impl(model, options, deadline, target, &mut counters);
     let obs = rasa_obs::global();
     obs.add("bnb.solves", 1);
     obs.add("bnb.nodes", sol.nodes as u64);
@@ -294,6 +321,7 @@ pub fn solve_branch_and_bound(
     obs.add("bnb.warm_nodes", counters.warm_nodes);
     obs.add("bnb.warm_fallbacks", counters.warm_fallbacks);
     obs.add("bnb.node_lp_failures", counters.node_lp_failures);
+    obs.add("bnb.target_stops", counters.target_stops);
     if sol.gap.is_finite() {
         obs.record("bnb.final_gap", sol.gap);
     }
@@ -304,6 +332,7 @@ fn solve_bnb_impl(
     model: &MipModel,
     options: &MipOptions,
     deadline: Deadline,
+    target: f64,
     counters: &mut BnbCounters,
 ) -> MipSolution {
     let mut lp: LpModel = model.lp.clone();
@@ -383,9 +412,6 @@ fn solve_bnb_impl(
         LpStatus::Optimal => {}
     }
 
-    let mut incumbent: Option<(Vec<f64>, f64)> = None;
-    let mut global_bound;
-
     // root incumbent attempts
     if pick_branch_var(model, &root.x).is_none() {
         // relaxation already integral
@@ -400,39 +426,6 @@ fn solve_bnb_impl(
             lp_iterations,
         };
     }
-    if options.rounding_every > 0 {
-        incumbent = rounding_heuristic(model, &root.x);
-        if let Some((_, obj)) = &incumbent {
-            counters.incumbent_updates += 1;
-            let (obj, bound) = (*obj, root.objective);
-            rasa_obs::flight::emit(|| rasa_obs::TraceEvent::bnb_incumbent(obj, bound, 1));
-        }
-    }
-    if options.dive {
-        if let Some((x, obj)) = diving_heuristic(model, &lp, options, deadline) {
-            if incumbent.as_ref().map_or(true, |(_, best)| obj > *best) {
-                incumbent = Some((x, obj));
-                counters.incumbent_updates += 1;
-                let bound = root.objective;
-                rasa_obs::flight::emit(|| rasa_obs::TraceEvent::bnb_incumbent(obj, bound, 1));
-            }
-        }
-    }
-
-    let share = |basis: &Option<Basis>| basis.as_ref().map(|b| Rc::new(PackedBasis::pack(b)));
-    let mut heap: BinaryHeap<Node> = BinaryHeap::new();
-    heap.push(Node {
-        bound: root.objective,
-        changes: Vec::new(),
-        depth: 0,
-        basis: share(&root.basis),
-    });
-    // the popped node's basis, unpacked (allocated once)
-    let mut warm = Basis {
-        basic: Vec::with_capacity(lp.num_rows()),
-        at_upper: vec![false; lp.num_vars() + lp.num_rows()],
-    };
-
     let finish = |status: MipStatus,
                   incumbent: Option<(Vec<f64>, f64)>,
                   bound: f64,
@@ -476,12 +469,55 @@ fn solve_bnb_impl(
                     } else {
                         bound
                     },
-                    gap: if proven_infeasible { 0.0 } else { f64::INFINITY },
+                    gap: if proven_infeasible {
+                        0.0
+                    } else {
+                        f64::INFINITY
+                    },
                     nodes,
                     lp_iterations,
                 }
             }
         }
+    };
+    let clears_target = |incumbent: &Option<(Vec<f64>, f64)>| {
+        incumbent.as_ref().is_some_and(|(_, obj)| *obj > target)
+    };
+
+    let mut incumbent: Option<(Vec<f64>, f64)> = None;
+    if options.rounding_every > 0 {
+        if let Some(found) = rounding_heuristic(model, &root.x) {
+            offer_incumbent(&mut incumbent, found, root.objective, 1, counters);
+        }
+    }
+    if options.dive && !clears_target(&incumbent) {
+        if let Some(found) = diving_heuristic(model, &lp, options, deadline, &mut lp_iterations) {
+            offer_incumbent(&mut incumbent, found, root.objective, 1, counters);
+        }
+    }
+    if clears_target(&incumbent) {
+        counters.target_stops += 1;
+        return finish(
+            MipStatus::Feasible,
+            incumbent,
+            root.objective,
+            1,
+            lp_iterations,
+        );
+    }
+
+    let share = |basis: &Option<Basis>| basis.as_ref().map(|b| Rc::new(PackedBasis::pack(b)));
+    let mut heap: BinaryHeap<Node> = BinaryHeap::new();
+    heap.push(Node {
+        bound: root.objective,
+        changes: Vec::new(),
+        depth: 0,
+        basis: share(&root.basis),
+    });
+    // the popped node's basis, unpacked (allocated once)
+    let mut warm = Basis {
+        basic: Vec::with_capacity(lp.num_rows()),
+        at_upper: vec![false; lp.num_vars() + lp.num_rows()],
     };
 
     // trace the bound trajectory, but only on strict improvement: with a
@@ -489,7 +525,7 @@ fn solve_bnb_impl(
     // event per distinct bound level rather than one per node
     let mut last_bound_event = f64::INFINITY;
     while let Some(node) = heap.pop() {
-        global_bound = node.bound;
+        let global_bound = node.bound;
         if global_bound < last_bound_event {
             last_bound_event = global_bound;
             let (b, n) = (global_bound, nodes as u64);
@@ -594,26 +630,14 @@ fn solve_bnb_impl(
         match pick_branch_var(model, &relax.x) {
             None => {
                 // integral: candidate incumbent
-                let obj = relax.objective;
-                if incumbent.as_ref().map_or(true, |(_, best)| obj > *best) {
-                    incumbent = Some((relax.x.clone(), obj));
-                    counters.incumbent_updates += 1;
-                    let (b, n) = (global_bound, nodes as u64);
-                    rasa_obs::flight::emit(|| rasa_obs::TraceEvent::bnb_incumbent(obj, b, n));
-                }
+                let found = (relax.x, relax.objective);
+                offer_incumbent(&mut incumbent, found, global_bound, nodes, counters);
             }
             Some(j) => {
                 // occasionally try rounding deeper in the tree
                 if options.rounding_every > 0 && nodes % options.rounding_every == 0 {
-                    if let Some((x, obj)) = rounding_heuristic(model, &relax.x) {
-                        if incumbent.as_ref().map_or(true, |(_, best)| obj > *best) {
-                            incumbent = Some((x, obj));
-                            counters.incumbent_updates += 1;
-                            let (b, n) = (global_bound, nodes as u64);
-                            rasa_obs::flight::emit(|| {
-                                rasa_obs::TraceEvent::bnb_incumbent(obj, b, n)
-                            });
-                        }
+                    if let Some(found) = rounding_heuristic(model, &relax.x) {
+                        offer_incumbent(&mut incumbent, found, global_bound, nodes, counters);
                     }
                 }
                 let v = relax.x[j];
@@ -643,6 +667,17 @@ fn solve_bnb_impl(
                     });
                 }
             }
+        }
+        if clears_target(&incumbent) {
+            // this node's bound is the largest still open
+            counters.target_stops += 1;
+            return finish(
+                MipStatus::Feasible,
+                incumbent,
+                global_bound,
+                nodes,
+                lp_iterations,
+            );
         }
     }
 

@@ -14,6 +14,9 @@
 //! * **anytime behaviour**: an incumbent is kept at all times and returned
 //!   when the [`Deadline`] fires, so the caller can impose the paper's
 //!   one-minute-style time-outs and still get the best schedule found,
+//! * **an objective target** ([`MipModel::solve_to_target`]): the search
+//!   stops, `Feasible`, at the first incumbent above it — column-generation
+//!   pricing needs *an* improving pattern, not the best one,
 //! * best-bound node selection; branching on the costliest variable among
 //!   the near-most-fractional ones, every node re-solved from its parent's
 //!   basis by dual simplex, plus LP rounding and diving heuristics to find

@@ -95,12 +95,26 @@ impl MipModel {
 
     /// Solve with default options and no deadline.
     pub fn solve(&self) -> MipSolution {
-        solve_branch_and_bound(self, &MipOptions::default(), Deadline::none())
+        self.solve_with(&MipOptions::default(), Deadline::none())
     }
 
     /// Solve with explicit options and deadline.
     pub fn solve_with(&self, options: &MipOptions, deadline: Deadline) -> MipSolution {
-        solve_branch_and_bound(self, options, deadline)
+        self.solve_to_target(options, deadline, f64::INFINITY)
+    }
+
+    /// Like [`solve_with`](Self::solve_with), but stop as soon as an
+    /// incumbent's objective exceeds `target`. Such a stop is
+    /// [`MipStatus::Feasible`](crate::MipStatus::Feasible) with the largest
+    /// bound still open as `best_bound`; a solve whose optimum does not
+    /// clear `target` runs exactly as `solve_with` would.
+    pub fn solve_to_target(
+        &self,
+        options: &MipOptions,
+        deadline: Deadline,
+        target: f64,
+    ) -> MipSolution {
+        solve_branch_and_bound(self, options, deadline, target)
     }
 }
 

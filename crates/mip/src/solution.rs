@@ -6,7 +6,9 @@ pub enum MipStatus {
     /// The incumbent is optimal within the gap tolerance.
     Optimal,
     /// A feasible incumbent exists but the node/time budget ran out before
-    /// optimality was proven — the paper's anytime mode.
+    /// optimality was proven — the paper's anytime mode — or the incumbent
+    /// cleared the target of
+    /// [`MipModel::solve_to_target`](crate::MipModel::solve_to_target).
     Feasible,
     /// The problem has no feasible integral point.
     Infeasible,
@@ -24,13 +26,17 @@ pub enum MipStatus {
 /// | status       | `objective` | `best_bound`            | `gap`      |
 /// |--------------|-------------|-------------------------|------------|
 /// | `Optimal`    | incumbent   | `>= objective`, finite  | `<= tol`   |
-/// | `Feasible`   | incumbent   | `>= objective`          | finite     |
+/// | `Feasible`   | incumbent   | `>= objective`, open    | finite     |
 /// | `Infeasible` | `-inf`      | `-inf`                  | `0`        |
 /// | `Unbounded`  | `+inf`      | `+inf`                  | `0`        |
 /// | `NoSolution` | `-inf`      | best proven (may `+inf`)| `+inf`     |
 ///
 /// Proven verdicts (`Infeasible`, `Unbounded`) have objective and bound
 /// agreeing, hence gap 0; `NoSolution` proves nothing, hence gap infinity.
+/// `Feasible` covers every early stop with an incumbent — node cap,
+/// deadline, a node LP that could not be solved, or an incumbent above the
+/// caller's target — and its `best_bound` is the largest bound still open
+/// when the search stopped.
 #[derive(Clone, Debug)]
 pub struct MipSolution {
     /// Final status.

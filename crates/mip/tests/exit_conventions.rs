@@ -7,8 +7,8 @@
 //! heap-exhausted-without-incumbent exit disagreed with the other
 //! infeasible/unbounded sites (infinite gap, stale bound).
 
-use rasa_mip::{MipModel, MipOptions, MipStatus, GAP_TOL};
 use rasa_lp::Deadline;
+use rasa_mip::{MipModel, MipOptions, MipStatus, GAP_TOL};
 
 fn opts() -> MipOptions {
     MipOptions::default()
@@ -98,7 +98,11 @@ fn optimal_exit_has_consistent_bound_and_gap() {
     m.add_row_le(vec![(a, 5.0), (b, 7.0), (c, 4.0), (d, 3.0)], 14.0);
     let sol = m.solve_with(&opts(), Deadline::none());
     assert_eq!(sol.status, MipStatus::Optimal);
-    assert!((sol.objective - 21.0).abs() < 1e-6, "obj = {}", sol.objective);
+    assert!(
+        (sol.objective - 21.0).abs() < 1e-6,
+        "obj = {}",
+        sol.objective
+    );
     assert!(sol.best_bound >= sol.objective);
     assert!(sol.best_bound.is_finite());
     let expected = ((sol.best_bound - sol.objective) / sol.objective.abs().max(1.0)).max(0.0);
@@ -125,6 +129,37 @@ fn node_budget_exhaustion_with_incumbent_is_feasible() {
     assert!(sol.gap.is_finite());
     let expected = ((sol.best_bound - sol.objective) / sol.objective.abs().max(1.0)).max(0.0);
     assert!((sol.gap - expected).abs() < 1e-12);
+}
+
+#[test]
+fn target_exit_is_feasible_with_the_open_bound() {
+    // The same knapsack (optimum 21) with a target any packing clears: the
+    // root heuristics, or with them off the first integral node, end the
+    // search before the tree proves anything.
+    let mut m = MipModel::new();
+    let a = m.add_int_var(0.0, 1.0, 8.0);
+    let b = m.add_int_var(0.0, 1.0, 11.0);
+    let c = m.add_int_var(0.0, 1.0, 6.0);
+    let d = m.add_int_var(0.0, 1.0, 4.0);
+    m.add_row_le(vec![(a, 5.0), (b, 7.0), (c, 4.0), (d, 3.0)], 14.0);
+    let target = 1.0;
+    let mut bare = opts();
+    bare.rounding_every = 0;
+    bare.dive = false;
+    for o in [opts(), bare] {
+        let sol = m.solve_to_target(&o, Deadline::none(), target);
+        assert_eq!(sol.status, MipStatus::Feasible);
+        assert!(sol.objective > target && sol.objective <= 21.0 + 1e-6);
+        assert!(m.is_feasible_point(&sol.x, 1e-6));
+        assert!(sol.best_bound >= sol.objective);
+        assert!(
+            sol.best_bound >= 21.0 - 1e-6,
+            "the open bound covers the optimum"
+        );
+        assert!(sol.gap.is_finite());
+        let expected = ((sol.best_bound - sol.objective) / sol.objective.abs().max(1.0)).max(0.0);
+        assert!((sol.gap - expected).abs() < 1e-12);
+    }
 }
 
 #[test]

@@ -9,7 +9,9 @@
 //! `min`. About a third of the prices are exactly zero, as for services
 //! whose dual price is zero. On every exit path — optimal, node cap,
 //! expired deadline — the incumbent may not beat the oracle and
-//! `best_bound` may not fall under it; a finished solve must hit it.
+//! `best_bound` may not fall under it; a finished solve must hit it. A
+//! target just under the optimum stops the search at an incumbent above the
+//! target; one just over it changes nothing.
 //!
 //! Plus one fixed 20-variable instance on which warm node re-solves must
 //! cost at least 3× fewer simplex iterations per node than cold ones.
@@ -167,6 +169,20 @@ proptest! {
             "b&b {} vs enumeration {}", done.objective, oracle);
         prop_assert!(done.best_bound >= oracle - TOL);
         prop_assert!(mip.is_feasible_point(&done.x, 1e-6));
+
+        // a target the optimum clears: any incumbent above it ends the search
+        let below = oracle - 1e-3;
+        let early = mip.solve_to_target(&MipOptions::default(), Deadline::none(), below);
+        prop_assert!(early.has_incumbent(), "{:?}", early.status);
+        prop_assert!(early.objective > below && early.objective <= oracle + TOL,
+            "stopped at {} for target {} and optimum {}", early.objective, below, oracle);
+        prop_assert!(early.best_bound >= oracle - TOL);
+        prop_assert!(mip.is_feasible_point(&early.x, 1e-6));
+        // a target no incumbent reaches: the solve runs to the optimum
+        let above = oracle + 1e-3;
+        let full = mip.solve_to_target(&MipOptions::default(), Deadline::none(), above);
+        prop_assert_eq!(full.status, MipStatus::Optimal);
+        prop_assert!((full.objective - oracle).abs() < TOL);
 
         // truncated: by node cap (with and without the root heuristics that
         // usually supply an incumbent), and by a deadline already expired

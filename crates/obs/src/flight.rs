@@ -14,10 +14,10 @@
 //! Recording follows the same discipline as the counter path: **hot loops
 //! never touch shared state**. Each solve owns a thread-local
 //! [`trace`](self) — a span stack plus a bounded ring buffer of events
-//! (oldest dropped, drop count recorded) — and the recorder's single lock
-//! is taken exactly once per solve, at flush. When the recorder is
-//! disabled (the default), every call is one relaxed atomic load and a
-//! branch.
+//! (oldest per-step event dropped first, drop count recorded) — and the
+//! recorder's single lock is taken exactly once per solve, at flush. When
+//! the recorder is disabled (the default), every call is one relaxed atomic
+//! load and a branch.
 //!
 //! ## API shape
 //!
@@ -200,6 +200,24 @@ impl EventKind {
             EventKind::RecoveryQuarantine => "recovery_quarantine",
         }
     }
+
+    /// Does this kind record a decision — a ladder transition, a rung
+    /// selection, a certification failure, a quarantine or a journal
+    /// repair — rather than one step of a solver loop? A full ring evicts
+    /// per-step events first, so the few decisions that explain a solve
+    /// outlive the thousands of steps around them.
+    pub(crate) fn is_decision(&self) -> bool {
+        matches!(
+            self,
+            EventKind::FallbackTransition
+                | EventKind::RungSelected
+                | EventKind::CertifyFailure
+                | EventKind::AdmissionQuarantine
+                | EventKind::RecoveryQuarantine
+                | EventKind::WalTornTail
+                | EventKind::WalRecordSkipped
+        )
+    }
 }
 
 /// One typed, timestamped event in a solve recording.
@@ -231,10 +249,7 @@ impl TraceEvent {
 
     /// Value of numeric field `name`, if present.
     pub fn field(&self, name: &str) -> Option<f64> {
-        self.fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+        self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
     /// A new branch-and-bound incumbent: its objective and the bound at
@@ -341,12 +356,7 @@ impl TraceEvent {
 
     /// Admission control intervened: how many services and machines were
     /// quarantined and how many edges/rules were dropped before solving.
-    pub fn admission_quarantine(
-        services: u64,
-        machines: u64,
-        edges: u64,
-        rules: u64,
-    ) -> Self {
+    pub fn admission_quarantine(services: u64, machines: u64, edges: u64, rules: u64) -> Self {
         TraceEvent::new(
             EventKind::AdmissionQuarantine,
             vec![
@@ -455,12 +465,7 @@ impl SpanNode {
 
     /// Depth of the deepest descendant (a leaf node has depth 1).
     pub fn depth(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(SpanNode::depth)
-            .max()
-            .unwrap_or(0)
+        1 + self.children.iter().map(SpanNode::depth).max().unwrap_or(0)
     }
 
     /// First span named `name` in this subtree (pre-order), if any.
@@ -514,7 +519,9 @@ pub struct FlightRecording {
     pub root: SpanNode,
     /// The event log, oldest first (ring-buffer survivors).
     pub events: Vec<TraceEvent>,
-    /// Events dropped by the bounded ring buffer (oldest-first policy).
+    /// Events dropped by the bounded ring buffer: the oldest per-step event
+    /// first, a decision event (ladder transition, rung selection, certify
+    /// failure, quarantine, journal repair) only when nothing else is left.
     pub dropped_events: u64,
     /// Spans not recorded because the span cap was reached.
     pub dropped_spans: u64,
@@ -583,7 +590,8 @@ pub struct FlightConfig {
     pub max_dumps: u64,
 }
 
-/// Ring-buffer capacity for events per recording (oldest dropped).
+/// Ring-buffer capacity for events per recording (oldest per-step event
+/// dropped first).
 pub const EVENT_CAPACITY: usize = 4096;
 /// Cap on spans per recording (further spans are counted, not kept).
 pub const SPAN_CAPACITY: usize = 2048;
@@ -745,11 +753,7 @@ impl FlightRecorder {
 /// verdict plus — when a [`RequestContext`] was ambient — the request id
 /// and tenant, so a failing request can be joined to its dump by `ls`
 /// alone: `blackbox_<seq>_<verdict>[_<request_id>_<tenant>].json`.
-fn write_blackbox(
-    dir: &Path,
-    seq: u64,
-    rec: &FlightRecording,
-) -> Result<PathBuf, std::io::Error> {
+fn write_blackbox(dir: &Path, seq: u64, rec: &FlightRecording) -> Result<PathBuf, std::io::Error> {
     std::fs::create_dir_all(dir)?;
     let clean = |s: &str| -> String {
         s.chars()
@@ -864,14 +868,22 @@ impl ActiveTrace {
         }
     }
 
-    /// Append an event to the ring buffer (oldest dropped past capacity).
+    /// Append an event to the ring buffer. Past capacity it evicts the
+    /// oldest per-step event, and a decision event only when the ring holds
+    /// nothing else. Decisions are rare, so the scan for the victim usually
+    /// stops within the first few events.
     fn push_event(&mut self, mut ev: TraceEvent) {
         ev.t_secs = self.now_secs();
-        if self.events.len() >= EVENT_CAPACITY {
-            self.events.pop_front();
+        self.events.push_back(ev);
+        if self.events.len() > EVENT_CAPACITY {
+            let victim = self
+                .events
+                .iter()
+                .position(|e| !e.kind.is_decision())
+                .unwrap_or(0);
+            self.events.remove(victim);
             self.dropped_events += 1;
         }
-        self.events.push_back(ev);
     }
 
     /// Build the finished recording (span tree rooted at span 0).
@@ -1242,6 +1254,49 @@ mod tests {
     }
 
     #[test]
+    fn full_ring_evicts_steps_before_decisions() {
+        with_recorder_lock(|| {
+            recorder().configure(FlightConfig::default());
+            let mut scope = begin_solve("solve.ring", &[]);
+            emit(|| TraceEvent::fallback_transition(0, 1, "mip", "cg"));
+            let steps = EVENT_CAPACITY as u64 + 100;
+            for i in 0..steps {
+                emit(|| TraceEvent::bnb_bound(i as f64, i));
+            }
+            scope.set_verdict("ok", false);
+            drop(scope);
+            let rec = &recorder().recent()[0];
+            assert_eq!(rec.events.len(), EVENT_CAPACITY);
+            assert_eq!(rec.dropped_events, 101);
+            assert_eq!(rec.events[0].kind, EventKind::FallbackTransition);
+            assert_eq!(rec.events[0].detail, "mip->cg");
+            // the steps that stayed are the newest, in order
+            let nodes: Vec<f64> = rec.events.iter().filter_map(|e| e.field("node")).collect();
+            let newest: Vec<f64> = (101..steps).map(|i| i as f64).collect();
+            assert_eq!(nodes, newest);
+        });
+    }
+
+    #[test]
+    fn ring_of_decisions_evicts_the_oldest_decision() {
+        with_recorder_lock(|| {
+            recorder().configure(FlightConfig::default());
+            let mut scope = begin_solve("solve.ring", &[]);
+            for i in 0..EVENT_CAPACITY as u64 + 2 {
+                emit(|| TraceEvent::rung_selected(i, "cg"));
+            }
+            emit(|| TraceEvent::bnb_bound(1.0, 1));
+            scope.set_verdict("ok", false);
+            drop(scope);
+            let rec = &recorder().recent()[0];
+            assert_eq!(rec.events.len(), EVENT_CAPACITY);
+            assert_eq!(rec.dropped_events, 3, "two decisions, then the step itself");
+            assert!(rec.events.iter().all(|e| e.kind.is_decision()));
+            assert_eq!(rec.events[0].field("subproblem"), Some(2.0));
+        });
+    }
+
+    #[test]
     fn span_cap_stops_recording_but_keeps_tree_valid() {
         with_recorder_lock(|| {
             recorder().configure(FlightConfig::default());
@@ -1252,7 +1307,11 @@ mod tests {
             scope.set_verdict("ok", false);
             drop(scope);
             let rec = &recorder().recent()[0];
-            assert_eq!(rec.root.children.len(), SPAN_CAPACITY - 1, "root + children = cap");
+            assert_eq!(
+                rec.root.children.len(),
+                SPAN_CAPACITY - 1,
+                "root + children = cap"
+            );
             assert_eq!(rec.dropped_spans, 3);
         });
     }

@@ -75,11 +75,7 @@ impl MetricsGlossary {
             if !line.starts_with('|') {
                 continue;
             }
-            let cells: Vec<&str> = line
-                .trim_matches('|')
-                .split('|')
-                .map(str::trim)
-                .collect();
+            let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
             if cells.len() < 3 {
                 continue;
             }
@@ -246,7 +242,10 @@ fn family_groups<T>(series: &[(String, T)]) -> BTreeMap<&str, Vec<(Option<&str>,
     for (name, value) in series {
         match split_labeled(name) {
             Some((base, label)) => families.entry(base).or_default().push((Some(label), value)),
-            None => families.entry(name.as_str()).or_default().push((None, value)),
+            None => families
+                .entry(name.as_str())
+                .or_default()
+                .push((None, value)),
         }
     }
     families
@@ -298,8 +297,7 @@ pub fn write_prometheus(
                     let _ = writeln!(out, "{pname} {value}");
                 }
                 Some(label) => {
-                    let _ =
-                        writeln!(out, "{pname}{{tenant=\"{}\"}} {value}", escape_label(label));
+                    let _ = writeln!(out, "{pname}{{tenant=\"{}\"}} {value}", escape_label(label));
                 }
             }
         }
@@ -411,7 +409,10 @@ mod tests {
         reg.record_labeled("serve.request_seconds", "acme", 0.5);
         let text = write_prometheus(&reg.snapshot(), MetricsGlossary::builtin()).unwrap();
         // HELP/TYPE appear once per family, before all its samples
-        assert_eq!(text.matches("# TYPE rasa_serve_requests counter").count(), 1);
+        assert_eq!(
+            text.matches("# TYPE rasa_serve_requests counter").count(),
+            1
+        );
         assert!(text.contains("\nrasa_serve_requests 10\n"));
         assert!(text.contains("rasa_serve_requests{tenant=\"acme\"} 7"));
         assert!(text.contains("rasa_serve_requests{tenant=\"beta\"} 3"));

@@ -47,7 +47,9 @@ fn is_name_candidate(s: &str) -> bool {
         || s.starts_with(['.', '_'])
         || s.ends_with(['.', '_'])
         || s.contains("..")
-        || !s.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_')
+        || !s
+            .chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_')
     {
         return false;
     }

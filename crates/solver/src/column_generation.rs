@@ -17,7 +17,12 @@
 //! Each round solves the RMP's LP relaxation (`SolveCuttingStock`), then for
 //! every machine group solves a pricing MIP (`GenPattern`) that searches for
 //! a single-machine pattern with positive reduced cost
-//! `v_p − Σ_s π_s p_s − μ_g`. When no group can price out a new pattern (or
+//! `v_p − Σ_s π_s p_s − μ_g`. Pricing is partial: while the master LP's
+//! objective rises from round to round, each MIP stops at the first incumbent
+//! whose reduced cost clears the acceptance tolerance rather than proving the
+//! most improving pattern, and only a group with no such pattern is searched
+//! to the end; a round whose master objective did not rise prices every group
+//! to its best pattern. When no group can price out a new pattern (or
 //! the deadline fires — `IsTerminate`), the master is re-solved as an
 //! integer program over the generated columns (`Round`), falling back to a
 //! greedy rounding if branch-and-bound cannot finish in time.
@@ -178,9 +183,7 @@ impl ColumnGeneration {
         }
         if let Some(warm) = &self.warm {
             let (hit, key) = (cache_hit, warm.key);
-            rasa_obs::flight::emit(|| {
-                rasa_obs::TraceEvent::cache_lookup(hit, "column_cache", key)
-            });
+            rasa_obs::flight::emit(|| rasa_obs::TraceEvent::cache_lookup(hit, "column_cache", key));
         }
 
         // ---- Algorithm 1 main loop ----
@@ -189,6 +192,7 @@ impl ColumnGeneration {
         let mut master_basis: Option<(Basis, Vec<usize>)> = None;
         let master_rows = groups.len() + active.len();
         let mut converged = false;
+        let mut last_objective = f64::NEG_INFINITY;
         let (mut helper_rounds, mut pricing_helped) = (0u64, 0u64);
         for _round in 0..MAX_ROUNDS {
             if deadline.expired() {
@@ -211,6 +215,12 @@ impl ColumnGeneration {
             };
             master_basis = final_basis.map(|b| (b, counts_now));
             stats.master_solves += 1;
+            // Partial pricing while the master objective rises. On a
+            // degenerate master, columns that only just price out can enter
+            // round after round without moving it, so a round whose master
+            // objective did not rise prices every group to its best pattern.
+            let first_improving = duals.objective > last_objective + REDUCED_COST_TOL;
+            last_objective = duals.objective;
 
             let mut added_any = false;
             let mut added_this_round = 0u64;
@@ -235,6 +245,7 @@ impl ColumnGeneration {
                     &edge_weight,
                     &duals.service,
                     duals.group[gi],
+                    first_improving,
                     deadline,
                 )
             });
@@ -347,6 +358,7 @@ impl ColumnGeneration {
         }
         let g = groups.len();
         let duals = MasterDuals {
+            objective: sol.objective,
             group: sol.duals[..g].to_vec(),
             service: active
                 .iter()
@@ -359,7 +371,9 @@ impl ColumnGeneration {
 
     /// `GenPattern`: price a new pattern for group `g`. Returns how the
     /// pricing MIP ended, and the pattern together with its (positive)
-    /// reduced cost when one beats the tolerance.
+    /// reduced cost when one beats the tolerance. With `first_improving` the
+    /// MIP stops at the first such pattern (`Feasible`), which is improving
+    /// but not necessarily the most improving one.
     #[allow(clippy::too_many_arguments)]
     fn price_pattern(
         &self,
@@ -369,6 +383,7 @@ impl ColumnGeneration {
         edge_weight: &HashMap<(ServiceId, ServiceId), f64>,
         pi: &HashMap<ServiceId, f64>,
         mu: f64,
+        first_improving: bool,
         deadline: Deadline,
     ) -> (MipStatus, Option<(Pattern, f64)>) {
         let mut mip = MipModel::new();
@@ -435,7 +450,12 @@ impl ColumnGeneration {
             max_nodes: PRICING_MAX_NODES,
             ..MipOptions::default()
         };
-        let sol = mip.solve_with(&options, slice);
+        let target = if first_improving {
+            mu + REDUCED_COST_TOL
+        } else {
+            f64::INFINITY
+        };
+        let sol = mip.solve_to_target(&options, slice, target);
         if !sol.has_incumbent() {
             return (sol.status, None);
         }
@@ -537,6 +557,8 @@ impl Scheduler for ColumnGeneration {
 }
 
 struct MasterDuals {
+    /// The master LP's optimal objective.
+    objective: f64,
     group: Vec<f64>,
     service: HashMap<ServiceId, f64>,
 }

@@ -79,10 +79,7 @@ impl Scheduler for MipBased {
     fn schedule(&self, problem: &Problem, deadline: Deadline) -> ScheduleOutcome {
         let start = Instant::now();
         let kind = self.options.kind_for(problem);
-        let _fs = rasa_obs::flight::span_with(
-            "solve.mip",
-            &[("formulation", format!("{kind:?}"))],
-        );
+        let _fs = rasa_obs::flight::span_with("solve.mip", &[("formulation", format!("{kind:?}"))]);
         let formulation = RasaFormulation::build(problem, kind, self.options.include_non_affinity);
 
         // Anytime floor: the LP relaxation's fractional solution, repaired

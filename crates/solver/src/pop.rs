@@ -12,9 +12,9 @@
 //! on) and calls it, so rung and baseline cannot drift — same seed, same
 //! split, same placement (cross-check test in `rasa-baselines`).
 
+use crate::completion::complete_placement;
 use crate::mip_algorithm::{MipBased, MipBasedOptions};
 use crate::scheduler::{fan_out, solver_threads, wave_slice, ScheduleOutcome, Scheduler};
-use crate::completion::complete_placement;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rasa_lp::Deadline;

@@ -3,6 +3,7 @@
 
 use rasa_core::{
     Deadline, MigrateConfig, PartitionStrategy, RasaConfig, RasaPipeline, Scheduler, SelectorChoice,
+    SolveStatus,
 };
 use rasa_migrate::replay_plan;
 use rasa_model::{validate, ContainerAssignment};
@@ -149,6 +150,25 @@ fn all_selector_choices_run_through_the_pipeline() {
         assert!(validate(&problem, &run.outcome.placement, false).is_empty());
         assert!(run.outcome.normalized_gained_affinity > 0.0);
     }
+}
+
+#[test]
+fn column_generation_converges_on_a_degenerate_master() {
+    // tiny-3's one subproblem has a master LP whose objective stays flat for
+    // ten and more rounds at a time. Pricing only to the first improving
+    // pattern through such stalls used to run column generation into its
+    // round cap, which reports an unfinished solve.
+    let problem = generate(&tiny_cluster(3));
+    let pipeline = RasaPipeline::new(RasaConfig {
+        selector: SelectorChoice::AlwaysCg,
+        ..Default::default()
+    });
+    let run = pipeline.optimize(&problem, None, Deadline::none());
+    assert!(!run.subproblems.is_empty());
+    for sub in &run.subproblems {
+        assert_eq!(sub.status, SolveStatus::Ok, "{sub:?}");
+    }
+    assert!(validate(&problem, &run.outcome.placement, true).is_empty());
 }
 
 #[test]
