@@ -170,7 +170,7 @@ pub fn certify_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rasa_model::{FeatureMask, MachineId, ProblemBuilder, ServiceId, ResourceVec};
+    use rasa_model::{FeatureMask, MachineId, ProblemBuilder, ResourceVec, ServiceId};
 
     fn problem() -> Problem {
         let mut b = ProblemBuilder::new();

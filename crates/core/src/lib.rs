@@ -51,7 +51,7 @@ pub use rasa_lp::Deadline;
 pub use selector_choice::SelectorChoice;
 pub use service::{
     apply_delta_to_problem, AllocationSession, DeltaPlan, EdgeUpdate, PublishedPlacement,
-    ReplicaUpdate, Restored, RestoredPlacement, RestoredState, RestoreError, SessionError,
+    ReplicaUpdate, RestoreError, Restored, RestoredPlacement, RestoredState, SessionError,
     SessionRound, SnapshotDelta,
 };
 pub use solve_cache::{CacheRoundStats, CachedSubSolve, SolveCache};

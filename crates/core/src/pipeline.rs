@@ -429,8 +429,7 @@ impl RasaPipeline {
             .collect();
         let mut placement = Placement::empty_for(problem);
         let mut reports = Vec::with_capacity(merged.len());
-        for (i, (sub, (guarded, was_hit))) in
-            partition.subproblems.iter().zip(&merged).enumerate()
+        for (i, (sub, (guarded, was_hit))) in partition.subproblems.iter().zip(&merged).enumerate()
         {
             placement.merge_subplacement(
                 &guarded.outcome.placement,
@@ -839,7 +838,11 @@ mod tests {
         assert_eq!(cold_stats.misses, 1);
         assert!(!cold.subproblems[0].cache_hit);
         assert_eq!(cache.len(), 1);
-        assert_eq!(samples.len(), before + 1, "a fresh solve records one sample");
+        assert_eq!(
+            samples.len(),
+            before + 1,
+            "a fresh solve records one sample"
+        );
 
         let warm = pipeline.optimize_with_cache(&p, None, Deadline::none(), Some(&cache));
         assert_eq!(samples.len(), before + 1, "an all-hit replay records none");

@@ -155,7 +155,9 @@ pub fn apply_delta_to_problem(
     }
     for up in &delta.replica_updates {
         if up.service >= num_services {
-            return Err(SessionError::UnknownService { service: up.service });
+            return Err(SessionError::UnknownService {
+                service: up.service,
+            });
         }
     }
 
@@ -242,7 +244,7 @@ pub struct RestoredState {
 }
 
 /// A journaled placement with the provenance needed to re-certify it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RestoredPlacement {
     /// The placement as journaled.
     pub placement: Placement,
@@ -255,6 +257,18 @@ pub struct RestoredPlacement {
     pub round: u64,
     /// Snapshot generation this placement was solved against.
     pub generation: u64,
+}
+
+impl From<&PublishedPlacement> for RestoredPlacement {
+    fn from(p: &PublishedPlacement) -> Self {
+        RestoredPlacement {
+            placement: p.placement.clone(),
+            claimed_objective: p.objective,
+            normalized: p.normalized,
+            round: p.round,
+            generation: p.generation,
+        }
+    }
 }
 
 /// Why [`AllocationSession::restore`] refused journaled state. Every

@@ -161,8 +161,12 @@ mod tests {
         let cache = SolveCache::new();
         cache.store(1, entry());
         cache.store(2, entry());
-        cache.columns().put(10, vec![vec![(rasa_model::ServiceId(0), 1)]]);
-        cache.columns().put(11, vec![vec![(rasa_model::ServiceId(1), 1)]]);
+        cache
+            .columns()
+            .put(10, vec![vec![(rasa_model::ServiceId(0), 1)]]);
+        cache
+            .columns()
+            .put(11, vec![vec![(rasa_model::ServiceId(1), 1)]]);
 
         let live_subs: HashSet<u64> = [1].into_iter().collect();
         let live_cols: HashSet<u64> = [11].into_iter().collect();
@@ -187,7 +191,9 @@ mod tests {
     fn clear_drops_everything() {
         let cache = SolveCache::new();
         cache.store(1, entry());
-        cache.columns().put(10, vec![vec![(rasa_model::ServiceId(0), 1)]]);
+        cache
+            .columns()
+            .put(10, vec![vec![(rasa_model::ServiceId(0), 1)]]);
         cache.clear();
         assert!(cache.is_empty());
         assert!(cache.columns().is_empty());

@@ -292,8 +292,8 @@ fn guarded_schedule_impl(
             } else {
                 SolveStatus::DeadlineExpired
             };
-            let error = (!outcome.completed)
-                .then_some(RasaError::DeadlineExpired { subproblem: index });
+            let error =
+                (!outcome.completed).then_some(RasaError::DeadlineExpired { subproblem: index });
             return GuardedOutcome {
                 outcome,
                 status,
@@ -450,7 +450,10 @@ mod tests {
             matches!(g.error, Some(RasaError::SolvePanicked { subproblem: 3, ref message })
                 if message == "injected solver fault")
         );
-        assert!(!g.outcome.completed, "fallback results are flagged degraded");
+        assert!(
+            !g.outcome.completed,
+            "fallback results are flagged degraded"
+        );
         assert!(validate(&p, &g.outcome.placement, false).is_empty());
         assert!(g.outcome.placement.total_placed() > 0);
     }
@@ -466,8 +469,10 @@ mod tests {
             Deadline::none(),
         );
         assert_eq!(g.status, SolveStatus::Panicked);
-        assert!(validate(&p, &g.outcome.placement, true).is_empty(),
-            "completion places the whole SLA when capacity permits");
+        assert!(
+            validate(&p, &g.outcome.placement, true).is_empty(),
+            "completion places the whole SLA when capacity permits"
+        );
         assert!(!g.outcome.completed);
     }
 

@@ -687,7 +687,8 @@ impl FlightRecorder {
         self.lock_state().recent.clear();
     }
 
-    /// Black-box files written so far this process run.
+    /// Black-box dumps taken so far this process run: files written, plus
+    /// any write that failed after taking its sequence number.
     pub fn dumps_written(&self) -> u64 {
         self.dumps_written.load(Ordering::Relaxed)
     }
@@ -704,7 +705,7 @@ impl FlightRecorder {
         obs.inc("flight.recordings");
         obs.add("flight.events_dropped", rec.dropped_events);
 
-        let (config, should_dump) = {
+        let (config, slot) = {
             let state = self.lock_state();
             let config = state.config.clone().unwrap_or_default();
             let should_dump = if rec.degraded {
@@ -715,29 +716,31 @@ impl FlightRecorder {
                 rec.sampled = sampled;
                 sampled
             };
-            (config, should_dump)
+            // take the dump's sequence number before writing, so two
+            // concurrent flushes never share a file or pass the cap
+            let slot = (should_dump && config.dump_dir.is_some()).then(|| {
+                self.dumps_written
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                        (n < config.max_dumps).then_some(n + 1)
+                    })
+            });
+            (config, slot)
         };
 
         let mut written = None;
-        if should_dump {
-            if let Some(dir) = &config.dump_dir {
-                let seq = self.dumps_written.load(Ordering::Relaxed);
-                if seq < config.max_dumps {
-                    match write_blackbox(dir, seq, &rec) {
-                        Ok(path) => {
-                            self.dumps_written.fetch_add(1, Ordering::Relaxed);
-                            obs.inc("flight.dumps");
-                            eprintln!("[flight] black box dumped: {}", path.display());
-                            written = Some(path);
-                        }
-                        Err(e) => {
-                            eprintln!("[flight] black box dump failed: {e}");
-                        }
-                    }
-                } else {
-                    obs.inc("flight.dumps_suppressed");
+        match (slot, &config.dump_dir) {
+            (Some(Ok(seq)), Some(dir)) => match write_blackbox(dir, seq, &rec) {
+                Ok(path) => {
+                    obs.inc("flight.dumps");
+                    eprintln!("[flight] black box dumped: {}", path.display());
+                    written = Some(path);
                 }
-            }
+                Err(e) => {
+                    eprintln!("[flight] black box dump failed: {e}");
+                }
+            },
+            (Some(Err(_)), _) => obs.inc("flight.dumps_suppressed"),
+            _ => {}
         }
 
         let mut state = self.lock_state();
@@ -1455,5 +1458,46 @@ mod tests {
                 .detail
                 .starts_with("solve_cache:"));
         });
+    }
+
+    #[test]
+    fn concurrent_degraded_flushes_never_share_a_black_box() {
+        // one degraded recording under one request context, as two
+        // workers flushing the same tenant's failing request would make
+        let template = with_recorder_lock(|| {
+            recorder().configure(FlightConfig::default());
+            let _ctx = with_request_context(RequestContext::new("req-7", "acme"));
+            let mut scope = begin_solve("solve.race", &[]);
+            scope.set_verdict("deadline_expired", true);
+            drop(scope);
+            recorder().recent().pop().unwrap()
+        });
+        const THREADS: u64 = 8;
+        for max_dumps in [64, 1] {
+            let dir = std::env::temp_dir().join(format!(
+                "rasa_flight_race_{}_{max_dumps}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let local = FlightRecorder::default();
+            local.configure(FlightConfig {
+                dump_dir: Some(dir.clone()),
+                max_dumps,
+                ..Default::default()
+            });
+            let barrier = std::sync::Barrier::new(THREADS as usize);
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        local.observe(template.clone());
+                    });
+                }
+            });
+            let files = std::fs::read_dir(&dir).unwrap().count() as u64;
+            assert_eq!(files, local.dumps_written(), "max_dumps {max_dumps}");
+            assert_eq!(files, THREADS.min(max_dumps), "max_dumps {max_dumps}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -5,7 +5,7 @@ use crate::labels::{labeled_name, sanitize_label, DEFAULT_LABEL_CAP, OTHER_LABEL
 use crate::metrics::{Counter, Histogram};
 use crate::snapshot::MetricsSnapshot;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// LRU table over the distinct label values the labeled-metric API has
@@ -105,68 +105,49 @@ impl MetricsRegistry {
     /// folds least-recently-used labels into the `other` bucket until the
     /// table fits.
     pub fn set_label_cap(&self, cap: usize) {
-        let evicted: Vec<String> = {
-            let mut table = self.labels.lock().unwrap_or_else(|e| e.into_inner());
-            table.cap = cap.max(1);
-            let mut evicted = Vec::new();
-            while table.last_used.len() > table.cap {
-                match table.lru() {
-                    Some(label) => {
-                        table.last_used.remove(&label);
-                        evicted.push(label);
-                    }
-                    None => break,
-                }
-            }
-            evicted
-        };
-        for label in &evicted {
-            self.fold_label_into_other(label);
+        let mut table = self.label_table();
+        table.cap = cap.max(1);
+        while table.last_used.len() > table.cap {
+            let Some(label) = table.lru() else { break };
+            table.last_used.remove(&label);
+            self.fold_label_into_other(&label);
         }
     }
 
     /// Number of label values currently resident in the LRU table (the
     /// `other` overflow bucket is not tracked).
     pub fn label_count(&self) -> usize {
-        self.labels
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .last_used
-            .len()
+        self.label_table().last_used.len()
+    }
+
+    /// The label table. Lock order: labels → counters/histograms. The
+    /// labeled API resolves, folds and records under this one lock, so an
+    /// eviction can never take a series between its resolve and its add.
+    fn label_table(&self) -> MutexGuard<'_, LabelTable> {
+        self.labels.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Resolve a raw label value: sanitize it, mark it most-recently-used,
     /// and — when admitting it would exceed the cap — evict the LRU label,
     /// folding every series that label owns into the `other` bucket.
-    fn resolve_label(&self, raw: &str) -> String {
+    fn resolve_label(&self, table: &mut LabelTable, raw: &str) -> String {
         let label = sanitize_label(raw);
         if label == OTHER_LABEL {
             return label;
         }
-        let evicted: Option<String> = {
-            let mut table = self.labels.lock().unwrap_or_else(|e| e.into_inner());
-            table.seq += 1;
-            let seq = table.seq;
-            if let Some(entry) = table.last_used.get_mut(&label) {
-                *entry = seq;
-                None
-            } else {
-                let evicted = if table.last_used.len() >= table.cap {
-                    let lru = table.lru();
-                    if let Some(ref doomed) = lru {
-                        table.last_used.remove(doomed);
-                    }
-                    lru
-                } else {
-                    None
-                };
-                table.last_used.insert(label.clone(), seq);
-                evicted
-            }
-        };
-        if let Some(evicted) = evicted {
-            self.fold_label_into_other(&evicted);
+        table.seq += 1;
+        let seq = table.seq;
+        if let Some(entry) = table.last_used.get_mut(&label) {
+            *entry = seq;
+            return label;
         }
+        if table.last_used.len() >= table.cap {
+            if let Some(lru) = table.lru() {
+                table.last_used.remove(&lru);
+                self.fold_label_into_other(&lru);
+            }
+        }
+        table.last_used.insert(label.clone(), seq);
         label
     }
 
@@ -220,7 +201,8 @@ impl MetricsRegistry {
     /// series is touched — callers wanting a global total record the
     /// unlabeled `base` separately.
     pub fn add_labeled(&self, base: &str, label: &str, n: u64) {
-        let label = self.resolve_label(label);
+        let mut table = self.label_table();
+        let label = self.resolve_label(&mut table, label);
         self.counter(&labeled_name(base, &label)).add(n);
     }
 
@@ -232,7 +214,8 @@ impl MetricsRegistry {
     /// Record `v` into the `tenant=label` series of histogram family
     /// `base`.
     pub fn record_labeled(&self, base: &str, label: &str, v: f64) {
-        let label = self.resolve_label(label);
+        let mut table = self.label_table();
+        let label = self.resolve_label(&mut table, label);
         self.histogram(&labeled_name(base, &label)).record(v);
     }
 
@@ -405,6 +388,61 @@ mod tests {
             .map(|(_, v)| v)
             .sum();
         assert_eq!(drained, 15);
+    }
+
+    #[test]
+    fn concurrent_labeled_increments_are_conserved_and_capped() {
+        const CAP: usize = 3;
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 3_000;
+        let reg = MetricsRegistry::new();
+        reg.set_label_cap(CAP);
+        let labeled = |reg: &MetricsRegistry| -> Vec<u64> {
+            reg.snapshot()
+                .counters
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("serve.requests{"))
+                .map(|(_, v)| v)
+                .collect()
+        };
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let most_series = std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                let mut most = 0;
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    most = most.max(labeled(&reg).len());
+                }
+                most
+            });
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let reg = &reg;
+                    scope.spawn(move || {
+                        // eleven labels against a cap of three: evictions
+                        // run all the time
+                        for i in 0..PER_THREAD {
+                            let label = format!("t{}", (i * 7 + t) % 11);
+                            reg.inc_labeled("serve.requests", &label);
+                        }
+                    })
+                })
+                .collect();
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            watcher.join().unwrap()
+        });
+        let series = labeled(&reg);
+        assert_eq!(
+            series.iter().sum::<u64>(),
+            THREADS * PER_THREAD,
+            "increments lost"
+        );
+        assert!(
+            most_series.max(series.len()) <= CAP + 1,
+            "{most_series} labeled series resident against a cap of {CAP}"
+        );
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //!            [--max-tenants 64] [--deadline-ms 2000]
 //!            [--drain-grace-ms 5000] [--metrics-out PATH]
 //!            [--wal-dir PATH] [--wal-sync always|never]
-//!            [--wal-compact-every N] [--wal-segment-bytes N]
+//!            [--wal-compact-every N]
 //! ```
 //!
 //! `--wal-dir` turns on per-tenant write-ahead journaling: acked state is
 //! durable before the 200, and on restart the daemon replays the journals
 //! through both trust gates (`--wal-sync` is `always`, the default, or
-//! `never`).
+//! `never`). Every `--wal-compact-every` records (default 64) a tenant's
+//! state is compacted into one fresh segment and the older segments are
+//! deleted.
 //!
 //! The bound address is printed as `listening on <addr>` once the socket
 //! is open (scripts parse this when binding port 0). SIGTERM or SIGINT
@@ -58,8 +60,7 @@ fn usage() -> &'static str {
     "usage: rasa-serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]\n\
      \x20                 [--max-tenants N] [--deadline-ms N]\n\
      \x20                 [--drain-grace-ms N] [--metrics-out PATH] [--wal-dir PATH]\n\
-     \x20                 [--wal-sync always|never] [--wal-compact-every N]\n\
-     \x20                 [--wal-segment-bytes N]"
+     \x20                 [--wal-sync always|never] [--wal-compact-every N]"
 }
 
 /// The WAL config a `--wal-*` flag mutates, defaulting it into existence
@@ -123,12 +124,6 @@ fn parse_args(config: &mut ServeConfig) -> Result<(), String> {
                     .map_err(|_| "--wal-compact-every: not a number".to_string())?;
                 wal_tuning(config).compact_every = every.max(1);
             }
-            "--wal-segment-bytes" => {
-                let bytes: u64 = value("--wal-segment-bytes")?
-                    .parse()
-                    .map_err(|_| "--wal-segment-bytes: not a number".to_string())?;
-                wal_tuning(config).segment_max_bytes = bytes;
-            }
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
@@ -138,7 +133,7 @@ fn parse_args(config: &mut ServeConfig) -> Result<(), String> {
         .as_ref()
         .is_some_and(|w| w.root.as_os_str().is_empty())
     {
-        return Err("--wal-sync/--wal-compact-every/--wal-segment-bytes require --wal-dir".to_string());
+        return Err("--wal-sync/--wal-compact-every require --wal-dir".to_string());
     }
     Ok(())
 }

@@ -52,6 +52,6 @@ pub use queue::{BoundedQueue, QueueFull};
 pub use server::{DrainReport, ServeConfig, Server, ServerHandle};
 pub use slo::{SloBurn, SloTracker};
 pub use wal::{
-    recover_all, recover_tenant, JournaledPlacement, RecoveredTenant, RecoveryOutcome,
-    ReplayStats, SyncPolicy, TenantJournal, WalConfig, WalError, WalRecord, WalRecordKind,
+    recover_all, recover_tenant, RecoveredTenant, RecoveryOutcome, ReplayStats, SyncPolicy,
+    TenantJournal, WalConfig, WalError, WalRecord, WalRecordKind,
 };

@@ -27,11 +27,11 @@ use crate::http::{read_request, HttpError, Request, Response};
 use crate::log;
 use crate::queue::{BoundedQueue, QueueFull};
 use crate::slo::SloTracker;
-use crate::wal::{
-    self, CheckpointState, JournaledPlacement, RecoveryOutcome, TenantJournal, WalConfig,
-    WalRecord,
+use crate::wal::{self, CheckpointState, RecoveryOutcome, TenantJournal, WalConfig, WalRecord};
+use rasa_core::{
+    AllocationSession, PublishedPlacement, RasaConfig, RestoredPlacement, SessionError,
+    SnapshotDelta,
 };
-use rasa_core::{AllocationSession, PublishedPlacement, RasaConfig, SessionError, SnapshotDelta};
 use rasa_core::Deadline;
 use rasa_model::Problem;
 use rasa_obs::flight;
@@ -300,7 +300,7 @@ fn journal_write(
 fn checkpoint_state(session: &AllocationSession) -> Option<CheckpointState<'_>> {
     Some(CheckpointState {
         problem: session.problem()?,
-        published: session.published().map(JournaledPlacement::from),
+        published: session.published().map(RestoredPlacement::from),
         rounds: session.rounds(),
         generation: session.generation(),
     })

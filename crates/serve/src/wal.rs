@@ -12,10 +12,9 @@
 //!
 //! ## On-disk format
 //!
-//! A tenant's journal is a directory `<root>/<tenant>/` holding segment
-//! files `seg-<seq>.wal` and checkpoint files `ckpt-<seq>.wal`. Every
-//! file starts with the 8-byte magic `RASAWAL1`, followed by framed
-//! records:
+//! A tenant's journal is a directory `<root>/<tenant>/` holding one
+//! ordered run of segment files `seg-<seq>.wal`. Every segment starts
+//! with the 8-byte magic `RASAWAL2`, followed by framed records:
 //!
 //! ```text
 //! [u32 LE payload length][u32 LE CRC-32 of payload][payload bytes]
@@ -23,20 +22,25 @@
 //!
 //! The payload is the JSON encoding of one [`WalRecord`]. CRC-32
 //! (IEEE polynomial, the zlib/PNG one) is implemented here — the
-//! workspace vendors no checksum crate.
+//! workspace vendors no checksum crate. A segment with any other magic
+//! (a journal written by an older format) replays as torn, so its tenant
+//! is quarantined rather than misread.
 //!
-//! ## Compaction
+//! ## Segments and compaction
 //!
-//! Appends rotate to a fresh segment past [`WalConfig::segment_max_bytes`]
-//! and, every [`WalConfig::compact_every`] records, fold the tenant's
-//! whole state into a checkpoint: a single `Checkpoint` record carrying
-//! the admitted problem, the last certified placement, and a `watermark`
-//! — the highest segment sequence folded in. The checkpoint is written to
-//! a temp file, fsynced, and renamed before any old file is deleted, so a
-//! crash at *any* point of compaction leaves either the old segments or a
-//! complete checkpoint on disk; deleting superseded files afterwards is
-//! pure garbage collection. Recovery picks the newest checkpoint that
-//! parses and replays only segments with `seq > watermark`.
+//! A segment rolls over only when a journal opens (recovery has already
+//! read what is there, so appends never resume a possibly-torn file) and
+//! when it checkpoints. Every [`WalConfig::compact_every`] appended
+//! records the daemon checkpoints: the tenant's whole state becomes one
+//! compacted segment — a `Snapshot` record carrying the publish-round
+//! count, plus a `Placement` record when one was published — written to a
+//! temp file, fsynced, renamed into place, and made durable with a
+//! directory fsync. The journal then opens the next segment and deletes
+//! the superseded ones newest first, stopping at the first failure. A
+//! crash at any step therefore leaves a prefix of the old history,
+//! possibly followed by the compacted segment, whose `Snapshot` replaces
+//! whatever that prefix rebuilt, damage included. Recovery is one
+//! in-order pass over the segments.
 //!
 //! ## Torn tails and corruption
 //!
@@ -54,13 +58,11 @@
 //! at byte-deterministic points. `RASA_WAL_CRASH_AT=append:<n>` aborts
 //! the process halfway through the `n`-th journal append;
 //! `RASA_WAL_CRASH_AT=compact:<n>` aborts halfway through writing the
-//! `n`-th checkpoint (before the rename). Both leave a genuinely torn
-//! file behind, exactly like a power cut.
+//! `n`-th compacted segment (before the rename). Both leave a genuinely
+//! torn file behind, exactly like a power cut.
 
-use rasa_core::{
-    apply_delta_to_problem, PublishedPlacement, RestoredPlacement, RestoredState, SnapshotDelta,
-};
-use rasa_model::{Placement, Problem, ProblemValidator};
+use rasa_core::{apply_delta_to_problem, RestoredPlacement, RestoredState, SnapshotDelta};
+use rasa_model::{Problem, ProblemValidator};
 use rasa_obs::flight::{self, TraceEvent};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -70,8 +72,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Magic bytes opening every journal file (segment or checkpoint).
-pub const MAGIC: [u8; 8] = *b"RASAWAL1";
+/// Magic bytes opening every segment file.
+pub const MAGIC: [u8; 8] = *b"RASAWAL2";
 
 /// Upper bound on one record's payload, as a sanity check on the length
 /// prefix of a possibly-corrupt frame (64 MiB).
@@ -82,7 +84,6 @@ pub const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 pub const MAX_CONSECUTIVE_SKIPS: u32 = 3;
 
 const SEGMENT_PREFIX: &str = "seg-";
-const CHECKPOINT_PREFIX: &str = "ckpt-";
 const WAL_SUFFIX: &str = ".wal";
 
 // ---------------------------------------------------------------------------
@@ -142,28 +143,24 @@ impl SyncPolicy {
     }
 }
 
-/// Journal tuning: where the journals live and how they sync, rotate, and
-/// compact.
+/// Journal tuning: where the journals live and how they sync and compact.
 #[derive(Clone, Debug)]
 pub struct WalConfig {
     /// Directory holding one subdirectory per tenant.
     pub root: PathBuf,
     /// fsync discipline on append.
     pub sync: SyncPolicy,
-    /// Rotate to a fresh segment once the current one exceeds this.
-    pub segment_max_bytes: u64,
     /// Fold state into a checkpoint every this many appended records.
     pub compact_every: u64,
 }
 
 impl WalConfig {
-    /// Defaults rooted at `root`: fsync always, 1 MiB segments, a
-    /// checkpoint every 64 records.
+    /// Defaults rooted at `root`: fsync always, a checkpoint every 64
+    /// records.
     pub fn new(root: impl Into<PathBuf>) -> Self {
         WalConfig {
             root: root.into(),
             sync: SyncPolicy::Always,
-            segment_max_bytes: 1024 * 1024,
             compact_every: 64,
         }
     }
@@ -172,50 +169,18 @@ impl WalConfig {
 // ---------------------------------------------------------------------------
 // Records.
 
-/// A certified placement as journaled, with the provenance restore needs
-/// to re-certify it.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct JournaledPlacement {
-    /// Publish round number.
-    pub round: u64,
-    /// Snapshot generation the placement was solved against.
-    pub generation: u64,
-    /// The objective Gate 2 recomputed at publish time.
-    pub claimed_objective: f64,
-    /// Normalized gained affinity at publish time.
-    pub normalized: f64,
-    /// The certified container-to-machine mapping.
-    pub placement: Placement,
-}
-
-impl From<&PublishedPlacement> for JournaledPlacement {
-    fn from(p: &PublishedPlacement) -> Self {
-        JournaledPlacement {
-            round: p.round,
-            generation: p.generation,
-            claimed_objective: p.objective,
-            normalized: p.normalized,
-            placement: p.placement.clone(),
-        }
-    }
-}
-
 /// What a [`WalRecord`] carries (the vendored serde_derive supports only
 /// fieldless enums, so records are a kind tag plus optional payloads).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WalRecordKind {
     /// A full admitted snapshot replaced the tenant's world
-    /// (`problem` set).
+    /// (`problem` set; `rounds` set when a checkpoint wrote it).
     Snapshot,
     /// An incremental delta applied cleanly (`delta` set).
     Delta,
     /// A placement passed certification and was published
     /// (`placement` set).
     Placement,
-    /// A compaction point superseding every segment with
-    /// `seq <= watermark` (`problem` set, `placement` optional). Only
-    /// ever appears alone in `ckpt-*.wal` files.
-    Checkpoint,
 }
 
 /// One journal record. `Snapshot` and `Delta` are appended after the
@@ -227,19 +192,16 @@ pub struct WalRecord {
     /// Which payload fields are meaningful.
     pub kind: WalRecordKind,
     /// Session generation after this record applied (`Snapshot`,
-    /// `Delta`, `Checkpoint`).
+    /// `Delta`).
     pub generation: u64,
-    /// Publish rounds completed (`Checkpoint` only).
+    /// Publish rounds completed (a compacted `Snapshot`; 0 otherwise).
     pub rounds: u64,
-    /// Highest segment sequence folded in (`Checkpoint` only).
-    pub watermark: u64,
-    /// The admitted problem (`Snapshot`, `Checkpoint`).
+    /// The admitted problem (`Snapshot`).
     pub problem: Option<Problem>,
     /// The applied delta (`Delta`).
     pub delta: Option<SnapshotDelta>,
-    /// The certified placement (`Placement`; `Checkpoint`'s last
-    /// published, if any).
-    pub placement: Option<JournaledPlacement>,
+    /// The certified placement (`Placement`).
+    pub placement: Option<RestoredPlacement>,
 }
 
 impl WalRecord {
@@ -248,7 +210,6 @@ impl WalRecord {
             kind,
             generation: 0,
             rounds: 0,
-            watermark: 0,
             problem: None,
             delta: None,
             placement: None,
@@ -274,7 +235,7 @@ impl WalRecord {
     }
 
     /// A certified-placement record.
-    pub fn placement(placement: JournaledPlacement) -> WalRecord {
+    pub fn placement(placement: RestoredPlacement) -> WalRecord {
         WalRecord {
             placement: Some(placement),
             ..WalRecord::base(WalRecordKind::Placement)
@@ -325,13 +286,15 @@ fn io_err(path: &Path) -> impl Fn(io::Error) -> WalError + '_ {
     }
 }
 
-/// Frame one payload: length, CRC, bytes.
-fn frame(payload: &[u8]) -> Vec<u8> {
+/// Serialize and frame one record: length, CRC, JSON payload.
+fn frame(record: &WalRecord) -> Result<Vec<u8>, WalError> {
+    let payload = serde_json::to_string(record).map_err(|source| WalError::Serialize { source })?;
+    let payload = payload.as_bytes();
     let mut buf = Vec::with_capacity(payload.len() + 8);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&crc32(payload).to_le_bytes());
     buf.extend_from_slice(payload);
-    buf
+    Ok(buf)
 }
 
 // ---------------------------------------------------------------------------
@@ -367,51 +330,38 @@ fn tear_and_abort(file: &mut File, framed: &[u8]) -> ! {
 // ---------------------------------------------------------------------------
 // The writer.
 
-/// One tenant's open journal: the append/rotate/compact side. Reading
-/// happens through [`recover_all`] / [`recover_tenant`].
+/// One tenant's open journal: the append/compact side. Reading happens
+/// through [`recover_all`] / [`recover_tenant`].
 pub struct TenantJournal {
     dir: PathBuf,
     sync: SyncPolicy,
-    segment_max_bytes: u64,
     compact_every: u64,
     seg_seq: u64,
     file: File,
-    seg_bytes: u64,
     records_since_checkpoint: u64,
-}
-
-fn file_seq(name: &str, prefix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?
-        .strip_suffix(WAL_SUFFIX)?
-        .parse()
-        .ok()
 }
 
 fn seg_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("{SEGMENT_PREFIX}{seq:016}{WAL_SUFFIX}"))
 }
 
-fn ckpt_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("{CHECKPOINT_PREFIX}{seq:016}{WAL_SUFFIX}"))
-}
-
-/// Sequence numbers of the segment and checkpoint files in `dir`.
-fn list_sequences(dir: &Path) -> (Vec<u64>, Vec<u64>) {
-    let (mut segs, mut ckpts) = (Vec::new(), Vec::new());
-    if let Ok(entries) = fs::read_dir(dir) {
-        for entry in entries.flatten() {
+/// Sequence numbers of the segment files in `dir`, oldest first.
+fn list_segments(dir: &Path) -> Vec<u64> {
+    let mut segs: Vec<u64> = fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| {
             let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(seq) = file_seq(name, SEGMENT_PREFIX) {
-                segs.push(seq);
-            } else if let Some(seq) = file_seq(name, CHECKPOINT_PREFIX) {
-                ckpts.push(seq);
-            }
-        }
-    }
+            name.to_str()?
+                .strip_prefix(SEGMENT_PREFIX)?
+                .strip_suffix(WAL_SUFFIX)?
+                .parse()
+                .ok()
+        })
+        .collect();
     segs.sort_unstable();
-    ckpts.sort_unstable();
-    (segs, ckpts)
+    segs
 }
 
 /// The state a checkpoint folds in (borrowed from the live session at
@@ -420,7 +370,7 @@ pub struct CheckpointState<'a> {
     /// The admitted problem.
     pub problem: &'a Problem,
     /// The last certified placement, if any.
-    pub published: Option<JournaledPlacement>,
+    pub published: Option<RestoredPlacement>,
     /// Publish rounds completed.
     pub rounds: u64,
     /// Snapshot generation.
@@ -436,22 +386,14 @@ impl TenantJournal {
     pub fn open(config: &WalConfig, tenant: &str) -> Result<TenantJournal, WalError> {
         let dir = config.root.join(tenant);
         fs::create_dir_all(&dir).map_err(io_err(&dir))?;
-        let (segs, ckpts) = list_sequences(&dir);
-        let last = segs
-            .last()
-            .copied()
-            .max(ckpts.last().copied())
-            .unwrap_or(0);
-        let seg_seq = last + 1;
+        let seg_seq = list_segments(&dir).last().map_or(1, |last| last + 1);
         let file = new_segment(&dir, seg_seq, config.sync)?;
         Ok(TenantJournal {
             dir,
             sync: config.sync,
-            segment_max_bytes: config.segment_max_bytes.max(4096),
             compact_every: config.compact_every.max(1),
             seg_seq,
             file,
-            seg_bytes: MAGIC.len() as u64,
             records_since_checkpoint: 0,
         })
     }
@@ -461,21 +403,17 @@ impl TenantJournal {
         &self.dir
     }
 
-    /// Append one record, honoring the sync policy, rotating past the
-    /// segment cap. On `Ok`, under [`SyncPolicy::Always`], the record is
+    /// Append one record to the current segment, honoring the sync
+    /// policy. On `Ok`, under [`SyncPolicy::Always`], the record is
     /// durable.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
         let obs = rasa_obs::global();
-        let payload = serde_json::to_string(record)
-            .map_err(|source| WalError::Serialize { source })?
-            .into_bytes();
-        let framed = frame(&payload);
+        let framed = frame(record)?;
         if crash_point("append") {
             tear_and_abort(&mut self.file, &framed);
         }
         let path = seg_path(&self.dir, self.seg_seq);
         self.file.write_all(&framed).map_err(io_err(&path))?;
-        self.seg_bytes += framed.len() as u64;
         obs.inc("wal.appends");
         obs.add("wal.bytes_written", framed.len() as u64);
         if self.sync == SyncPolicy::Always {
@@ -483,20 +421,6 @@ impl TenantJournal {
             obs.inc("wal.fsyncs");
         }
         self.records_since_checkpoint += 1;
-        if self.seg_bytes >= self.segment_max_bytes {
-            self.rotate()?;
-        }
-        Ok(())
-    }
-
-    fn rotate(&mut self) -> Result<(), WalError> {
-        // make the outgoing segment durable before moving on
-        let path = seg_path(&self.dir, self.seg_seq);
-        self.file.sync_data().map_err(io_err(&path))?;
-        self.seg_seq += 1;
-        self.file = new_segment(&self.dir, self.seg_seq, self.sync)?;
-        self.seg_bytes = MAGIC.len() as u64;
-        rasa_obs::global().inc("wal.segments_rotated");
         Ok(())
     }
 
@@ -506,52 +430,48 @@ impl TenantJournal {
         self.records_since_checkpoint >= self.compact_every
     }
 
-    /// Fold `state` into a checkpoint superseding every current segment,
-    /// then garbage-collect the superseded files. Crash-safe at every
-    /// step: the checkpoint is complete-and-renamed before anything is
-    /// deleted, and deletion itself is pure GC (recovery ignores
-    /// leftovers at or below the watermark).
+    /// Write `state` as a compacted segment after the current one, open
+    /// the next segment, and delete the superseded segments newest first.
+    /// Crash-safe at every step: the compacted segment is complete and
+    /// renamed before anything is deleted, and deleting newest first
+    /// leaves a prefix of the old history, which replay then overwrites
+    /// with the compacted `Snapshot`.
     pub fn checkpoint(&mut self, state: &CheckpointState<'_>) -> Result<(), WalError> {
-        let obs = rasa_obs::global();
-        let watermark = self.seg_seq;
-        let record = WalRecord {
-            watermark,
+        let compacted = self.seg_seq + 1;
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(frame(&WalRecord {
             rounds: state.rounds,
-            generation: state.generation,
-            problem: Some(state.problem.clone()),
-            placement: state.published.clone(),
-            ..WalRecord::base(WalRecordKind::Checkpoint)
-        };
-        let payload = serde_json::to_string(&record)
-            .map_err(|source| WalError::Serialize { source })?
-            .into_bytes();
-        let framed = frame(&payload);
-        let final_path = ckpt_path(&self.dir, watermark);
+            ..WalRecord::snapshot(state.generation, state.problem.clone())
+        })?);
+        if let Some(placement) = &state.published {
+            bytes.extend(frame(&WalRecord::placement(placement.clone()))?);
+        }
+        let final_path = seg_path(&self.dir, compacted);
         let tmp_path = final_path.with_extension("tmp");
         {
             let mut tmp = File::create(&tmp_path).map_err(io_err(&tmp_path))?;
-            tmp.write_all(&MAGIC).map_err(io_err(&tmp_path))?;
             if crash_point("compact") {
-                tear_and_abort(&mut tmp, &framed);
+                tear_and_abort(&mut tmp, &bytes);
             }
-            tmp.write_all(&framed).map_err(io_err(&tmp_path))?;
+            tmp.write_all(&bytes).map_err(io_err(&tmp_path))?;
             tmp.sync_all().map_err(io_err(&tmp_path))?;
         }
         fs::rename(&tmp_path, &final_path).map_err(io_err(&final_path))?;
         sync_dir(&self.dir);
-        obs.inc("wal.checkpoints");
+        rasa_obs::global().inc("wal.checkpoints");
 
-        // the checkpoint is durable; everything below is GC + rollover
-        self.seg_seq = watermark + 1;
+        // the compacted segment is durable; everything below is rollover
+        // and clean-up
+        self.seg_seq = compacted + 1;
         self.file = new_segment(&self.dir, self.seg_seq, self.sync)?;
-        self.seg_bytes = MAGIC.len() as u64;
         self.records_since_checkpoint = 0;
-        let (segs, ckpts) = list_sequences(&self.dir);
-        for seq in segs.into_iter().filter(|s| *s <= watermark) {
-            let _ = fs::remove_file(seg_path(&self.dir, seq));
-        }
-        for seq in ckpts.into_iter().filter(|s| *s < watermark) {
-            let _ = fs::remove_file(ckpt_path(&self.dir, seq));
+        let superseded = list_segments(&self.dir)
+            .into_iter()
+            .filter(|s| *s < compacted);
+        for seq in superseded.rev() {
+            if fs::remove_file(seg_path(&self.dir, seq)).is_err() {
+                break;
+            }
         }
         Ok(())
     }
@@ -599,7 +519,7 @@ pub fn remove_tenant_journal(root: &Path, tenant: &str) -> io::Result<()> {
 /// Tallies from replaying one tenant's journal.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReplayStats {
-    /// Segment files read (checkpoint files not counted).
+    /// Segment files read.
     pub segments: u64,
     /// Records applied to the rebuilt state.
     pub records_replayed: u64,
@@ -607,9 +527,6 @@ pub struct ReplayStats {
     pub records_skipped: u64,
     /// Segments that ended in a torn (partial or garbage) region.
     pub torn_tails: u64,
-    /// Checkpoint files that failed to parse and were passed over for an
-    /// older one.
-    pub checkpoints_skipped: u64,
 }
 
 /// What replay produced for one tenant. `Recovered` still has to pass
@@ -723,56 +640,36 @@ fn read_frames(path: &Path, seq: u64, stats: &mut ReplayStats) -> Vec<WalRecord>
     records
 }
 
-/// Replay one tenant's journal into a [`RecoveredTenant`]. Never panics
-/// on any byte content; damage either skips records (counted) or
-/// quarantines the tenant.
+/// Replay one tenant's journal into a [`RecoveredTenant`]: one in-order
+/// pass over its segments. Never panics on any byte content; damage
+/// either skips records (counted) or quarantines the tenant. A delta that
+/// cannot re-apply quarantines unless a later `Snapshot` replaces the
+/// world it damaged.
 pub fn recover_tenant(config: &WalConfig, tenant: &str) -> RecoveredTenant {
     let obs = rasa_obs::global();
     let dir = config.root.join(tenant);
     let mut stats = ReplayStats::default();
-    let (segs, ckpts) = list_sequences(&dir);
-
-    // newest checkpoint that parses wins; damaged ones are passed over
     let mut problem: Option<Problem> = None;
-    let mut published: Option<JournaledPlacement> = None;
+    let mut published: Option<RestoredPlacement> = None;
     let mut rounds = 0u64;
     let mut generation = 0u64;
-    let mut watermark = 0u64;
-    for seq in ckpts.iter().rev() {
-        let mut ckpt_stats = ReplayStats::default();
-        let records = read_frames(&ckpt_path(&dir, *seq), *seq, &mut ckpt_stats);
-        match records.into_iter().next() {
-            Some(record)
-                if record.kind == WalRecordKind::Checkpoint && record.problem.is_some() =>
-            {
-                problem = record.problem;
-                published = record.placement;
-                rounds = record.rounds;
-                generation = record.generation;
-                watermark = record.watermark;
-                break;
-            }
-            _ => {
-                stats.checkpoints_skipped += 1;
-                obs.inc("recovery.records_skipped");
-            }
-        }
-    }
-
     let mut quarantine: Option<String> = None;
-    for seq in segs.iter().filter(|s| **s > watermark) {
+    for seq in list_segments(&dir) {
         stats.segments += 1;
-        for record in read_frames(&seg_path(&dir, *seq), *seq, &mut stats) {
+        for record in read_frames(&seg_path(&dir, seq), seq, &mut stats) {
             match (record.kind, record.problem, record.delta, record.placement) {
                 (WalRecordKind::Snapshot, Some(p), _, _) => {
                     problem = Some(p);
                     generation = record.generation;
+                    rounds = rounds.max(record.rounds);
+                    quarantine = None;
                 }
                 (WalRecordKind::Delta, _, Some(delta), _) => {
                     let Some(base) = problem.as_ref() else {
-                        quarantine =
-                            Some("journaled delta precedes any snapshot".to_string());
-                        break;
+                        quarantine.get_or_insert_with(|| {
+                            "journaled delta precedes any snapshot".to_string()
+                        });
+                        continue;
                     };
                     match apply_delta_to_problem(base, &delta) {
                         Ok(next) => {
@@ -783,20 +680,20 @@ pub fn recover_tenant(config: &WalConfig, tenant: &str) -> RecoveredTenant {
                             generation = record.generation;
                         }
                         Err(e) => {
-                            quarantine =
-                                Some(format!("journaled delta failed to re-apply: {e}"));
-                            break;
+                            quarantine.get_or_insert_with(|| {
+                                format!("journaled delta failed to re-apply: {e}")
+                            });
+                            continue;
                         }
                     }
                 }
-                (WalRecordKind::Placement, _, _, Some(jp)) => {
-                    rounds = rounds.max(jp.round);
-                    published = Some(jp);
+                (WalRecordKind::Placement, _, _, Some(placement)) => {
+                    rounds = rounds.max(placement.round);
+                    published = Some(placement);
                 }
                 _ => {
                     // a CRC-valid record with the wrong payload shape for
-                    // its kind (or a checkpoint inside a segment) is
-                    // corruption; skip it like a bad record
+                    // its kind is corruption; skip it like a bad record
                     stats.records_skipped += 1;
                     obs.inc("recovery.records_skipped");
                     continue;
@@ -805,27 +702,18 @@ pub fn recover_tenant(config: &WalConfig, tenant: &str) -> RecoveredTenant {
             stats.records_replayed += 1;
             obs.inc("recovery.records_replayed");
         }
-        if quarantine.is_some() {
-            break;
-        }
     }
 
     let outcome = match (quarantine, problem) {
         (Some(reason), _) => RecoveryOutcome::Quarantined { reason },
         (None, Some(problem)) => RecoveryOutcome::Recovered(Box::new(RestoredState {
             problem,
-            published: published.map(|jp| RestoredPlacement {
-                placement: jp.placement,
-                claimed_objective: jp.claimed_objective,
-                normalized: jp.normalized,
-                round: jp.round,
-                generation: jp.generation,
-            }),
+            published,
             rounds,
             generation,
         })),
         (None, None) => {
-            if stats.records_skipped + stats.torn_tails + stats.checkpoints_skipped > 0 {
+            if stats.records_skipped + stats.torn_tails > 0 {
                 // records were lost and nothing usable remains — we cannot
                 // tell "never had state" from "lost the snapshot"
                 RecoveryOutcome::Quarantined {
@@ -869,6 +757,7 @@ pub fn recover_all(config: &WalConfig) -> Vec<RecoveredTenant> {
 mod tests {
     use super::*;
     use rasa_core::{EdgeUpdate, SnapshotDelta};
+    use rasa_model::Placement;
     use rasa_trace::{generate, tiny_cluster};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -957,7 +846,7 @@ mod tests {
             .append(&WalRecord::snapshot(1, problem))
             .unwrap();
         journal
-            .append(&WalRecord::placement(JournaledPlacement {
+            .append(&WalRecord::placement(RestoredPlacement {
                 round: 1,
                 generation: 1,
                 claimed_objective: 10.0,
@@ -994,7 +883,7 @@ mod tests {
             .unwrap()
             .len();
         journal
-            .append(&WalRecord::placement(JournaledPlacement {
+            .append(&WalRecord::placement(RestoredPlacement {
                 round: 1,
                 generation: 1,
                 claimed_objective: 10.0,
@@ -1021,6 +910,16 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    fn placement(round: u64, generation: u64) -> RestoredPlacement {
+        RestoredPlacement {
+            round,
+            generation,
+            claimed_objective: 12.5,
+            normalized: 0.95,
+            placement: Placement::default(),
+        }
+    }
+
     #[test]
     fn checkpoint_truncates_and_recovery_prefers_it() {
         let root = temp_root("ckpt");
@@ -1038,23 +937,17 @@ mod tests {
         journal
             .checkpoint(&CheckpointState {
                 problem: &problem,
-                published: Some(JournaledPlacement {
-                    round: 3,
-                    generation: 5,
-                    claimed_objective: 12.5,
-                    normalized: 0.95,
-                    placement: Placement::default(),
-                }),
+                published: Some(placement(3, 5)),
                 rounds: 3,
                 generation: 5,
             })
             .unwrap();
 
-        // superseded segment is gone, checkpoint + fresh segment remain
-        let (segs, ckpts) = list_sequences(&config.root.join("t"));
-        assert_eq!(ckpts.len(), 1);
-        assert_eq!(segs.len(), 1);
-        assert!(segs[0] > ckpts[0]);
+        // the superseded segment is gone: the compacted segment and the
+        // fresh one after it remain, and no temp file is left
+        let dir = config.root.join("t");
+        assert_eq!(list_segments(&dir), vec![2, 3]);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2);
 
         let rec = recover_tenant(&config, "t");
         let RecoveryOutcome::Recovered(state) = rec.outcome else {
@@ -1063,8 +956,9 @@ mod tests {
         assert_eq!(state.generation, 5);
         assert_eq!(state.rounds, 3);
         assert!(state.published.is_some());
-        // nothing replayed from segments — all state came from the checkpoint
-        assert_eq!(rec.stats.records_replayed, 0);
+        // the compacted Snapshot and Placement are all that replays
+        assert_eq!(rec.stats.records_replayed, 2);
+        assert_eq!(rec.stats.segments, 2);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1088,21 +982,111 @@ mod tests {
         journal
             .append(&WalRecord::snapshot(2, problem.clone()))
             .unwrap();
-        // truncate the checkpoint to half: replay must fall back to the
-        // segments that survive (only those past the watermark — the
-        // pre-checkpoint segment was GC'd, so generation 2 is what's left)
+        // truncate the compacted segment to half: replay counts the torn
+        // tail and the later segment's snapshot is what is left
         let dir = config.root.join("t");
-        let (_, ckpts) = list_sequences(&dir);
-        let ckpt = ckpt_path(&dir, ckpts[0]);
-        let bytes = fs::read(&ckpt).unwrap();
-        fs::write(&ckpt, &bytes[..bytes.len() / 2]).unwrap();
+        let compacted = seg_path(&dir, list_segments(&dir)[0]);
+        let bytes = fs::read(&compacted).unwrap();
+        fs::write(&compacted, &bytes[..bytes.len() / 2]).unwrap();
 
         let rec = recover_tenant(&config, "t");
-        assert!(rec.stats.checkpoints_skipped >= 1 || rec.stats.torn_tails >= 1);
+        assert_eq!(rec.stats.torn_tails, 1);
         let RecoveryOutcome::Recovered(state) = rec.outcome else {
-            panic!("segment past the watermark must still recover, got {:?}", rec.outcome);
+            panic!(
+                "the later segment must still recover, got {:?}",
+                rec.outcome
+            );
         };
         assert_eq!(state.generation, 2);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn partial_cleanup_recovers_the_compacted_state() {
+        let root = temp_root("cleanup");
+        let config = WalConfig::new(&root);
+        let problem = admitted_problem(9);
+        // three superseded segments, one per open
+        for g in 1..4 {
+            let mut journal = TenantJournal::open(&config, "t").unwrap();
+            journal
+                .append(&WalRecord::snapshot(g, problem.clone()))
+                .unwrap();
+            journal
+                .append(&WalRecord::placement(placement(g, g)))
+                .unwrap();
+        }
+        let dir = config.root.join("t");
+        let old: Vec<(PathBuf, Vec<u8>)> = list_segments(&dir)
+            .into_iter()
+            .map(|seq| (seg_path(&dir, seq), fs::read(seg_path(&dir, seq)).unwrap()))
+            .collect();
+        assert_eq!(old.len(), 3);
+        let mut journal = TenantJournal::open(&config, "t").unwrap();
+        journal
+            .checkpoint(&CheckpointState {
+                problem: &problem,
+                published: Some(placement(7, 9)),
+                rounds: 7,
+                generation: 9,
+            })
+            .unwrap();
+        // a crash after deleting only the newest superseded segment
+        for (path, bytes) in &old[..2] {
+            fs::write(path, bytes).unwrap();
+        }
+
+        let rec = recover_tenant(&config, "t");
+        let RecoveryOutcome::Recovered(state) = rec.outcome else {
+            panic!("a partial clean-up must recover, got {:?}", rec.outcome);
+        };
+        assert_eq!((state.generation, state.rounds), (9, 7));
+        let published = state.published.unwrap();
+        assert_eq!((published.round, published.generation), (7, 9));
+        assert_eq!(rec.stats.records_skipped + rec.stats.torn_tails, 0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_snapshot_replaces_the_damage_before_it() {
+        let root = temp_root("reset");
+        let config = WalConfig::new(&root);
+        let mut journal = TenantJournal::open(&config, "t").unwrap();
+        // a delta with no snapshot before it cannot re-apply, but the
+        // snapshot after it replaces that world
+        journal
+            .append(&WalRecord::delta(1, SnapshotDelta::default()))
+            .unwrap();
+        journal
+            .append(&WalRecord::snapshot(2, admitted_problem(11)))
+            .unwrap();
+        let rec = recover_tenant(&config, "t");
+        let RecoveryOutcome::Recovered(state) = rec.outcome else {
+            panic!("the snapshot must recover, got {:?}", rec.outcome);
+        };
+        assert_eq!(state.generation, 2);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn old_format_journal_is_quarantined_not_empty() {
+        let root = temp_root("oldmagic");
+        let config = WalConfig::new(&root);
+        let dir = config.root.join("t");
+        fs::create_dir_all(&dir).unwrap();
+        // a well-framed snapshot behind the previous format's magic, and
+        // an empty segment of that format
+        let mut bytes = b"RASAWAL1".to_vec();
+        bytes.extend(frame(&WalRecord::snapshot(1, admitted_problem(10))).unwrap());
+        fs::write(seg_path(&dir, 1), &bytes).unwrap();
+        fs::write(seg_path(&dir, 2), b"RASAWAL1").unwrap();
+        let rec = recover_tenant(&config, "t");
+        assert!(
+            matches!(rec.outcome, RecoveryOutcome::Quarantined { .. }),
+            "{:?}",
+            rec.outcome
+        );
+        assert_eq!(rec.stats.torn_tails, 2);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1116,8 +1100,9 @@ mod tests {
 
         // but an all-garbage journal quarantines
         let dir = config.root.join("t");
-        let (segs, _) = list_sequences(&dir);
-        fs::write(seg_path(&dir, segs[0]), b"RASAWAL1\xff\xff\xff\xff garbage").unwrap();
+        let mut garbage = MAGIC.to_vec();
+        garbage.extend_from_slice(b"\xff\xff\xff\xff garbage");
+        fs::write(seg_path(&dir, list_segments(&dir)[0]), garbage).unwrap();
         let rec = recover_tenant(&config, "t");
         assert!(
             matches!(rec.outcome, RecoveryOutcome::Quarantined { .. }),
@@ -1130,26 +1115,29 @@ mod tests {
     #[test]
     fn segment_rotation_keeps_every_record() {
         let root = temp_root("rotate");
-        let mut config = WalConfig::new(&root);
-        config.segment_max_bytes = 4096; // floor — rotate almost every append
+        let config = WalConfig::new(&root);
         let problem = admitted_problem(8);
+        // every open starts a new segment; replay reads them in order
         let mut journal = TenantJournal::open(&config, "t").unwrap();
-        journal
-            .append(&WalRecord::snapshot(1, problem))
-            .unwrap();
+        journal.append(&WalRecord::snapshot(1, problem)).unwrap();
         for g in 2..8 {
+            journal = TenantJournal::open(&config, "t").unwrap();
             journal
                 .append(&WalRecord::delta(g, SnapshotDelta::default()))
                 .unwrap();
         }
-        let (segs, _) = list_sequences(&config.root.join("t"));
-        assert!(segs.len() > 1, "expected rotation, got {segs:?}");
+        drop(journal);
+        assert_eq!(
+            list_segments(&config.root.join("t")),
+            (1..8).collect::<Vec<_>>()
+        );
         let rec = recover_tenant(&config, "t");
         let RecoveryOutcome::Recovered(state) = rec.outcome else {
-            panic!("rotated journal must recover");
+            panic!("a journal of several segments must recover");
         };
         assert_eq!(state.generation, 7);
         assert_eq!(rec.stats.records_replayed, 7);
+        assert_eq!(rec.stats.segments, 7);
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -185,8 +185,6 @@ fn spawn_daemon(
         "500",
         "--wal-compact-every",
         "3",
-        "--wal-segment-bytes",
-        "8192",
     ])
     .arg("--wal-dir")
     .arg(wal_dir)

@@ -64,7 +64,12 @@ fn chaos_machine_death_black_boxes_the_solve() {
     // span tree reaches the solver layer: chaos round → pipeline →
     // subproblem guard → ladder rung → an actual solver span
     assert_eq!(round.root.name, "chaos.round");
-    for span in ["pipeline.run", "pipeline.solve", "solve.subproblem", "solve.rung"] {
+    for span in [
+        "pipeline.run",
+        "pipeline.solve",
+        "solve.subproblem",
+        "solve.rung",
+    ] {
         assert!(round.root.find(span).is_some(), "span {span} missing");
     }
     let solver_depth = ["mip.bnb", "lp.simplex", "cg.solve"]

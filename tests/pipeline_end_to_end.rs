@@ -2,8 +2,8 @@
 //! clusters, including the optimize-and-migrate flow of Fig 3.
 
 use rasa_core::{
-    Deadline, MigrateConfig, PartitionStrategy, RasaConfig, RasaPipeline, Scheduler, SelectorChoice,
-    SolveStatus,
+    Deadline, MigrateConfig, PartitionStrategy, RasaConfig, RasaPipeline, Scheduler,
+    SelectorChoice, SolveStatus,
 };
 use rasa_migrate::replay_plan;
 use rasa_model::{validate, ContainerAssignment};

@@ -6,9 +6,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rasa_core::{Deadline, RasaConfig, RasaPipeline, SelectorChoice, SolveCache};
-use rasa_model::{
-    validate, FeatureMask, Problem, ProblemBuilder, ResourceVec, Service, ServiceId,
-};
+use rasa_model::{validate, FeatureMask, Problem, ProblemBuilder, ResourceVec, Service, ServiceId};
 
 /// A seeded two-zone cluster. Each zone's services require that zone's
 /// feature and have affinity only among themselves, so the partitioner
