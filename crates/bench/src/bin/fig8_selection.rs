@@ -17,6 +17,10 @@ use rasa_select::{train_gcn, train_mlp, PoolAlgorithm};
 use rasa_trace::{generate, t_clusters};
 use serde::Serialize;
 
+/// How far GCN-BASED's normalized gained affinity may trail the best
+/// selector on a cluster and still count as tied (3 points).
+const TIE_TOLERANCE: f64 = 0.03;
+
 #[derive(Serialize)]
 struct Row {
     cluster: String,
@@ -118,12 +122,13 @@ fn main() {
             .find(|r| &r.cluster == cluster && r.selector == "GCN-BASED")
             .map(|r| r.normalized_gained_affinity)
             .unwrap_or(0.0);
-        if gcn_v < best - 0.03 {
+        if gcn_v < best - TIE_TOLERANCE {
             gcn_always_competitive = false;
         }
     }
     println!(
-        "\nshape check vs paper (GCN best-or-tied on every cluster): {}",
+        "\nshape check vs paper (GCN within {:.1} points of the best on every cluster): {}",
+        100.0 * TIE_TOLERANCE,
         if gcn_always_competitive {
             "REPRODUCED"
         } else {

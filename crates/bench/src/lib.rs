@@ -207,7 +207,13 @@ mod tests {
 
     #[test]
     fn scale_names_round_trip() {
-        for s in [Scale::Small, Scale::Medium, Scale::Large, Scale::Xl, Scale::Full] {
+        for s in [
+            Scale::Small,
+            Scale::Medium,
+            Scale::Large,
+            Scale::Xl,
+            Scale::Full,
+        ] {
             assert_eq!(Scale::parse(s.as_str()), Some(s));
         }
         assert_eq!(Scale::parse("XL"), Some(Scale::Xl));

@@ -130,15 +130,17 @@ pub struct DeltaPlan {
     pub invalidated: usize,
 }
 
-/// Apply `delta` to `base` without touching any session state: the pure
-/// mutation step shared by [`AllocationSession::apply_delta`] and journal
-/// replay (`rasa-serve`'s write-ahead log re-applies journaled deltas
-/// through exactly this function on recovery). Structural errors reject
-/// the whole delta atomically; the admission gate is the caller's job.
+/// Apply `delta` to `base` and re-admit the result, without touching any
+/// session state: the one delta path shared by
+/// [`AllocationSession::apply_delta`] and journal replay (`rasa-serve`'s
+/// write-ahead log re-applies journaled deltas through exactly this
+/// function on recovery). Structural errors reject the whole delta
+/// atomically; an accepted delta returns the admission gate's repaired
+/// problem and its report.
 pub fn apply_delta_to_problem(
     base: &Problem,
     delta: &SnapshotDelta,
-) -> Result<Problem, SessionError> {
+) -> Result<(Problem, AdmissionReport), SessionError> {
     let num_services = base.num_services() as u32;
     for up in &delta.edge_updates {
         if up.a == up.b {
@@ -184,7 +186,8 @@ pub fn apply_delta_to_problem(
     for up in &delta.replica_updates {
         next.services[up.service as usize].replicas = up.replicas;
     }
-    Ok(next)
+    let (repaired, report) = ProblemValidator::new().admit(&next);
+    Ok((repaired.unwrap_or(next), report))
 }
 
 /// The last placement this session published, with provenance. Only
@@ -456,9 +459,8 @@ impl AllocationSession {
     /// accepted delta re-runs the admission gate on the mutated problem.
     pub fn apply_delta(&mut self, delta: &SnapshotDelta) -> Result<AdmissionReport, SessionError> {
         let base = self.problem.as_ref().ok_or(SessionError::NoSnapshot)?;
-        let next = apply_delta_to_problem(base, delta)?;
-        let (repaired, report) = ProblemValidator::new().admit(&next);
-        self.problem = Some(repaired.unwrap_or(next));
+        let (next, report) = apply_delta_to_problem(base, delta)?;
+        self.problem = Some(next);
         self.generation += 1;
         Ok(report)
     }

@@ -81,7 +81,7 @@ pub enum RuleDefect {
 }
 
 /// One defect found (and repaired) during admission.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub enum AdmissionIssue {
     /// A service's per-container demand had a NaN, infinite or negative
     /// component; the service was quarantined (`replicas = 0`, zero
@@ -178,71 +178,14 @@ impl AdmissionIssue {
     }
 }
 
-// The vendored serde_derive only supports fieldless enums, so the
-// data-carrying issue enum serializes by hand as a tagged map:
-// `{"kind": "<variant>", ...fields}`.
-impl Serialize for AdmissionIssue {
-    fn serialize(&self) -> serde::Value {
-        use serde::Value;
-        let kv = |k: &str, v: Value| (Value::Str(k.to_string()), v);
-        let tag = |name: &str| kv("kind", Value::Str(name.to_string()));
-        let entries = match self {
-            AdmissionIssue::CorruptServiceDemand { service, action } => vec![
-                tag("CorruptServiceDemand"),
-                kv("service", service.serialize()),
-                kv("action", action.serialize()),
-            ],
-            AdmissionIssue::MisnumberedService { index, found, action } => vec![
-                tag("MisnumberedService"),
-                kv("index", Value::U64(*index as u64)),
-                kv("found", Value::U64(u64::from(*found))),
-                kv("action", action.serialize()),
-            ],
-            AdmissionIssue::MisnumberedMachine { index, found, action } => vec![
-                tag("MisnumberedMachine"),
-                kv("index", Value::U64(*index as u64)),
-                kv("found", Value::U64(u64::from(*found))),
-                kv("action", action.serialize()),
-            ],
-            AdmissionIssue::CorruptMachineCapacity { machine, action } => vec![
-                tag("CorruptMachineCapacity"),
-                kv("machine", machine.serialize()),
-                kv("action", action.serialize()),
-            ],
-            AdmissionIssue::CorruptPriorityWeight { service, action } => vec![
-                tag("CorruptPriorityWeight"),
-                kv("service", service.serialize()),
-                kv("action", action.serialize()),
-            ],
-            AdmissionIssue::CorruptAffinityEdge { index, defect, action } => vec![
-                tag("CorruptAffinityEdge"),
-                kv("index", Value::U64(*index as u64)),
-                kv("defect", defect.serialize()),
-                kv("action", action.serialize()),
-            ],
-            AdmissionIssue::CorruptAntiAffinityRule { index, defect, action } => vec![
-                tag("CorruptAntiAffinityRule"),
-                kv("index", Value::U64(*index as u64)),
-                kv("defect", defect.serialize()),
-                kv("action", action.serialize()),
-            ],
-            AdmissionIssue::CapacityShortfall { kind, demand, capacity, action } => vec![
-                tag("CapacityShortfall"),
-                kv("resource", Value::Str(kind.label().to_string())),
-                kv("demand", Value::F64(*demand)),
-                kv("capacity", Value::F64(*capacity)),
-                kv("action", action.serialize()),
-            ],
-        };
-        Value::Map(entries)
-    }
-}
-
 impl fmt::Display for AdmissionIssue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AdmissionIssue::CorruptServiceDemand { service, .. } => {
-                write!(f, "service {service} has a corrupt demand vector (quarantined)")
+                write!(
+                    f,
+                    "service {service} has a corrupt demand vector (quarantined)"
+                )
             }
             AdmissionIssue::MisnumberedService { index, found, .. } => {
                 write!(f, "services[{index}] carries id s{found} (renumbered)")
@@ -251,18 +194,43 @@ impl fmt::Display for AdmissionIssue {
                 write!(f, "machines[{index}] carries id m{found} (renumbered)")
             }
             AdmissionIssue::CorruptMachineCapacity { machine, action } => {
-                write!(f, "machine {machine} has a corrupt capacity vector ({action:?})")
+                write!(
+                    f,
+                    "machine {machine} has a corrupt capacity vector ({action:?})"
+                )
             }
             AdmissionIssue::CorruptPriorityWeight { service, .. } => {
-                write!(f, "service {service} has a corrupt priority weight (reset to 1)")
+                write!(
+                    f,
+                    "service {service} has a corrupt priority weight (reset to 1)"
+                )
             }
-            AdmissionIssue::CorruptAffinityEdge { index, defect, action } => {
-                write!(f, "affinity edge #{index} is defective ({defect:?}, {action:?})")
+            AdmissionIssue::CorruptAffinityEdge {
+                index,
+                defect,
+                action,
+            } => {
+                write!(
+                    f,
+                    "affinity edge #{index} is defective ({defect:?}, {action:?})"
+                )
             }
-            AdmissionIssue::CorruptAntiAffinityRule { index, defect, action } => {
-                write!(f, "anti-affinity rule #{index} is defective ({defect:?}, {action:?})")
+            AdmissionIssue::CorruptAntiAffinityRule {
+                index,
+                defect,
+                action,
+            } => {
+                write!(
+                    f,
+                    "anti-affinity rule #{index} is defective ({defect:?}, {action:?})"
+                )
             }
-            AdmissionIssue::CapacityShortfall { kind, demand, capacity, .. } => write!(
+            AdmissionIssue::CapacityShortfall {
+                kind,
+                demand,
+                capacity,
+                ..
+            } => write!(
                 f,
                 "aggregate {} demand {demand:.3} exceeds capacity {capacity:.3}",
                 kind.label()
@@ -364,11 +332,7 @@ impl ProblemValidator {
                     out.services[i].id = ServiceId(i as u32);
                 }
             }
-            let demand_ok = svc
-                .demand
-                .0
-                .iter()
-                .all(|v| v.is_finite() && *v >= 0.0);
+            let demand_ok = svc.demand.0.iter().all(|v| v.is_finite() && *v >= 0.0);
             if !demand_ok {
                 quarantined[i] = true;
                 report.issues.push(AdmissionIssue::CorruptServiceDemand {
@@ -664,11 +628,19 @@ mod tests {
         assert_eq!(r.machines[0].id, MachineId(0));
         assert!(report.issues.iter().any(|i| matches!(
             i,
-            AdmissionIssue::MisnumberedService { index: 1, found: 0, .. }
+            AdmissionIssue::MisnumberedService {
+                index: 1,
+                found: 0,
+                ..
+            }
         )));
         assert!(report.issues.iter().any(|i| matches!(
             i,
-            AdmissionIssue::MisnumberedMachine { index: 0, found: 9, .. }
+            AdmissionIssue::MisnumberedMachine {
+                index: 0,
+                found: 9,
+                ..
+            }
         )));
     }
 
@@ -785,7 +757,10 @@ mod tests {
             m.capacity = ResourceVec::cpu_mem(0.5, 0.5);
         }
         let (repaired, report) = ProblemValidator::new().admit(&p);
-        assert!(repaired.is_none(), "advisories never trigger a repair clone");
+        assert!(
+            repaired.is_none(),
+            "advisories never trigger a repair clone"
+        );
         assert!(!report.is_clean());
         assert!(!report.needs_repair());
         assert!(report.issues.iter().any(|i| matches!(
@@ -803,7 +778,10 @@ mod tests {
         p.services[0].demand = ResourceVec::new(f64::NAN, 1.0, 0.0, 0.0);
         let (_, report) = ProblemValidator::new().admit(&p);
         let json = serde_json::to_string(&report).expect("report serializes");
-        assert!(json.contains("CorruptServiceDemand"));
+        assert!(
+            json.contains(r#"{"CorruptServiceDemand":{"service":0,"action":"Quarantined"}}"#),
+            "{json}"
+        );
         assert!(json.contains("quarantined_services"));
     }
 

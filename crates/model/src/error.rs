@@ -100,7 +100,10 @@ impl fmt::Display for RasaError {
                 write!(f, "subproblem {subproblem} ran out of deadline budget")
             }
             RasaError::InfeasibleResult { subproblem } => {
-                write!(f, "subproblem {subproblem} produced an infeasible placement")
+                write!(
+                    f,
+                    "subproblem {subproblem} produced an infeasible placement"
+                )
             }
             RasaError::CertificationFailed { subproblem, detail } => {
                 write!(f, "subproblem {subproblem} failed certification: {detail}")

@@ -222,7 +222,10 @@ impl Gcn {
             ("b3", &self.b3, num_classes),
         ] {
             if b.len() != len {
-                return Err(format!("{name} has {} values, config implies {len}", b.len()));
+                return Err(format!(
+                    "{name} has {} values, config implies {len}",
+                    b.len()
+                ));
             }
         }
         Ok(())

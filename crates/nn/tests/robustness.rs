@@ -52,7 +52,10 @@ fn huge_edge_weights_stay_finite() {
 #[test]
 fn training_on_degenerate_graphs_stays_finite() {
     let data = vec![
-        (GraphInput::new(Matrix::from_rows(&[vec![1.0, 1.0]]), &[]), 0),
+        (
+            GraphInput::new(Matrix::from_rows(&[vec![1.0, 1.0]]), &[]),
+            0,
+        ),
         (
             GraphInput::new(Matrix::from_rows(&[vec![5.0, 5.0]]), &[]),
             1,

@@ -60,10 +60,10 @@ use std::time::Instant;
 /// Schema version written into every black-box dump (bump on any
 /// incompatible change to [`FlightRecording`]).
 ///
-/// * v1 — original span-tree + event-log dump.
+/// * v1 — original span-tree + event-log dump (no longer parses).
 /// * v2 — adds the request-scoped `request_id` / `tenant` fields (empty
-///   when the solve ran outside any request context; v1 dumps parse with
-///   both defaulting to empty).
+///   when the solve ran outside any request context); every field is
+///   required.
 pub const BLACKBOX_SCHEMA_VERSION: u32 = 2;
 
 /// The request-scoped identity a solve runs under: the request id the
@@ -491,10 +491,7 @@ impl SpanNode {
 }
 
 /// A finished solve recording: the black-box dump payload.
-///
-/// `Deserialize` is hand-written (below) so the v2 context fields
-/// (`request_id`, `tenant`) default to empty when parsing a v1 dump.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FlightRecording {
     /// Dump format version ([`BLACKBOX_SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -525,36 +522,6 @@ pub struct FlightRecording {
     pub dropped_events: u64,
     /// Spans not recorded because the span cap was reached.
     pub dropped_spans: u64,
-}
-
-impl serde::Deserialize for FlightRecording {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let map = v.as_map("FlightRecording")?;
-        let required = |field: &str| serde::map_field(map, field, "FlightRecording");
-        // v1 dumps predate the request-context fields: default to empty.
-        let optional_string = |field: &str| -> Result<String, serde::DeError> {
-            match map
-                .iter()
-                .find(|(k, _)| matches!(k, serde::Value::Str(s) if s == field))
-            {
-                Some((_, val)) => serde::Deserialize::deserialize(val),
-                None => Ok(String::new()),
-            }
-        };
-        Ok(FlightRecording {
-            schema_version: serde::Deserialize::deserialize(required("schema_version")?)?,
-            verdict: serde::Deserialize::deserialize(required("verdict")?)?,
-            degraded: serde::Deserialize::deserialize(required("degraded")?)?,
-            sampled: serde::Deserialize::deserialize(required("sampled")?)?,
-            request_id: optional_string("request_id")?,
-            tenant: optional_string("tenant")?,
-            elapsed_secs: serde::Deserialize::deserialize(required("elapsed_secs")?)?,
-            root: serde::Deserialize::deserialize(required("root")?)?,
-            events: serde::Deserialize::deserialize(required("events")?)?,
-            dropped_events: serde::Deserialize::deserialize(required("dropped_events")?)?,
-            dropped_spans: serde::Deserialize::deserialize(required("dropped_spans")?)?,
-        })
-    }
 }
 
 impl FlightRecording {
@@ -1408,30 +1375,6 @@ mod tests {
             );
             let _ = std::fs::remove_dir_all(&dir);
         });
-    }
-
-    #[test]
-    fn v1_dumps_without_context_fields_still_parse() {
-        let v1 = r#"{
-            "schema_version": 1,
-            "verdict": "ok",
-            "degraded": false,
-            "sampled": false,
-            "elapsed_secs": 0.5,
-            "root": {
-                "name": "solve.legacy",
-                "attrs": [],
-                "start_secs": 0.0,
-                "end_secs": 0.5,
-                "children": []
-            },
-            "events": [],
-            "dropped_events": 0,
-            "dropped_spans": 0
-        }"#;
-        let rec = FlightRecording::from_json(v1).unwrap();
-        assert_eq!(rec.request_id, "");
-        assert_eq!(rec.tenant, "");
     }
 
     #[test]

@@ -49,17 +49,31 @@ pub fn partition_with_strategy<R: Rng>(
     config: &PartitionConfig,
     rng: &mut R,
 ) -> PartitionOutcome {
-    let _fs =
-        rasa_obs::flight::span_with("partition.strategy", &[("strategy", strategy.label().into())]);
+    let _fs = rasa_obs::flight::span_with(
+        "partition.strategy",
+        &[("strategy", strategy.label().into())],
+    );
     let outcome = partition_with_strategy_impl(problem, current, strategy, config, rng);
     let obs = rasa_obs::global();
     obs.add("partition.runs", 1);
     obs.add("partition.subproblems", outcome.subproblems.len() as u64);
-    obs.add("partition.trivial_services", outcome.trivial_services.len() as u64);
-    obs.add("partition.stage1_non_affinity", outcome.stats.non_affinity as u64);
+    obs.add(
+        "partition.trivial_services",
+        outcome.trivial_services.len() as u64,
+    );
+    obs.add(
+        "partition.stage1_non_affinity",
+        outcome.stats.non_affinity as u64,
+    );
     obs.add("partition.stage2_masters", outcome.stats.masters as u64);
-    obs.add("partition.stage3_compat_blocks", outcome.stats.compat_blocks as u64);
-    obs.add("partition.stage4_final_sets", outcome.stats.final_sets as u64);
+    obs.add(
+        "partition.stage3_compat_blocks",
+        outcome.stats.compat_blocks as u64,
+    );
+    obs.add(
+        "partition.stage4_final_sets",
+        outcome.stats.final_sets as u64,
+    );
     obs.record("partition.cut_weight", outcome.affinity_loss);
     obs.record("partition.elapsed_seconds", outcome.stats.elapsed_secs);
     outcome

@@ -217,7 +217,17 @@ mod tests {
 
         let fs = portfolio_features(&star);
         let fm = portfolio_features(&matching);
-        assert!(fs[7] > fm[7], "degree CV: star {} vs matching {}", fs[7], fm[7]);
-        assert!(fs[8] > fm[8], "top share: star {} vs matching {}", fs[8], fm[8]);
+        assert!(
+            fs[7] > fm[7],
+            "degree CV: star {} vs matching {}",
+            fs[7],
+            fm[7]
+        );
+        assert!(
+            fs[8] > fm[8],
+            "top share: star {} vs matching {}",
+            fs[8],
+            fm[8]
+        );
     }
 }

@@ -34,5 +34,7 @@ pub mod training;
 pub use features::{feature_graph, portfolio_features, PORTFOLIO_FEATURE_DIM};
 pub use labeling::{label_subproblem, LabeledSubproblem};
 pub use online::{SampleLog, SelectionSample, DEFAULT_SAMPLE_CAPACITY};
-pub use selectors::{AlgorithmSelector, GcnSelector, HeuristicSelector, MlpSelector, PoolAlgorithm};
+pub use selectors::{
+    AlgorithmSelector, GcnSelector, HeuristicSelector, MlpSelector, PoolAlgorithm,
+};
 pub use training::{train_gcn, train_mlp, TrainReport};

@@ -172,7 +172,11 @@ mod tests {
         save_gcn(&selector, &path).unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"num_classes\":2"));
-        std::fs::write(&path, json.replace("\"num_classes\":2", "\"num_classes\":5")).unwrap();
+        std::fs::write(
+            &path,
+            json.replace("\"num_classes\":2", "\"num_classes\":5"),
+        )
+        .unwrap();
         let err = load_gcn(&path).expect_err("a 5-class GCN must not load");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 

@@ -53,5 +53,5 @@ pub use server::{DrainReport, ServeConfig, Server, ServerHandle};
 pub use slo::{SloBurn, SloTracker};
 pub use wal::{
     recover_all, recover_tenant, RecoveredTenant, RecoveryOutcome, ReplayStats, SyncPolicy,
-    TenantJournal, WalConfig, WalError, WalRecord, WalRecordKind,
+    TenantJournal, WalConfig, WalError, WalRecord,
 };

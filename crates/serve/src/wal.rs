@@ -14,13 +14,17 @@
 //!
 //! A tenant's journal is a directory `<root>/<tenant>/` holding one
 //! ordered run of segment files `seg-<seq>.wal`. Every segment starts
-//! with the 8-byte magic `RASAWAL2`, followed by framed records:
+//! with the 8-byte magic `RASAWAL3`, followed by framed records:
 //!
 //! ```text
 //! [u32 LE payload length][u32 LE CRC-32 of payload][payload bytes]
 //! ```
 //!
-//! The payload is the JSON encoding of one [`WalRecord`]. CRC-32
+//! The payload is the JSON encoding of one [`WalRecord`], externally
+//! tagged by its variant and carrying only that variant's fields:
+//! `{"Snapshot":{"generation":..,"rounds":..,"problem":{..}}}`,
+//! `{"Delta":{"generation":..,"delta":{..}}}` or
+//! `{"Placement":{..}}`. CRC-32
 //! (IEEE polynomial, the zlib/PNG one) is implemented here — the
 //! workspace vendors no checksum crate. A segment with any other magic
 //! (a journal written by an older format) replays as torn, so its tenant
@@ -47,7 +51,8 @@
 //! The last record of a segment may be torn by a crash mid-write: replay
 //! truncates at the last valid record and counts a
 //! `recovery.torn_tails`. A record whose CRC or JSON decode fails
-//! mid-segment is skipped and counted (`recovery.records_skipped`); more
+//! mid-segment (a CRC-valid record naming no known variant included) is
+//! skipped and counted (`recovery.records_skipped`); more
 //! than [`MAX_CONSECUTIVE_SKIPS`] in a row means the rest of the segment
 //! is garbage and is treated as torn. Whether skip-damaged state is still
 //! *servable* is not decided here — the trust gates decide on restore.
@@ -62,7 +67,7 @@
 //! torn file behind, exactly like a power cut.
 
 use rasa_core::{apply_delta_to_problem, RestoredPlacement, RestoredState, SnapshotDelta};
-use rasa_model::{Problem, ProblemValidator};
+use rasa_model::Problem;
 use rasa_obs::flight::{self, TraceEvent};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -73,7 +78,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Magic bytes opening every segment file.
-pub const MAGIC: [u8; 8] = *b"RASAWAL2";
+pub const MAGIC: [u8; 8] = *b"RASAWAL3";
 
 /// Upper bound on one record's payload, as a sanity check on the length
 /// prefix of a possibly-corrupt frame (64 MiB).
@@ -169,77 +174,51 @@ impl WalConfig {
 // ---------------------------------------------------------------------------
 // Records.
 
-/// What a [`WalRecord`] carries (the vendored serde_derive supports only
-/// fieldless enums, so records are a kind tag plus optional payloads).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WalRecordKind {
-    /// A full admitted snapshot replaced the tenant's world
-    /// (`problem` set; `rounds` set when a checkpoint wrote it).
-    Snapshot,
-    /// An incremental delta applied cleanly (`delta` set).
-    Delta,
-    /// A placement passed certification and was published
-    /// (`placement` set).
-    Placement,
-}
-
 /// One journal record. `Snapshot` and `Delta` are appended after the
 /// mutation passed the admission gate (the journaled problem is the
 /// *post-admission* repaired one, so replay re-admits clean);
 /// `Placement` after the round passed the certification gate.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct WalRecord {
-    /// Which payload fields are meaningful.
-    pub kind: WalRecordKind,
-    /// Session generation after this record applied (`Snapshot`,
-    /// `Delta`).
-    pub generation: u64,
-    /// Publish rounds completed (a compacted `Snapshot`; 0 otherwise).
-    pub rounds: u64,
-    /// The admitted problem (`Snapshot`).
-    pub problem: Option<Problem>,
-    /// The applied delta (`Delta`).
-    pub delta: Option<SnapshotDelta>,
-    /// The certified placement (`Placement`).
-    pub placement: Option<RestoredPlacement>,
+pub enum WalRecord {
+    /// A full admitted snapshot replaced the tenant's world.
+    Snapshot {
+        /// Session generation after this record applied.
+        generation: u64,
+        /// Publish rounds completed (set when a checkpoint wrote the
+        /// record; 0 for a client snapshot).
+        rounds: u64,
+        /// The admitted problem.
+        problem: Problem,
+    },
+    /// An incremental delta applied cleanly.
+    Delta {
+        /// Session generation after this record applied.
+        generation: u64,
+        /// The applied delta.
+        delta: SnapshotDelta,
+    },
+    /// A placement passed certification and was published.
+    Placement(RestoredPlacement),
 }
 
 impl WalRecord {
-    fn base(kind: WalRecordKind) -> WalRecord {
-        WalRecord {
-            kind,
-            generation: 0,
-            rounds: 0,
-            problem: None,
-            delta: None,
-            placement: None,
-        }
-    }
-
     /// An admitted-snapshot record.
     pub fn snapshot(generation: u64, problem: Problem) -> WalRecord {
-        WalRecord {
+        WalRecord::Snapshot {
             generation,
-            problem: Some(problem),
-            ..WalRecord::base(WalRecordKind::Snapshot)
+            rounds: 0,
+            problem,
         }
     }
 
     /// An applied-delta record.
     pub fn delta(generation: u64, delta: SnapshotDelta) -> WalRecord {
-        WalRecord {
-            generation,
-            delta: Some(delta),
-            ..WalRecord::base(WalRecordKind::Delta)
-        }
+        WalRecord::Delta { generation, delta }
     }
 
     /// A certified-placement record.
     pub fn placement(placement: RestoredPlacement) -> WalRecord {
-        WalRecord {
-            placement: Some(placement),
-            ..WalRecord::base(WalRecordKind::Placement)
-        }
+        WalRecord::Placement(placement)
     }
 }
 
@@ -439,9 +418,10 @@ impl TenantJournal {
     pub fn checkpoint(&mut self, state: &CheckpointState<'_>) -> Result<(), WalError> {
         let compacted = self.seg_seq + 1;
         let mut bytes = MAGIC.to_vec();
-        bytes.extend(frame(&WalRecord {
+        bytes.extend(frame(&WalRecord::Snapshot {
+            generation: state.generation,
             rounds: state.rounds,
-            ..WalRecord::snapshot(state.generation, state.problem.clone())
+            problem: state.problem.clone(),
         })?);
         if let Some(placement) = &state.published {
             bytes.extend(frame(&WalRecord::placement(placement.clone()))?);
@@ -657,14 +637,21 @@ pub fn recover_tenant(config: &WalConfig, tenant: &str) -> RecoveredTenant {
     for seq in list_segments(&dir) {
         stats.segments += 1;
         for record in read_frames(&seg_path(&dir, seq), seq, &mut stats) {
-            match (record.kind, record.problem, record.delta, record.placement) {
-                (WalRecordKind::Snapshot, Some(p), _, _) => {
+            match record {
+                WalRecord::Snapshot {
+                    generation: g,
+                    rounds: r,
+                    problem: p,
+                } => {
                     problem = Some(p);
-                    generation = record.generation;
-                    rounds = rounds.max(record.rounds);
+                    generation = g;
+                    rounds = rounds.max(r);
                     quarantine = None;
                 }
-                (WalRecordKind::Delta, _, Some(delta), _) => {
+                WalRecord::Delta {
+                    generation: g,
+                    delta,
+                } => {
                     let Some(base) = problem.as_ref() else {
                         quarantine.get_or_insert_with(|| {
                             "journaled delta precedes any snapshot".to_string()
@@ -672,12 +659,9 @@ pub fn recover_tenant(config: &WalConfig, tenant: &str) -> RecoveredTenant {
                         continue;
                     };
                     match apply_delta_to_problem(base, &delta) {
-                        Ok(next) => {
-                            // mirror the live apply_delta: re-admit and
-                            // keep the repaired problem
-                            let (repaired, _report) = ProblemValidator::new().admit(&next);
-                            problem = Some(repaired.unwrap_or(next));
-                            generation = record.generation;
+                        Ok((next, _report)) => {
+                            problem = Some(next);
+                            generation = g;
                         }
                         Err(e) => {
                             quarantine.get_or_insert_with(|| {
@@ -687,16 +671,9 @@ pub fn recover_tenant(config: &WalConfig, tenant: &str) -> RecoveredTenant {
                         }
                     }
                 }
-                (WalRecordKind::Placement, _, _, Some(placement)) => {
+                WalRecord::Placement(placement) => {
                     rounds = rounds.max(placement.round);
                     published = Some(placement);
-                }
-                _ => {
-                    // a CRC-valid record with the wrong payload shape for
-                    // its kind is corruption; skip it like a bad record
-                    stats.records_skipped += 1;
-                    obs.inc("recovery.records_skipped");
-                    continue;
                 }
             }
             stats.records_replayed += 1;
@@ -757,7 +734,7 @@ pub fn recover_all(config: &WalConfig) -> Vec<RecoveredTenant> {
 mod tests {
     use super::*;
     use rasa_core::{EdgeUpdate, SnapshotDelta};
-    use rasa_model::Placement;
+    use rasa_model::{Placement, ProblemValidator};
     use rasa_trace::{generate, tiny_cluster};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1068,6 +1045,80 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// The JSON payload of `record`'s frame.
+    fn payload(record: &WalRecord) -> String {
+        let framed = frame(record).unwrap();
+        String::from_utf8(framed[8..].to_vec()).unwrap()
+    }
+
+    #[test]
+    fn every_record_variant_round_trips() {
+        let delta = SnapshotDelta {
+            edge_updates: vec![EdgeUpdate {
+                a: 0,
+                b: 1,
+                weight: 3.5,
+            }],
+            replica_updates: vec![],
+        };
+        let records = [
+            WalRecord::Snapshot {
+                generation: 4,
+                rounds: 9,
+                problem: admitted_problem(12),
+            },
+            WalRecord::delta(5, delta),
+            WalRecord::placement(placement(9, 5)),
+        ];
+        for (record, tag) in records.iter().zip(["Snapshot", "Delta", "Placement"]) {
+            let json = payload(record);
+            assert!(json.starts_with(&format!(r#"{{"{tag}":{{"#)), "{json}");
+            let back: WalRecord = serde_json::from_str(&json).unwrap();
+            assert_eq!(payload(&back), json);
+        }
+    }
+
+    #[test]
+    fn a_delta_frame_carries_only_its_own_fields() {
+        let json = payload(&WalRecord::delta(2, SnapshotDelta::default()));
+        assert_eq!(
+            json,
+            r#"{"Delta":{"generation":2,"delta":{"edge_updates":[],"replica_updates":[]}}}"#
+        );
+        for absent in ["null", "\"rounds\"", "\"problem\"", "\"placement\""] {
+            assert!(!json.contains(absent), "{absent} in {json}");
+        }
+    }
+
+    #[test]
+    fn a_crc_valid_record_of_unknown_variant_is_skipped() {
+        let root = temp_root("unknown");
+        let config = WalConfig::new(&root);
+        let mut journal = TenantJournal::open(&config, "t").unwrap();
+        journal
+            .append(&WalRecord::snapshot(1, admitted_problem(13)))
+            .unwrap();
+        // well framed, CRC valid, but no variant of that name
+        let bogus = br#"{"Rollback":{"generation":2}}"#;
+        let mut framed = (bogus.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(&crc32(bogus).to_le_bytes());
+        framed.extend_from_slice(bogus);
+        journal.file.write_all(&framed).unwrap();
+        journal
+            .append(&WalRecord::delta(3, SnapshotDelta::default()))
+            .unwrap();
+
+        let rec = recover_tenant(&config, "t");
+        assert_eq!(rec.stats.records_skipped, 1, "{:?}", rec.stats);
+        assert_eq!(rec.stats.records_replayed, 2);
+        assert_eq!(rec.stats.torn_tails, 0);
+        let RecoveryOutcome::Recovered(state) = rec.outcome else {
+            panic!("records around the unknown one must recover");
+        };
+        assert_eq!(state.generation, 3);
+        let _ = fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn old_format_journal_is_quarantined_not_empty() {
         let root = temp_root("oldmagic");
@@ -1076,10 +1127,10 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         // a well-framed snapshot behind the previous format's magic, and
         // an empty segment of that format
-        let mut bytes = b"RASAWAL1".to_vec();
+        let mut bytes = b"RASAWAL2".to_vec();
         bytes.extend(frame(&WalRecord::snapshot(1, admitted_problem(10))).unwrap());
         fs::write(seg_path(&dir, 1), &bytes).unwrap();
-        fs::write(seg_path(&dir, 2), b"RASAWAL1").unwrap();
+        fs::write(seg_path(&dir, 2), b"RASAWAL2").unwrap();
         let rec = recover_tenant(&config, "t");
         assert!(
             matches!(rec.outcome, RecoveryOutcome::Quarantined { .. }),

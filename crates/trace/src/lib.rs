@@ -33,4 +33,6 @@ pub mod specs;
 
 pub use generator::{generate, ClusterSpec};
 pub use persist::{load_problem, save_problem, PersistError};
-pub use specs::{large_clusters, medium_clusters, s_clusters, t_clusters, tiny_cluster, xl_clusters};
+pub use specs::{
+    large_clusters, medium_clusters, s_clusters, t_clusters, tiny_cluster, xl_clusters,
+};

@@ -206,9 +206,8 @@ mod tests {
             }
         }
         // rungs grow strictly in total containers
-        let total = |specs: &[ClusterSpec]| -> u64 {
-            specs.iter().map(|s| s.target_containers).sum()
-        };
+        let total =
+            |specs: &[ClusterSpec]| -> u64 { specs.iter().map(|s| s.target_containers).sum() };
         let (m, l, x) = (
             total(&medium_clusters()),
             total(&large_clusters()),
