@@ -123,7 +123,9 @@ pub fn read_request(stream: &mut TcpStream, read_timeout: Duration) -> Result<Re
         .ok_or(HttpError::Malformed("missing method"))?
         .to_string();
     let target = parts.next().ok_or(HttpError::Malformed("missing target"))?;
-    let version = parts.next().ok_or(HttpError::Malformed("missing version"))?;
+    let version = parts
+        .next()
+        .ok_or(HttpError::Malformed("missing version"))?;
     if !version.starts_with("HTTP/1.") {
         return Err(HttpError::Malformed("unsupported HTTP version"));
     }
@@ -140,10 +142,7 @@ pub fn read_request(stream: &mut TcpStream, read_timeout: Duration) -> Result<Re
                 .parse()
                 .map_err(|_| HttpError::Malformed("bad content-length"))?;
         }
-        headers.insert(
-            name.trim().to_ascii_lowercase(),
-            value.trim().to_string(),
-        );
+        headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
     }
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::BodyTooLarge {
@@ -184,7 +183,10 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 fn parse_query(q: &str) -> BTreeMap<String, String> {

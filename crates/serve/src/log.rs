@@ -117,7 +117,10 @@ impl EventLog {
     /// The newest `n` entries, oldest first.
     pub fn tail(&self, n: usize) -> Vec<LogEntry> {
         let ring = self.lock_ring();
-        ring.iter().skip(ring.len().saturating_sub(n)).cloned().collect()
+        ring.iter()
+            .skip(ring.len().saturating_sub(n))
+            .cloned()
+            .collect()
     }
 
     /// Entries dropped by the bounded ring so far.
@@ -171,7 +174,10 @@ mod tests {
         let tail = log.tail(LOG_CAPACITY + 10);
         assert_eq!(tail.len(), LOG_CAPACITY);
         assert_eq!(tail[0].message, "m4");
-        assert_eq!(tail[LOG_CAPACITY - 1].message, format!("m{}", LOG_CAPACITY + 3));
+        assert_eq!(
+            tail[LOG_CAPACITY - 1].message,
+            format!("m{}", LOG_CAPACITY + 3)
+        );
         assert_eq!(log.dropped(), 4);
         assert!(tail.windows(2).all(|w| w[0].seq < w[1].seq));
     }
@@ -180,9 +186,8 @@ mod tests {
     fn entries_capture_the_ambient_request_context() {
         let log = EventLog::default();
         {
-            let _ctx = rasa_obs::with_request_context(rasa_obs::RequestContext::new(
-                "req-7", "acme",
-            ));
+            let _ctx =
+                rasa_obs::with_request_context(rasa_obs::RequestContext::new("req-7", "acme"));
             log.emit(LogLevel::Info, "serve", "round published");
         }
         log.emit(LogLevel::Info, "serve", "outside");

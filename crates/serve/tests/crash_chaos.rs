@@ -14,10 +14,8 @@ use rasa_sim::crash::{run_crash_campaign, CrashConfig};
 
 #[test]
 fn one_full_crash_mode_cycle_recovers_cleanly() {
-    let work_dir = std::env::temp_dir().join(format!(
-        "rasa_crash_chaos_test_{}",
-        std::process::id()
-    ));
+    let work_dir =
+        std::env::temp_dir().join(format!("rasa_crash_chaos_test_{}", std::process::id()));
     let config = CrashConfig {
         seed: 0xC4A5,
         crash_points: 6, // one of each mode

@@ -26,7 +26,13 @@ fn spec(services: usize, seed: u64) -> ClusterSpec {
     s
 }
 
-fn boot(config: ServeConfig) -> (SocketAddr, ServerHandle, thread::JoinHandle<rasa_serve::DrainReport>) {
+fn boot(
+    config: ServeConfig,
+) -> (
+    SocketAddr,
+    ServerHandle,
+    thread::JoinHandle<rasa_serve::DrainReport>,
+) {
     let server = Server::bind(config).expect("bind");
     let addr = server.local_addr().expect("addr");
     let handle = server.handle();
@@ -230,7 +236,11 @@ fn breaker_trips_to_stale_serving_under_starved_deadlines() {
     let delta = "{\"edge_updates\":[{\"a\":0,\"b\":5,\"weight\":9.0}],\"replica_updates\":[]}";
     let stale = http(addr, "POST", "/delta?tenant=starved", delta);
     assert_eq!(stale.status, 200, "body: {}", stale.body);
-    assert!(stale.body.contains("\"stale\":true"), "body: {}", stale.body);
+    assert!(
+        stale.body.contains("\"stale\":true"),
+        "body: {}",
+        stale.body
+    );
     assert!(stale.body.contains("\"certified\":true"));
     assert!(stale.body.contains("breaker_open"));
     assert!(stale.headers.contains_key("retry-after"));
@@ -297,7 +307,9 @@ fn healthz_degrades_on_open_breaker_and_drain() {
         .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n")
         .expect("write on pre-drain connection");
     let mut raw = String::new();
-    early.read_to_string(&mut raw).expect("read healthz mid-drain");
+    early
+        .read_to_string(&mut raw)
+        .expect("read healthz mid-drain");
     assert!(raw.starts_with("HTTP/1.1 503"), "got: {raw}");
     assert!(raw.contains("\"draining\""), "got: {raw}");
 

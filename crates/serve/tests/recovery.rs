@@ -28,7 +28,11 @@ fn spec(services: usize, seed: u64) -> ClusterSpec {
 
 fn boot(
     config: ServeConfig,
-) -> (SocketAddr, ServerHandle, thread::JoinHandle<rasa_serve::DrainReport>) {
+) -> (
+    SocketAddr,
+    ServerHandle,
+    thread::JoinHandle<rasa_serve::DrainReport>,
+) {
     let server = Server::bind(config).expect("bind");
     let addr = server.local_addr().expect("addr");
     let handle = server.handle();
@@ -151,7 +155,10 @@ fn damaged_journal_quarantines_the_tenant_but_the_daemon_serves() {
     let reply = http(addr, "POST", "/snapshot?tenant=ghost", &body);
     assert_eq!(reply.status, 503, "{}", reply.body);
     assert!(reply.body.contains("quarantined"), "{}", reply.body);
-    assert_eq!(reply.headers.get("retry-after").map(String::as_str), Some("30"));
+    assert_eq!(
+        reply.headers.get("retry-after").map(String::as_str),
+        Some("30")
+    );
     let view = http(addr, "GET", "/placement?tenant=ghost", "");
     assert_eq!(view.status, 503);
 
@@ -160,17 +167,25 @@ fn damaged_journal_quarantines_the_tenant_but_the_daemon_serves() {
     assert_eq!(health.status, 503);
     assert!(health.body.contains("quarantined:ghost"), "{}", health.body);
     assert!(
-        http(addr, "GET", "/tenants", "").body.contains("\"quarantined\":true"),
+        http(addr, "GET", "/tenants", "")
+            .body
+            .contains("\"quarantined\":true"),
         "tenants listing must flag the quarantine"
     );
 
     // …but the daemon is up and other tenants are unaffected
-    assert_eq!(http(addr, "POST", "/snapshot?tenant=fine", &body).status, 200);
+    assert_eq!(
+        http(addr, "POST", "/snapshot?tenant=fine", &body).status,
+        200
+    );
 
     // the operator escape hatch: DELETE discards the tenant and its
     // journal; re-admitting it from scratch then works
     assert_eq!(http(addr, "DELETE", "/tenant?tenant=ghost", "").status, 200);
-    assert_eq!(http(addr, "POST", "/snapshot?tenant=ghost", &body).status, 200);
+    assert_eq!(
+        http(addr, "POST", "/snapshot?tenant=ghost", &body).status,
+        200
+    );
     assert_eq!(http(addr, "GET", "/healthz", "").status, 200);
 
     handle.shutdown();

@@ -44,7 +44,9 @@ fn main() -> ExitCode {
         };
         let parsed = match flag.as_str() {
             "--seed" => value("--seed").and_then(|v| {
-                v.parse().map(|n| config.seed = n).map_err(|_| "--seed: not a number".into())
+                v.parse()
+                    .map(|n| config.seed = n)
+                    .map_err(|_| "--seed: not a number".into())
             }),
             "--rounds" => value("--rounds").and_then(|v| {
                 v.parse()

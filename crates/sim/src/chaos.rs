@@ -109,7 +109,11 @@ impl ChaosSchedule {
         let mut alive: Vec<MachineId> = problem.machines.iter().map(|m| m.id).collect();
         let mut budget = max_failures.min(problem.num_machines().saturating_sub(1));
         while budget > 0 {
-            let burst = if budget >= 2 && rng.gen_bool(0.5) { 2 } else { 1 };
+            let burst = if budget >= 2 && rng.gen_bool(0.5) {
+                2
+            } else {
+                1
+            };
             let mut machines = Vec::with_capacity(burst);
             for _ in 0..burst {
                 let i = rng.gen_range(0..alive.len());
@@ -285,8 +289,14 @@ pub fn run_chaos(
                     .placement;
                 complete_placement(&degraded, &mut target);
                 reconcile_counts(&degraded, &current, &mut target);
-                let (moves, error) =
-                    migrate_to(&degraded, &mut state, &target, migrate, &mut checker, &phase);
+                let (moves, error) = migrate_to(
+                    &degraded,
+                    &mut state,
+                    &target,
+                    migrate,
+                    &mut checker,
+                    &phase,
+                );
                 ChaosRound {
                     event: event.describe(),
                     lost_containers: 0,
@@ -299,7 +309,9 @@ pub fn run_chaos(
             ChaosEvent::MidSolveFailure { machines } => {
                 // the optimizer solves against the cluster as it was...
                 let pre = degraded_problem(problem, &dead);
-                let mut target = scheduler.schedule(&pre, Deadline::after(SOLVE_BUDGET)).placement;
+                let mut target = scheduler
+                    .schedule(&pre, Deadline::after(SOLVE_BUDGET))
+                    .placement;
                 // ...then the burst lands before the result is executed
                 let lost = kill_machines(&mut state, &mut dead, machines);
                 checker.on_failure();
@@ -324,8 +336,14 @@ pub fn run_chaos(
                 }
                 complete_placement(&degraded, &mut target);
                 reconcile_counts(&degraded, &state.to_placement(), &mut target);
-                let (moves, error) =
-                    migrate_to(&degraded, &mut state, &target, migrate, &mut checker, &phase);
+                let (moves, error) = migrate_to(
+                    &degraded,
+                    &mut state,
+                    &target,
+                    migrate,
+                    &mut checker,
+                    &phase,
+                );
                 ChaosRound {
                     event: event.describe(),
                     lost_containers: lost.len(),
@@ -380,8 +398,14 @@ pub fn run_chaos(
                 checker.check(&degraded, &state.to_placement(), &phase);
                 // residual difference goes through the planner
                 reconcile_counts(&degraded, &state.to_placement(), &mut repaired);
-                let (res_moves, res_err) =
-                    migrate_to(&degraded, &mut state, &repaired, migrate, &mut checker, &phase);
+                let (res_moves, res_err) = migrate_to(
+                    &degraded,
+                    &mut state,
+                    &repaired,
+                    migrate,
+                    &mut checker,
+                    &phase,
+                );
                 ChaosRound {
                     event: event.describe(),
                     lost_containers: lost.len(),
@@ -603,13 +627,25 @@ mod tests {
         let p = cluster(3);
         let schedule = ChaosSchedule {
             seed: 0,
-            events: vec![ChaosEvent::DeadlineStarvation, ChaosEvent::DeadlineStarvation],
+            events: vec![
+                ChaosEvent::DeadlineStarvation,
+                ChaosEvent::DeadlineStarvation,
+            ],
         };
         let report = run_chaos(&p, &MipBased::new(), &schedule, &MigrateConfig::default());
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert!(report.dead_machines.is_empty());
         // nothing died, so the full replica set stays alive
-        assert!((report.rounds.last().expect("at least one round").alive_fraction - 1.0).abs() < 1e-12);
+        assert!(
+            (report
+                .rounds
+                .last()
+                .expect("at least one round")
+                .alive_fraction
+                - 1.0)
+                .abs()
+                < 1e-12
+        );
     }
 
     #[test]

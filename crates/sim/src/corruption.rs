@@ -284,8 +284,12 @@ fn run_round(kind: CorruptionKind, seed: u64) -> (bool, usize, Option<String>) {
             // cold round populates the cache, then the entries are mutated
             // in place — Gate 2 must reject every poisoned replay
             let cache = SolveCache::new();
-            let cold =
-                pipeline.optimize_with_cache(&problem, None, Deadline::after(SOLVE_BUDGET), Some(&cache));
+            let cold = pipeline.optimize_with_cache(
+                &problem,
+                None,
+                Deadline::after(SOLVE_BUDGET),
+                Some(&cache),
+            );
             if let Err(e) = certify_run(&problem, &cold) {
                 return (false, 0, Some(format!("cold round: {e}")));
             }
@@ -301,8 +305,12 @@ fn run_round(kind: CorruptionKind, seed: u64) -> (bool, usize, Option<String>) {
                 }
                 cache.store(fp, entry);
             }
-            let warm =
-                pipeline.optimize_with_cache(&problem, None, Deadline::after(SOLVE_BUDGET), Some(&cache));
+            let warm = pipeline.optimize_with_cache(
+                &problem,
+                None,
+                Deadline::after(SOLVE_BUDGET),
+                Some(&cache),
+            );
             if let Some(stats) = &warm.cache {
                 if !cache.is_empty() && stats.hits > 0 && stats.misses == 0 {
                     // with every entry poisoned, at least one rejection

@@ -38,9 +38,14 @@ pub fn execute_with_failure(
     migrate: &MigrateConfig,
 ) -> Result<FailoverReport, MigrateError> {
     match fail {
-        Some((step, machine)) => {
-            execute_with_failures(problem, state, plan, target, Some((step, &[machine])), migrate)
-        }
+        Some((step, machine)) => execute_with_failures(
+            problem,
+            state,
+            plan,
+            target,
+            Some((step, &[machine])),
+            migrate,
+        ),
         None => execute_with_failures(problem, state, plan, target, None, migrate),
     }
 }
@@ -263,8 +268,8 @@ mod tests {
         for m in 0..3 {
             target.add(ServiceId(0), MachineId(m), 2);
         }
-        let plan = plan_migration(&p, &from, &target, &MigrateConfig::default())
-            .expect("migration plans");
+        let plan =
+            plan_migration(&p, &from, &target, &MigrateConfig::default()).expect("migration plans");
         let mut state = from.clone();
         let dead = [MachineId(1), MachineId(2)];
         let report = execute_with_failures(

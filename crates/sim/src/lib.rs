@@ -39,9 +39,9 @@
 //!   that damage quarantines instead of killing the daemon.
 
 pub mod chaos;
-pub mod crash;
 pub mod collector;
 pub mod corruption;
+pub mod crash;
 pub mod cronjob;
 pub mod experiment;
 pub mod failover;
@@ -49,11 +49,11 @@ pub mod network;
 pub mod soak;
 
 pub use chaos::{run_chaos, ChaosEvent, ChaosReport, ChaosSchedule, InvariantChecker};
-pub use crash::{locate_serve_bin, run_crash_campaign, CrashConfig, CrashReport, CrashRound};
-pub use corruption::{run_corruption_campaign, CorruptionKind, CorruptionReport, CorruptionRound};
-pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use collector::{ClusterState, DataCollector};
+pub use corruption::{run_corruption_campaign, CorruptionKind, CorruptionReport, CorruptionRound};
+pub use crash::{locate_serve_bin, run_crash_campaign, CrashConfig, CrashReport, CrashRound};
 pub use cronjob::{CronJob, CronJobConfig, TickOutcome};
 pub use experiment::{run_production_experiment, ExperimentConfig, ExperimentReport, PairSeries};
 pub use failover::{execute_with_failure, execute_with_failures, FailoverReport};
 pub use network::{NetworkModel, NetworkModelError};
+pub use soak::{run_soak, SoakConfig, SoakReport};

@@ -213,7 +213,15 @@ impl SoakReport {
 /// One-shot HTTP exchange; `None` when the connection failed or was reset
 /// (which the soak treats as data, not an error).
 fn exchange(addr: SocketAddr, method: &str, target: &str, body: &str) -> Option<Reply> {
-    call(addr, method, target, &[], body, Some(Duration::from_secs(60))).ok()
+    call(
+        addr,
+        method,
+        target,
+        &[],
+        body,
+        Some(Duration::from_secs(60)),
+    )
+    .ok()
 }
 
 fn tally_response(report: &mut SoakReport, reply: Option<Reply>) {
@@ -251,7 +259,11 @@ fn tally_response(report: &mut SoakReport, reply: Option<Reply>) {
     }
 }
 
-fn problem_json(services: usize, seed: u64, corrupt: Option<(CorruptionKind, &mut StdRng)>) -> String {
+fn problem_json(
+    services: usize,
+    seed: u64,
+    corrupt: Option<(CorruptionKind, &mut StdRng)>,
+) -> String {
     let mut spec = tiny_cluster(seed);
     spec.services = services;
     spec.target_containers = services as u64 * 4;
@@ -603,7 +615,9 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
     for name in ["serve.solve_panics", "serve.connection_panics"] {
         let value = report.counter(name);
         if value > 0 {
-            report.violations.push(format!("{name} = {value} (must be 0)"));
+            report
+                .violations
+                .push(format!("{name} = {value} (must be 0)"));
         }
     }
     let live_tenants = report

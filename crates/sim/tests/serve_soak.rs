@@ -28,7 +28,11 @@ fn churn_campaign_holds_the_robustness_contract() {
     assert_eq!(report.counter("serve.connection_panics"), 0);
 
     // the campaign must actually exercise the interesting paths
-    assert!(report.responses.ok > 10, "healthy traffic: {:?}", report.responses);
+    assert!(
+        report.responses.ok > 10,
+        "healthy traffic: {:?}",
+        report.responses
+    );
     assert!(
         report.actions.starved_deltas > 0 && report.actions.slow_loris > 0,
         "schedule must include hostile actions: {:?}",
