@@ -2,9 +2,14 @@
 //! stays below ~12% of total affinity, and the partitioning step costs
 //! less than 10% of the RASA algorithm's total runtime.
 
-use rasa_bench::{evaluation_clusters, pct, print_table, save_json, timeout};
+use rasa_bench::{evaluation_clusters, pct, print_table, report_shape_checks, save_json, timeout};
 use rasa_core::{Deadline, RasaConfig, RasaPipeline};
 use serde::Serialize;
+
+/// §V-B: partitioning loses under ~12 % of the total affinity.
+const PAPER_LOSS_BOUND: f64 = 0.12;
+/// §V-B: partitioning costs under 10 % of the RASA algorithm's runtime.
+const PAPER_TIME_SHARE: f64 = 0.10;
 
 #[derive(Serialize)]
 struct Row {
@@ -60,20 +65,27 @@ fn main() {
         ],
         &rows,
     );
-    let loss_ok = artifacts.iter().all(|r| r.partition_loss_fraction < 0.12);
-    let time_ok = artifacts.iter().all(|r| r.partition_time_fraction < 0.10);
-    println!(
-        "\npaper claims: loss < 12% → {} | partition time < 10% of total → {}",
-        if loss_ok {
-            "REPRODUCED"
-        } else {
-            "NOT reproduced"
-        },
-        if time_ok {
-            "REPRODUCED"
-        } else {
-            "NOT reproduced"
-        }
-    );
+    let loss_ok = artifacts
+        .iter()
+        .all(|r| r.partition_loss_fraction < PAPER_LOSS_BOUND);
+    let time_ok = artifacts
+        .iter()
+        .all(|r| r.partition_time_fraction < PAPER_TIME_SHARE);
     save_json("ablation_partition_loss", &artifacts);
+    report_shape_checks(&[
+        (
+            format!(
+                "affinity loss < {} (PAPER_LOSS_BOUND) on every cluster",
+                pct(PAPER_LOSS_BOUND)
+            ),
+            loss_ok,
+        ),
+        (
+            format!(
+                "partition time < {} (PAPER_TIME_SHARE) of the total on every cluster",
+                pct(PAPER_TIME_SHARE)
+            ),
+            time_ok,
+        ),
+    ]);
 }

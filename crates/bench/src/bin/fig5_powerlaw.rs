@@ -6,7 +6,7 @@
 //! partitioning stage. We reproduce the comparison on every generated
 //! cluster.
 
-use rasa_bench::{evaluation_clusters, print_table, save_json};
+use rasa_bench::{evaluation_clusters, print_table, report_shape_checks, save_json};
 use rasa_graph::{fit_exponential, fit_power_law, AffinityGraph};
 use serde::Serialize;
 
@@ -77,17 +77,10 @@ fn main() {
     );
     save_json("fig5_powerlaw", &artifacts);
 
-    let all_power = artifacts_all_power(&artifacts);
-    println!(
-        "\nshape check vs paper: power law wins on all clusters → {}",
-        if all_power {
-            "REPRODUCED"
-        } else {
-            "NOT reproduced"
-        }
-    );
-}
-
-fn artifacts_all_power(rows: &[FitRow]) -> bool {
-    rows.iter().all(|r| r.winner == "power law")
+    let all_power = artifacts.iter().all(|r| r.winner == "power law");
+    report_shape_checks(&[(
+        "power law fits at least as well as exponential (R², ties to the power law) on every cluster"
+            .to_string(),
+        all_power,
+    )]);
 }

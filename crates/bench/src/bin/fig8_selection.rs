@@ -9,7 +9,10 @@
 //! Shape to reproduce: only GCN-BASED is best-or-tied on *every* cluster;
 //! fixed CG / fixed MIP / HEURISTIC / MLP each lose somewhere.
 
-use rasa_bench::{evaluation_clusters, labelling_budget, pct, print_table, save_json, timeout};
+use rasa_bench::{
+    evaluation_clusters, labelling_budget, pct, print_table, report_shape_checks, save_json,
+    timeout,
+};
 use rasa_core::{
     generate_training_set, Deadline, RasaConfig, RasaPipeline, Scheduler, SelectorChoice,
 };
@@ -126,14 +129,12 @@ fn main() {
             gcn_always_competitive = false;
         }
     }
-    println!(
-        "\nshape check vs paper (GCN within {:.1} points of the best on every cluster): {}",
-        100.0 * TIE_TOLERANCE,
-        if gcn_always_competitive {
-            "REPRODUCED"
-        } else {
-            "NOT reproduced"
-        }
-    );
     save_json("fig8_selection", &artifacts);
+    report_shape_checks(&[(
+        format!(
+            "GCN within {:.1} points (TIE_TOLERANCE) of the best selector on every cluster",
+            100.0 * TIE_TOLERANCE
+        ),
+        gcn_always_competitive,
+    )]);
 }

@@ -167,6 +167,22 @@ pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {
     }
 }
 
+/// Print one line per paper-shape check — `shape check: <claim> →
+/// REPRODUCED` or `→ NOT reproduced` — and exit 1 when any failed. Each
+/// claim spells out its tolerance, which the calling bin names as a
+/// constant. Call it last, after the artifacts are saved.
+pub fn report_shape_checks(checks: &[(String, bool)]) {
+    println!();
+    for (claim, ok) in checks {
+        let verdict = if *ok { "REPRODUCED" } else { "NOT reproduced" };
+        println!("shape check: {claim} → {verdict}");
+    }
+    if checks.iter().any(|(_, ok)| !ok) {
+        eprintln!("FAIL: a paper-shape check was not reproduced");
+        std::process::exit(1);
+    }
+}
+
 /// Format a normalized value as a percentage string.
 pub fn pct(v: f64) -> String {
     format!("{:.1}%", 100.0 * v)

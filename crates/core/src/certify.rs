@@ -10,10 +10,10 @@
 //! routes it down the fallback ladder or re-solves, never accepts it.
 //!
 //! Certification emits `certify.*` counters into the global metrics
-//! registry and a [`EventKind::CertifyFailure`](rasa_obs::EventKind)
-//! flight event on every rejection, so a poisoned cache entry or a
-//! miscounting solver leaves a forensic trail (the pipeline marks the
-//! round degraded, which makes the flight recorder dump a black box).
+//! registry and a [`TraceEvent::CertifyFailure`] flight event on every
+//! rejection, so a poisoned cache entry or a miscounting solver leaves a
+//! forensic trail (the pipeline marks the round degraded, which makes the
+//! flight recorder dump a black box).
 
 use rasa_model::{gained_affinity, validate, Placement, Problem, Violation};
 use rasa_obs::flight::{self, TraceEvent};
@@ -117,54 +117,53 @@ pub fn certify_placement(
     // different problem would index out of bounds.
     if let Some(defect) = structural_defect(problem, placement) {
         obs.inc("certify.structural_failures");
-        let failure = CertificationFailure {
+        return reject(CertificationFailure {
             violations: Vec::new(),
             structural: Some(defect),
             claimed_objective,
             recomputed_objective: 0.0,
             source: source.to_string(),
-        };
-        flight::emit(|| TraceEvent::certify_failure(1, claimed_objective, 0.0, source));
-        return Err(failure);
+        });
     }
     let violations = validate(problem, placement, check_sla);
     let recomputed = gained_affinity(problem, placement);
     if !violations.is_empty() {
         obs.inc("certify.constraint_failures");
-        let failure = CertificationFailure {
+        return reject(CertificationFailure {
             violations,
             structural: None,
             claimed_objective,
             recomputed_objective: recomputed,
             source: source.to_string(),
-        };
-        flight::emit(|| {
-            TraceEvent::certify_failure(
-                failure.violations.len() as u64,
-                claimed_objective,
-                recomputed,
-                source,
-            )
         });
-        return Err(failure);
     }
     let diff = (claimed_objective - recomputed).abs();
     let tol = OBJECTIVE_REL_TOL * recomputed.abs().max(1.0);
     // non-finite diff (a NaN or infinite claim) must also reject
     if !diff.is_finite() || diff > tol {
         obs.inc("certify.objective_failures");
-        let failure = CertificationFailure {
+        return reject(CertificationFailure {
             violations: Vec::new(),
             structural: None,
             claimed_objective,
             recomputed_objective: recomputed,
             source: source.to_string(),
-        };
-        flight::emit(|| TraceEvent::certify_failure(0, claimed_objective, recomputed, source));
-        return Err(failure);
+        });
     }
     obs.inc("certify.ok");
     Ok(recomputed)
+}
+
+/// Flight-record a rejection and return it.
+fn reject(failure: CertificationFailure) -> Result<f64, CertificationFailure> {
+    flight::emit(|| TraceEvent::CertifyFailure {
+        // a structural defect counts as one violation
+        violations: failure.violations.len() as u64 + u64::from(failure.structural.is_some()),
+        claimed_objective: failure.claimed_objective,
+        recomputed_objective: failure.recomputed_objective,
+        source: failure.source.clone(),
+    });
+    Err(failure)
 }
 
 #[cfg(test)]

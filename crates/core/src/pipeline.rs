@@ -257,7 +257,12 @@ impl RasaPipeline {
                 obs.add("admission.quarantined_machines", machines);
                 obs.add("admission.dropped_edges", edges);
                 obs.add("admission.dropped_rules", rules);
-                flight::emit(|| TraceEvent::admission_quarantine(services, machines, edges, rules));
+                flight::emit(|| TraceEvent::AdmissionQuarantine {
+                    services,
+                    machines,
+                    edges,
+                    rules,
+                });
             }
             admission_report = Some(report);
             fixed
@@ -293,7 +298,10 @@ impl RasaPipeline {
                 PoolAlgorithm::Pop => "pipeline.alg.pop",
                 PoolAlgorithm::Greedy => "pipeline.alg.greedy",
             });
-            flight::emit(|| TraceEvent::rung_selected(i as u64, alg.label()));
+            flight::emit(|| TraceEvent::RungSelected {
+                subproblem: i as u64,
+                algorithm: alg.label().to_string(),
+            });
         }
 
         // replay cache hits, queue the misses
@@ -336,24 +344,29 @@ impl RasaPipeline {
                                 error: None,
                             });
                             hit_algorithms[i] = Some(hit.algorithm);
-                            stats.hits += 1;
-                            obs.inc("cache.sub_hits");
-                            flight::emit(|| TraceEvent::cache_lookup(true, "solve_cache", fps[i]));
                         }
                         Err(_) => {
                             // Poisoned entry: treat as a miss and
                             // re-solve; the healthy result overwrites it.
                             obs.inc("certify.cache_rejections");
                             cache_poisoned = true;
-                            stats.misses += 1;
-                            obs.inc("cache.sub_misses");
-                            flight::emit(|| TraceEvent::cache_lookup(false, "solve_cache", fps[i]));
                         }
                     }
+                }
+                if replayed[i].is_some() {
+                    stats.hits += 1;
+                    obs.inc("cache.sub_hits");
+                    flight::emit(|| TraceEvent::CacheHit {
+                        cache: "solve_cache".into(),
+                        key: fps[i],
+                    });
                 } else {
                     stats.misses += 1;
                     obs.inc("cache.sub_misses");
-                    flight::emit(|| TraceEvent::cache_lookup(false, "solve_cache", fps[i]));
+                    flight::emit(|| TraceEvent::CacheMiss {
+                        cache: "solve_cache".into(),
+                        key: fps[i],
+                    });
                 }
             }
         }
@@ -408,8 +421,10 @@ impl RasaPipeline {
             stats.invalidations = c.retain(&live_subs, &live_columns);
             obs.add("cache.invalidations", stats.invalidations as u64);
             if stats.invalidations > 0 {
-                let n = stats.invalidations as u64;
-                flight::emit(|| TraceEvent::cache_evict("solve_cache", n));
+                flight::emit(|| TraceEvent::CacheEvict {
+                    cache: "solve_cache".into(),
+                    count: stats.invalidations as u64,
+                });
             }
         }
 

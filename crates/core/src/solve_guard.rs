@@ -257,6 +257,16 @@ pub fn guarded_schedule(
     g
 }
 
+/// Flight-record one step down the fallback ladder.
+fn emit_transition(from_rung: u64, to_rung: u64, from: &str, to: &str) {
+    flight::emit(|| TraceEvent::FallbackTransition {
+        from_rung,
+        to_rung,
+        from: from.to_string(),
+        to: to.to_string(),
+    });
+}
+
 fn guarded_schedule_impl(
     index: usize,
     primary: (PoolAlgorithm, &dyn Scheduler),
@@ -268,14 +278,12 @@ fn guarded_schedule_impl(
     if deadline.expired() {
         // no budget at all: skip the solvers, let completion place what the
         // default scheduler would
-        flight::emit(|| {
-            TraceEvent::fallback_transition(
-                0,
-                fallbacks.len() as u64 + 1,
-                primary.1.name(),
-                "completion",
-            )
-        });
+        emit_transition(
+            0,
+            fallbacks.len() as u64 + 1,
+            primary.1.name(),
+            "completion",
+        );
         return GuardedOutcome {
             outcome: completion_outcome(problem, start),
             status: SolveStatus::DeadlineExpired,
@@ -328,9 +336,7 @@ fn guarded_schedule_impl(
             break;
         }
         let to_rung = k as u64 + 1;
-        flight::emit(|| {
-            TraceEvent::fallback_transition(prev_rung, to_rung, prev_name, fallback.name())
-        });
+        emit_transition(prev_rung, to_rung, prev_name, fallback.name());
         prev_rung = to_rung;
         prev_name = fallback.name();
         if let Rung::Valid(mut outcome) = run_rung(fallback, problem, deadline) {
@@ -347,14 +353,12 @@ fn guarded_schedule_impl(
     }
 
     // every pool member failed: greedy completion is the floor
-    flight::emit(|| {
-        TraceEvent::fallback_transition(
-            prev_rung,
-            fallbacks.len() as u64 + 1,
-            prev_name,
-            "completion",
-        )
-    });
+    emit_transition(
+        prev_rung,
+        fallbacks.len() as u64 + 1,
+        prev_name,
+        "completion",
+    );
     GuardedOutcome {
         outcome: completion_outcome(problem, start),
         status,

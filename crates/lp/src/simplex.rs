@@ -57,7 +57,7 @@
 //! resets the eta file and recomputes the basic values (and, in the dual,
 //! the reduced costs) to squash accumulated drift. A refactorization that
 //! finds the basis numerically singular bumps the
-//! `simplex.refactor_singular` counter and emits a `refactor_singular`
+//! `simplex.refactor_singular` counter and emits a `RefactorSingular`
 //! flight event (a silent cold start was how warm-start decay used to hide
 //! from BENCH artifacts).
 //!
@@ -341,8 +341,10 @@ fn refactorize(tab: &Tableau, state: &mut State, scratch: &mut Scratch, context:
         true
     } else {
         state.stats.refactor_singular += 1;
-        let m = tab.m as u64;
-        rasa_obs::flight::emit(|| rasa_obs::TraceEvent::refactor_singular(context, m));
+        rasa_obs::flight::emit(|| rasa_obs::TraceEvent::RefactorSingular {
+            context: context.to_string(),
+            m: tab.m as u64,
+        });
         false
     }
 }
@@ -1336,7 +1338,9 @@ fn solve_tableau(
 
     // ---- phase 1 ----
     if n_art > 0 {
-        rasa_obs::flight::emit(|| rasa_obs::TraceEvent::simplex_phase("start->phase1"));
+        rasa_obs::flight::emit(|| rasa_obs::TraceEvent::SimplexPhase {
+            transition: "start->phase1".into(),
+        });
         let mut cost1 = vec![0.0f64; total];
         for c in cost1.iter_mut().skip(total - n_art) {
             *c = -1.0;
@@ -1386,15 +1390,17 @@ fn solve_tableau(
             state.x[j] = 0.0;
             state.at_upper[j] = false;
         }
-        rasa_obs::flight::emit(|| rasa_obs::TraceEvent::simplex_phase("phase1->phase2"));
+        rasa_obs::flight::emit(|| rasa_obs::TraceEvent::SimplexPhase {
+            transition: "phase1->phase2".into(),
+        });
     } else {
-        let warm_accepted = state.stats.warm_accepted;
-        rasa_obs::flight::emit(|| {
-            rasa_obs::TraceEvent::simplex_phase(if warm_accepted {
+        rasa_obs::flight::emit(|| rasa_obs::TraceEvent::SimplexPhase {
+            transition: if state.stats.warm_accepted {
                 "warm->phase2"
             } else {
                 "start->phase2"
-            })
+            }
+            .into(),
         });
     }
 

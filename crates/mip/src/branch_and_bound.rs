@@ -293,8 +293,11 @@ fn offer_incumbent(
     if incumbent.as_ref().map_or(true, |(_, best)| obj > *best) {
         *incumbent = Some(found);
         counters.incumbent_updates += 1;
-        let n = nodes as u64;
-        rasa_obs::flight::emit(|| rasa_obs::TraceEvent::bnb_incumbent(obj, bound, n));
+        rasa_obs::flight::emit(|| rasa_obs::TraceEvent::BnbIncumbent {
+            objective: obj,
+            best_bound: bound,
+            node: nodes as u64,
+        });
     }
 }
 
@@ -528,8 +531,10 @@ fn solve_bnb_impl(
         let global_bound = node.bound;
         if global_bound < last_bound_event {
             last_bound_event = global_bound;
-            let (b, n) = (global_bound, nodes as u64);
-            rasa_obs::flight::emit(|| rasa_obs::TraceEvent::bnb_bound(b, n));
+            rasa_obs::flight::emit(|| rasa_obs::TraceEvent::BnbBound {
+                best_bound: global_bound,
+                node: nodes as u64,
+            });
         }
         // prune against incumbent
         if let Some((_, inc_obj)) = &incumbent {

@@ -26,8 +26,9 @@
 //!   on the main thread nests its sequential subproblem solves, while
 //!   parallel workers each record their own solve).
 //! * [`span`] / [`span_with`] push scoped child spans, closed on drop.
-//! * [`emit`] appends a typed [`TraceEvent`] to the ring buffer; the
-//!   closure is only evaluated while a recording is active.
+//! * [`emit`] appends a typed [`TraceEvent`], stamped with its time, to
+//!   the ring buffer; the closure is only evaluated while a recording is
+//!   active.
 //! * [`FlightScope::set_verdict`] labels the solve; degraded verdicts
 //!   trigger a black-box dump at flush.
 //!
@@ -39,7 +40,12 @@
 //!     let mut scope = flight::begin_solve("solve.demo", &[("sub_id", "3".into())]);
 //!     {
 //!         let _sp = flight::span("demo.inner");
-//!         flight::emit(|| TraceEvent::fallback_transition(0, 1, "mip", "cg"));
+//!         flight::emit(|| TraceEvent::FallbackTransition {
+//!             from_rung: 0,
+//!             to_rung: 1,
+//!             from: "MIP".into(),
+//!             to: "CG".into(),
+//!         });
 //!     }
 //!     scope.set_verdict("ok", false);
 //! }
@@ -64,7 +70,11 @@ use std::time::Instant;
 /// * v2 — adds the request-scoped `request_id` / `tenant` fields (empty
 ///   when the solve ran outside any request context); every field is
 ///   required.
-pub const BLACKBOX_SCHEMA_VERSION: u32 = 2;
+/// * v3 — each event is `{"t_secs", "event"}` with the [`TraceEvent`]
+///   externally tagged by its variant and carrying typed fields (v2 had a
+///   `kind`, numeric `fields` pairs and a `detail` string; it no longer
+///   parses).
+pub const BLACKBOX_SCHEMA_VERSION: u32 = 3;
 
 /// The request-scoped identity a solve runs under: the request id the
 /// daemon accepted (or minted) at HTTP ingress plus the tenant it belongs
@@ -133,75 +143,141 @@ impl Drop for ContextGuard {
     }
 }
 
-/// The kind of a structured [`TraceEvent`]. Fieldless so the taxonomy is
-/// closed and serializable; per-kind payloads live in
-/// [`TraceEvent::fields`] / [`TraceEvent::detail`] (see the constructors).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EventKind {
+/// One typed flight event. Each variant carries its own fields and
+/// derives its encoding: externally tagged by the variant name, e.g.
+/// `{"BnbIncumbent":{"objective":3.5,"best_bound":4.0,"node":12}}`. The
+/// variant names are the event taxonomy in `docs/METRICS.md`; the
+/// recording's timestamp sits beside the event, in [`TimedEvent`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum TraceEvent {
     /// A better integral incumbent was found by branch-and-bound.
-    BnbIncumbent,
-    /// The branch-and-bound global bound tightened.
-    BnbBound,
+    BnbIncumbent {
+        /// The incumbent's objective.
+        objective: f64,
+        /// The global bound when it was found.
+        best_bound: f64,
+        /// Nodes explored when it was found.
+        node: u64,
+    },
+    /// The branch-and-bound global bound strictly tightened.
+    BnbBound {
+        /// The new global bound.
+        best_bound: f64,
+        /// Nodes explored when it tightened.
+        node: u64,
+    },
     /// One column-generation pricing round completed.
-    CgPricingRound,
+    CgPricingRound {
+        /// Pricing round index.
+        round: u64,
+        /// Columns this round added.
+        columns_added: u64,
+        /// Column pool size after the round.
+        total_columns: u64,
+        /// Best (most positive) reduced cost seen this round.
+        best_reduced_cost: f64,
+    },
     /// The simplex solver transitioned between phases.
-    SimplexPhase,
+    SimplexPhase {
+        /// `start->phase1`, `phase1->phase2`, `warm->phase2` or
+        /// `start->phase2`.
+        transition: String,
+    },
+    /// A basis refactorization found the basis numerically singular: a
+    /// warm-start basis was discarded (cold start follows) or an
+    /// in-progress solve bailed out.
+    RefactorSingular {
+        /// Where it happened: `warm_start`, `dual` or `mid_solve`.
+        context: String,
+        /// Basis dimension.
+        m: u64,
+    },
     /// A solve-cache or column-cache lookup hit.
-    CacheHit,
+    CacheHit {
+        /// The cache: `solve_cache` or `column_cache`.
+        cache: String,
+        /// The fingerprint looked up.
+        key: u64,
+    },
     /// A solve-cache or column-cache lookup missed.
-    CacheMiss,
+    CacheMiss {
+        /// The cache: `solve_cache` or `column_cache`.
+        cache: String,
+        /// The fingerprint looked up.
+        key: u64,
+    },
     /// Cache entries were evicted at end of round.
-    CacheEvict,
+    CacheEvict {
+        /// The cache evicted from.
+        cache: String,
+        /// Entries evicted.
+        count: u64,
+    },
     /// The fault-isolation guard moved down the fallback ladder.
-    FallbackTransition,
-    /// Admission control quarantined or repaired part of a problem
-    /// before the round was solved.
-    AdmissionQuarantine,
-    /// Independent certification rejected a candidate placement
-    /// (constraint violations or an objective mismatch).
-    CertifyFailure,
-    /// A simplex basis refactorization found the basis numerically
-    /// singular — a warm-start basis was discarded (cold start follows) or
-    /// an in-progress solve bailed out.
-    RefactorSingular,
-    /// The algorithm selector routed a subproblem to a pool arm (the
-    /// per-subproblem strategy decision).
-    RungSelected,
-    /// Journal replay hit a torn tail — a partial record at the end of a
-    /// write-ahead-log segment — and truncated the segment at the last
-    /// valid record.
-    WalTornTail,
-    /// Journal replay skipped one record that failed its CRC or decode
-    /// (the rest of the segment was still replayed).
-    WalRecordSkipped,
+    FallbackTransition {
+        /// Rung index left.
+        from_rung: u64,
+        /// Rung index entered.
+        to_rung: u64,
+        /// Algorithm of the rung left (e.g. `MIP`).
+        from: String,
+        /// Algorithm of the rung entered (e.g. `CG`, or `completion`).
+        to: String,
+    },
+    /// Admission control quarantined or repaired part of a problem before
+    /// the round was solved.
+    AdmissionQuarantine {
+        /// Services quarantined.
+        services: u64,
+        /// Machines quarantined.
+        machines: u64,
+        /// Affinity edges dropped.
+        edges: u64,
+        /// Anti-affinity rules dropped.
+        rules: u64,
+    },
+    /// Independent certification rejected a candidate placement.
+    CertifyFailure {
+        /// Constraint violations (zero means a pure objective or
+        /// structural failure).
+        violations: u64,
+        /// The objective the candidate claimed.
+        claimed_objective: f64,
+        /// The objective recomputed from the placement.
+        recomputed_objective: f64,
+        /// Who produced the candidate: an algorithm, or `solve_cache`.
+        source: String,
+    },
+    /// The algorithm selector routed a subproblem to a pool arm.
+    RungSelected {
+        /// Subproblem index within the run.
+        subproblem: u64,
+        /// The arm's label (`MIP`, `CG`, `POP`, `GREEDY`).
+        algorithm: String,
+    },
+    /// Journal replay ended a segment early: a torn (partial) tail, or a
+    /// frame that failed its length, CRC or decode check. Replay kept the
+    /// records before it.
+    WalTornTail {
+        /// Segment sequence number.
+        segment: u64,
+        /// Bytes of the segment replay kept.
+        valid_bytes: u64,
+        /// Bytes discarded after them.
+        lost_bytes: u64,
+    },
     /// Crash recovery refused a tenant's journaled state at a trust gate
     /// (re-admission or re-certification) and quarantined the tenant.
-    RecoveryQuarantine,
+    RecoveryQuarantine {
+        /// The quarantined tenant.
+        tenant: String,
+        /// Why its state was refused.
+        reason: String,
+    },
 }
 
-impl EventKind {
-    /// Stable lowercase name (used in dump files and assertions).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            EventKind::BnbIncumbent => "bnb_incumbent",
-            EventKind::BnbBound => "bnb_bound",
-            EventKind::CgPricingRound => "cg_pricing_round",
-            EventKind::SimplexPhase => "simplex_phase",
-            EventKind::CacheHit => "cache_hit",
-            EventKind::CacheMiss => "cache_miss",
-            EventKind::CacheEvict => "cache_evict",
-            EventKind::FallbackTransition => "fallback_transition",
-            EventKind::AdmissionQuarantine => "admission_quarantine",
-            EventKind::CertifyFailure => "certify_failure",
-            EventKind::RefactorSingular => "refactor_singular",
-            EventKind::RungSelected => "rung_selected",
-            EventKind::WalTornTail => "wal_torn_tail",
-            EventKind::WalRecordSkipped => "wal_record_skipped",
-            EventKind::RecoveryQuarantine => "recovery_quarantine",
-        }
-    }
-
-    /// Does this kind record a decision — a ladder transition, a rung
+impl TraceEvent {
+    /// Does this event record a decision — a ladder transition, a rung
     /// selection, a certification failure, a quarantine or a journal
     /// repair — rather than one step of a solver loop? A full ring evicts
     /// per-step events first, so the few decisions that explain a solve
@@ -209,233 +285,24 @@ impl EventKind {
     pub(crate) fn is_decision(&self) -> bool {
         matches!(
             self,
-            EventKind::FallbackTransition
-                | EventKind::RungSelected
-                | EventKind::CertifyFailure
-                | EventKind::AdmissionQuarantine
-                | EventKind::RecoveryQuarantine
-                | EventKind::WalTornTail
-                | EventKind::WalRecordSkipped
+            TraceEvent::FallbackTransition { .. }
+                | TraceEvent::RungSelected { .. }
+                | TraceEvent::CertifyFailure { .. }
+                | TraceEvent::AdmissionQuarantine { .. }
+                | TraceEvent::RecoveryQuarantine { .. }
+                | TraceEvent::WalTornTail { .. }
         )
     }
 }
 
-/// One typed, timestamped event in a solve recording.
-///
-/// `t_secs` is the offset from the start of the recording (stamped by
-/// [`emit`], so constructors leave it at zero). Numeric payload goes in
-/// `fields` as `(name, value)` pairs; non-numeric context in `detail`.
+/// A [`TraceEvent`] as recorded: stamped by [`emit`] with its offset from
+/// the start of the recording.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TraceEvent {
+pub struct TimedEvent {
     /// Seconds since the recording began.
     pub t_secs: f64,
     /// What happened.
-    pub kind: EventKind,
-    /// Numeric payload, `(name, value)` pairs.
-    pub fields: Vec<(String, f64)>,
-    /// Free-form context (algorithm names, phase labels, fingerprints).
-    pub detail: String,
-}
-
-impl TraceEvent {
-    fn new(kind: EventKind, fields: Vec<(String, f64)>, detail: String) -> Self {
-        TraceEvent {
-            t_secs: 0.0,
-            kind,
-            fields,
-            detail,
-        }
-    }
-
-    /// Value of numeric field `name`, if present.
-    pub fn field(&self, name: &str) -> Option<f64> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    /// A new branch-and-bound incumbent: its objective and the bound at
-    /// the time, plus the node count when it was found.
-    pub fn bnb_incumbent(objective: f64, best_bound: f64, node: u64) -> Self {
-        TraceEvent::new(
-            EventKind::BnbIncumbent,
-            vec![
-                ("objective".into(), objective),
-                ("best_bound".into(), best_bound),
-                ("node".into(), node as f64),
-            ],
-            String::new(),
-        )
-    }
-
-    /// The branch-and-bound global bound tightened at node `node`.
-    pub fn bnb_bound(best_bound: f64, node: u64) -> Self {
-        TraceEvent::new(
-            EventKind::BnbBound,
-            vec![
-                ("best_bound".into(), best_bound),
-                ("node".into(), node as f64),
-            ],
-            String::new(),
-        )
-    }
-
-    /// One CG pricing round: how many columns it added, the pool size
-    /// after, and the best (most positive) reduced cost seen this round.
-    pub fn cg_pricing_round(
-        round: u64,
-        columns_added: u64,
-        total_columns: u64,
-        best_reduced_cost: f64,
-    ) -> Self {
-        TraceEvent::new(
-            EventKind::CgPricingRound,
-            vec![
-                ("round".into(), round as f64),
-                ("columns_added".into(), columns_added as f64),
-                ("total_columns".into(), total_columns as f64),
-                ("best_reduced_cost".into(), best_reduced_cost),
-            ],
-            String::new(),
-        )
-    }
-
-    /// A simplex phase transition, e.g. `"phase1->phase2"` or
-    /// `"warm->phase2"`.
-    pub fn simplex_phase(transition: &str) -> Self {
-        TraceEvent::new(EventKind::SimplexPhase, Vec::new(), transition.to_string())
-    }
-
-    /// A basis refactorization found the basis singular. `context` names
-    /// where it happened (`"warm_start"` for a rejected warm basis,
-    /// `"mid_solve"` for an in-progress bail-out); `m` is the basis
-    /// dimension.
-    pub fn refactor_singular(context: &str, m: u64) -> Self {
-        TraceEvent::new(
-            EventKind::RefactorSingular,
-            vec![("m".into(), m as f64)],
-            context.to_string(),
-        )
-    }
-
-    /// A cache decision (`hit` selects [`EventKind::CacheHit`] /
-    /// [`EventKind::CacheMiss`]); `what` names the cache, `key` its
-    /// fingerprint.
-    pub fn cache_lookup(hit: bool, what: &str, key: u64) -> Self {
-        TraceEvent::new(
-            if hit {
-                EventKind::CacheHit
-            } else {
-                EventKind::CacheMiss
-            },
-            Vec::new(),
-            format!("{what}:{key:016x}"),
-        )
-    }
-
-    /// `count` cache entries evicted from the cache named `what`.
-    pub fn cache_evict(what: &str, count: u64) -> Self {
-        TraceEvent::new(
-            EventKind::CacheEvict,
-            vec![("count".into(), count as f64)],
-            what.to_string(),
-        )
-    }
-
-    /// The fallback ladder moved from rung `from_rung` to `to_rung`
-    /// (`from` / `to` name the algorithms, e.g. `"mip" -> "cg"` or
-    /// `"cg" -> "completion"`).
-    pub fn fallback_transition(from_rung: u64, to_rung: u64, from: &str, to: &str) -> Self {
-        TraceEvent::new(
-            EventKind::FallbackTransition,
-            vec![
-                ("from_rung".into(), from_rung as f64),
-                ("to_rung".into(), to_rung as f64),
-            ],
-            format!("{from}->{to}"),
-        )
-    }
-
-    /// Admission control intervened: how many services and machines were
-    /// quarantined and how many edges/rules were dropped before solving.
-    pub fn admission_quarantine(services: u64, machines: u64, edges: u64, rules: u64) -> Self {
-        TraceEvent::new(
-            EventKind::AdmissionQuarantine,
-            vec![
-                ("services".into(), services as f64),
-                ("machines".into(), machines as f64),
-                ("edges".into(), edges as f64),
-                ("rules".into(), rules as f64),
-            ],
-            String::new(),
-        )
-    }
-
-    /// Certification rejected a candidate placement. `violations` counts
-    /// constraint violations (zero means a pure objective mismatch);
-    /// `source` names who produced the candidate (an algorithm or
-    /// `"solve_cache"`).
-    pub fn certify_failure(
-        violations: u64,
-        claimed_objective: f64,
-        recomputed_objective: f64,
-        source: &str,
-    ) -> Self {
-        TraceEvent::new(
-            EventKind::CertifyFailure,
-            vec![
-                ("violations".into(), violations as f64),
-                ("claimed_objective".into(), claimed_objective),
-                ("recomputed_objective".into(), recomputed_objective),
-            ],
-            source.to_string(),
-        )
-    }
-
-    /// The selector routed subproblem `subproblem` to the pool arm named
-    /// `algorithm` (a pool-algorithm label like `"MIP"` or `"POP"`).
-    pub fn rung_selected(subproblem: u64, algorithm: &str) -> Self {
-        TraceEvent::new(
-            EventKind::RungSelected,
-            vec![("subproblem".into(), subproblem as f64)],
-            algorithm.to_string(),
-        )
-    }
-
-    /// WAL segment `segment` ended in a torn (partial) record; replay
-    /// kept `valid_bytes` of it and discarded `lost_bytes`.
-    pub fn wal_torn_tail(segment: u64, valid_bytes: u64, lost_bytes: u64) -> Self {
-        TraceEvent::new(
-            EventKind::WalTornTail,
-            vec![
-                ("segment".into(), segment as f64),
-                ("valid_bytes".into(), valid_bytes as f64),
-                ("lost_bytes".into(), lost_bytes as f64),
-            ],
-            String::new(),
-        )
-    }
-
-    /// WAL replay skipped the record at byte `offset` of segment
-    /// `segment`; `reason` is `"crc"` or `"decode"`.
-    pub fn wal_record_skipped(segment: u64, offset: u64, reason: &str) -> Self {
-        TraceEvent::new(
-            EventKind::WalRecordSkipped,
-            vec![
-                ("segment".into(), segment as f64),
-                ("offset".into(), offset as f64),
-            ],
-            reason.to_string(),
-        )
-    }
-
-    /// Crash recovery quarantined tenant `tenant`: its journaled state
-    /// failed re-admission or re-certification (`reason`).
-    pub fn recovery_quarantine(tenant: &str, reason: &str) -> Self {
-        TraceEvent::new(
-            EventKind::RecoveryQuarantine,
-            Vec::new(),
-            format!("{tenant}: {reason}"),
-        )
-    }
+    pub event: TraceEvent,
 }
 
 /// One node of the span tree in a finished recording.
@@ -515,7 +382,7 @@ pub struct FlightRecording {
     /// The span tree, rooted at the [`begin_solve`] span.
     pub root: SpanNode,
     /// The event log, oldest first (ring-buffer survivors).
-    pub events: Vec<TraceEvent>,
+    pub events: Vec<TimedEvent>,
     /// Events dropped by the bounded ring buffer: the oldest per-step event
     /// first, a decision event (ladder transition, rung selection, certify
     /// failure, quarantine, journal repair) only when nothing else is left.
@@ -533,11 +400,6 @@ impl FlightRecording {
     /// Parse a recording back from [`FlightRecording::to_json`] output.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
-    }
-
-    /// Events of `kind`, oldest first.
-    pub fn events_of(&self, kind: EventKind) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
     }
 }
 
@@ -773,7 +635,7 @@ struct ActiveTrace {
     origin: Instant,
     spans: Vec<RawSpan>,
     stack: Vec<usize>,
-    events: VecDeque<TraceEvent>,
+    events: VecDeque<TimedEvent>,
     dropped_events: u64,
     dropped_spans: u64,
     degraded: bool,
@@ -842,14 +704,14 @@ impl ActiveTrace {
     /// oldest per-step event, and a decision event only when the ring holds
     /// nothing else. Decisions are rare, so the scan for the victim usually
     /// stops within the first few events.
-    fn push_event(&mut self, mut ev: TraceEvent) {
-        ev.t_secs = self.now_secs();
-        self.events.push_back(ev);
+    fn push_event(&mut self, event: TraceEvent) {
+        let t_secs = self.now_secs();
+        self.events.push_back(TimedEvent { t_secs, event });
         if self.events.len() > EVENT_CAPACITY {
             let victim = self
                 .events
                 .iter()
-                .position(|e| !e.kind.is_decision())
+                .position(|e| !e.event.is_decision())
                 .unwrap_or(0);
             self.events.remove(victim);
             self.dropped_events += 1;
@@ -1092,10 +954,7 @@ pub fn emit(make: impl FnOnce() -> TraceEvent) {
     if !recorder().enabled() {
         return;
     }
-    with_active(|t| {
-        let ev = make();
-        t.push_event(ev);
-    });
+    with_active(|t| t.push_event(make()));
 }
 
 /// Is a recording active on this thread right now?
@@ -1144,11 +1003,15 @@ mod tests {
                 let _rung = span_with("solve.rung", &[("algorithm", "mip".into())]);
                 {
                     let _inner = span("mip.bnb");
-                    emit(|| TraceEvent::bnb_incumbent(3.5, 4.0, 12));
-                    emit(|| TraceEvent::bnb_bound(3.75, 14));
+                    emit(|| TraceEvent::BnbIncumbent {
+                        objective: 3.5,
+                        best_bound: 4.0,
+                        node: 12,
+                    });
+                    emit(|| bound(3.75, 14));
                 }
             }
-            emit(|| TraceEvent::fallback_transition(0, 1, "mip", "cg"));
+            emit(mip_to_cg);
             scope.set_verdict("fell_back", true);
             drop(scope);
 
@@ -1165,10 +1028,11 @@ mod tests {
             let rung = rec.root.find("solve.rung").unwrap();
             assert_eq!(rung.attr("algorithm"), Some("mip"));
             assert_eq!(rec.events.len(), 3);
-            assert_eq!(rec.events[0].kind, EventKind::BnbIncumbent);
-            assert_eq!(rec.events[0].field("objective"), Some(3.5));
-            assert_eq!(rec.events[2].kind, EventKind::FallbackTransition);
-            assert_eq!(rec.events[2].detail, "mip->cg");
+            assert!(matches!(
+                rec.events[0].event,
+                TraceEvent::BnbIncumbent { objective, node: 12, .. } if objective == 3.5
+            ));
+            assert_eq!(rec.events[2].event, mip_to_cg());
             assert!(rec.events.windows(2).all(|w| w[0].t_secs <= w[1].t_secs));
             assert_eq!(rec.dropped_events, 0);
         });
@@ -1178,6 +1042,30 @@ mod tests {
         /// Test helper: depth of the deepest span (alias used above).
         fn depth_of_solver(&self) -> Option<usize> {
             self.root.depth_of("mip.bnb")
+        }
+
+        /// The `node` of every `BnbBound` event, oldest first.
+        fn bound_nodes(&self) -> Vec<u64> {
+            self.events
+                .iter()
+                .filter_map(|e| match e.event {
+                    TraceEvent::BnbBound { node, .. } => Some(node),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    fn bound(best_bound: f64, node: u64) -> TraceEvent {
+        TraceEvent::BnbBound { best_bound, node }
+    }
+
+    fn mip_to_cg() -> TraceEvent {
+        TraceEvent::FallbackTransition {
+            from_rung: 0,
+            to_rung: 1,
+            from: "MIP".into(),
+            to: "CG".into(),
         }
     }
 
@@ -1209,7 +1097,7 @@ mod tests {
             let mut scope = begin_solve("solve.ring", &[]);
             let total = EVENT_CAPACITY as u64 + 6;
             for i in 0..total {
-                emit(|| TraceEvent::bnb_bound(i as f64, i));
+                emit(|| bound(i as f64, i));
             }
             scope.set_verdict("ok", false);
             drop(scope);
@@ -1217,9 +1105,7 @@ mod tests {
             assert_eq!(rec.events.len(), EVENT_CAPACITY);
             assert_eq!(rec.dropped_events, 6);
             // survivors are the newest, in order
-            let nodes: Vec<f64> = rec.events.iter().filter_map(|e| e.field("node")).collect();
-            let newest: Vec<f64> = (6..total).map(|i| i as f64).collect();
-            assert_eq!(nodes, newest);
+            assert_eq!(rec.bound_nodes(), (6..total).collect::<Vec<_>>());
         });
     }
 
@@ -1228,22 +1114,19 @@ mod tests {
         with_recorder_lock(|| {
             recorder().configure(FlightConfig::default());
             let mut scope = begin_solve("solve.ring", &[]);
-            emit(|| TraceEvent::fallback_transition(0, 1, "mip", "cg"));
+            emit(mip_to_cg);
             let steps = EVENT_CAPACITY as u64 + 100;
             for i in 0..steps {
-                emit(|| TraceEvent::bnb_bound(i as f64, i));
+                emit(|| bound(i as f64, i));
             }
             scope.set_verdict("ok", false);
             drop(scope);
             let rec = &recorder().recent()[0];
             assert_eq!(rec.events.len(), EVENT_CAPACITY);
             assert_eq!(rec.dropped_events, 101);
-            assert_eq!(rec.events[0].kind, EventKind::FallbackTransition);
-            assert_eq!(rec.events[0].detail, "mip->cg");
+            assert_eq!(rec.events[0].event, mip_to_cg());
             // the steps that stayed are the newest, in order
-            let nodes: Vec<f64> = rec.events.iter().filter_map(|e| e.field("node")).collect();
-            let newest: Vec<f64> = (101..steps).map(|i| i as f64).collect();
-            assert_eq!(nodes, newest);
+            assert_eq!(rec.bound_nodes(), (101..steps).collect::<Vec<_>>());
         });
     }
 
@@ -1252,17 +1135,23 @@ mod tests {
         with_recorder_lock(|| {
             recorder().configure(FlightConfig::default());
             let mut scope = begin_solve("solve.ring", &[]);
-            for i in 0..EVENT_CAPACITY as u64 + 2 {
-                emit(|| TraceEvent::rung_selected(i, "cg"));
+            for subproblem in 0..EVENT_CAPACITY as u64 + 2 {
+                emit(|| TraceEvent::RungSelected {
+                    subproblem,
+                    algorithm: "CG".into(),
+                });
             }
-            emit(|| TraceEvent::bnb_bound(1.0, 1));
+            emit(|| bound(1.0, 1));
             scope.set_verdict("ok", false);
             drop(scope);
             let rec = &recorder().recent()[0];
             assert_eq!(rec.events.len(), EVENT_CAPACITY);
             assert_eq!(rec.dropped_events, 3, "two decisions, then the step itself");
-            assert!(rec.events.iter().all(|e| e.kind.is_decision()));
-            assert_eq!(rec.events[0].field("subproblem"), Some(2.0));
+            assert!(rec.events.iter().all(|e| e.event.is_decision()));
+            assert!(matches!(
+                rec.events[0].event,
+                TraceEvent::RungSelected { subproblem: 2, .. }
+            ));
         });
     }
 
@@ -1305,7 +1194,9 @@ mod tests {
             // tests, so just count files at the end)
             for degraded in [false, false, true] {
                 let mut scope = begin_solve("solve.dump", &[]);
-                emit(|| TraceEvent::simplex_phase("phase1->phase2"));
+                emit(|| TraceEvent::SimplexPhase {
+                    transition: "phase1->phase2".into(),
+                });
                 scope.set_verdict(if degraded { "panicked" } else { "ok" }, degraded);
                 drop(scope);
             }
@@ -1384,22 +1275,24 @@ mod tests {
             let mut scope = begin_solve("solve.json", &[("k", "v".into())]);
             {
                 let _sp = span("inner");
-                emit(|| TraceEvent::cg_pricing_round(1, 3, 9, 0.25));
-                emit(|| TraceEvent::cache_lookup(true, "solve_cache", 0xdead_beef));
-                emit(|| TraceEvent::cache_evict("column_cache", 2));
+                emit(|| TraceEvent::CgPricingRound {
+                    round: 1,
+                    columns_added: 3,
+                    total_columns: 9,
+                    best_reduced_cost: 0.25,
+                });
+                emit(|| TraceEvent::CacheHit {
+                    cache: "solve_cache".into(),
+                    key: u64::MAX - 1,
+                });
             }
             scope.set_verdict("ok", false);
             drop(scope);
             let rec = recorder().recent().pop().unwrap();
-            let back = FlightRecording::from_json(&rec.to_json().unwrap()).unwrap();
-            assert_eq!(rec, back);
-            assert_eq!(back.events_of(EventKind::CacheHit).count(), 1);
-            assert!(back
-                .events_of(EventKind::CacheHit)
-                .next()
-                .unwrap()
-                .detail
-                .starts_with("solve_cache:"));
+            let json = rec.to_json().unwrap();
+            assert!(json.contains(r#""CacheHit": {"#), "{json}");
+            let back = FlightRecording::from_json(&json).unwrap();
+            assert_eq!(rec, back, "a 64-bit fingerprint survives exactly");
         });
     }
 

@@ -57,8 +57,8 @@ mod snapshot;
 
 pub use flight::{
     current_request_context, recorder, set_request_context, with_request_context, ContextGuard,
-    EventKind, FlightConfig, FlightRecorder, FlightRecording, FlightScope, FlightSpan,
-    RequestContext, SpanNode, TraceEvent, BLACKBOX_SCHEMA_VERSION,
+    FlightConfig, FlightRecorder, FlightRecording, FlightScope, FlightSpan, RequestContext,
+    SpanNode, TimedEvent, TraceEvent, BLACKBOX_SCHEMA_VERSION,
 };
 pub use labels::{labeled_name, sanitize_label, split_labeled, DEFAULT_LABEL_CAP, OTHER_LABEL};
 pub use metrics::{Counter, Histogram, BUCKETS};

@@ -1,7 +1,10 @@
 //! Code ↔ docs consistency: every metric name emitted anywhere in the
 //! workspace must be documented in `docs/METRICS.md`, every documented
 //! metric must still exist in code, and the flight recorder's span/event
-//! vocabulary must match the taxonomy tables. The Prometheus writer
+//! vocabulary must match the taxonomy tables: every documented span is
+//! opened in code, and the event table lists exactly the tags the
+//! [`TraceEvent`] variants serialize under (one event of each also
+//! round-trips through a black-box dump). The Prometheus writer
 //! sources HELP/TYPE from the same file, so a name that fails here would
 //! fail a live scrape identically.
 //!
@@ -13,7 +16,9 @@
 
 #![allow(clippy::unwrap_used)]
 
-use rasa_obs::{EventKind, MetricsGlossary};
+use rasa_obs::{
+    FlightRecording, MetricsGlossary, SpanNode, TimedEvent, TraceEvent, BLACKBOX_SCHEMA_VERSION,
+};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -209,30 +214,149 @@ fn every_documented_span_still_exists_in_code() {
     );
 }
 
+/// One event of every [`TraceEvent`] variant, in declaration order. The
+/// `match` fails to compile when a variant is added, and the ordinal check
+/// fails until the new variant is listed here.
+fn every_event() -> Vec<TraceEvent> {
+    let all = vec![
+        TraceEvent::BnbIncumbent {
+            objective: 3.5,
+            best_bound: 4.0,
+            node: 12,
+        },
+        TraceEvent::BnbBound {
+            best_bound: 3.75,
+            node: 14,
+        },
+        TraceEvent::CgPricingRound {
+            round: 2,
+            columns_added: 3,
+            total_columns: 9,
+            best_reduced_cost: 0.25,
+        },
+        TraceEvent::SimplexPhase {
+            transition: "phase1->phase2".into(),
+        },
+        TraceEvent::RefactorSingular {
+            context: "warm_start".into(),
+            m: 40,
+        },
+        TraceEvent::CacheHit {
+            cache: "solve_cache".into(),
+            key: u64::MAX,
+        },
+        TraceEvent::CacheMiss {
+            cache: "column_cache".into(),
+            key: 0xdead_beef,
+        },
+        TraceEvent::CacheEvict {
+            cache: "solve_cache".into(),
+            count: 2,
+        },
+        TraceEvent::FallbackTransition {
+            from_rung: 0,
+            to_rung: 1,
+            from: "MIP".into(),
+            to: "CG".into(),
+        },
+        TraceEvent::AdmissionQuarantine {
+            services: 1,
+            machines: 2,
+            edges: 3,
+            rules: 4,
+        },
+        TraceEvent::CertifyFailure {
+            violations: 0,
+            claimed_objective: 110.0,
+            recomputed_objective: 10.0,
+            source: "solve_cache".into(),
+        },
+        TraceEvent::RungSelected {
+            subproblem: 5,
+            algorithm: "MIP".into(),
+        },
+        TraceEvent::WalTornTail {
+            segment: 3,
+            valid_bytes: 1_024,
+            lost_bytes: 77,
+        },
+        TraceEvent::RecoveryQuarantine {
+            tenant: "acme".into(),
+            reason: "journaled delta failed to re-apply: bad edge".into(),
+        },
+    ];
+    for (i, event) in all.iter().enumerate() {
+        let ordinal = match event {
+            TraceEvent::BnbIncumbent { .. } => 0,
+            TraceEvent::BnbBound { .. } => 1,
+            TraceEvent::CgPricingRound { .. } => 2,
+            TraceEvent::SimplexPhase { .. } => 3,
+            TraceEvent::RefactorSingular { .. } => 4,
+            TraceEvent::CacheHit { .. } => 5,
+            TraceEvent::CacheMiss { .. } => 6,
+            TraceEvent::CacheEvict { .. } => 7,
+            TraceEvent::FallbackTransition { .. } => 8,
+            TraceEvent::AdmissionQuarantine { .. } => 9,
+            TraceEvent::CertifyFailure { .. } => 10,
+            TraceEvent::RungSelected { .. } => 11,
+            TraceEvent::WalTornTail { .. } => 12,
+            TraceEvent::RecoveryQuarantine { .. } => 13,
+        };
+        assert_eq!(ordinal, i, "every_event lists each variant once, in order");
+    }
+    all
+}
+
+/// The tag `event` serializes under: its variant name.
+fn tag(event: &TraceEvent) -> String {
+    let json = serde_json::to_string(event).unwrap();
+    json.split('"').nth(1).unwrap().to_string()
+}
+
 #[test]
 fn every_event_kind_is_documented() {
-    let (_, events) = taxonomy_names();
-    for kind in [
-        EventKind::BnbIncumbent,
-        EventKind::BnbBound,
-        EventKind::CgPricingRound,
-        EventKind::SimplexPhase,
-        EventKind::CacheHit,
-        EventKind::CacheMiss,
-        EventKind::CacheEvict,
-        EventKind::FallbackTransition,
-        EventKind::AdmissionQuarantine,
-        EventKind::CertifyFailure,
-        EventKind::RefactorSingular,
-        EventKind::RungSelected,
-        EventKind::WalTornTail,
-        EventKind::WalRecordSkipped,
-        EventKind::RecoveryQuarantine,
-    ] {
-        assert!(
-            events.contains(kind.as_str()),
-            "event kind {} missing from the METRICS.md event taxonomy",
-            kind.as_str()
-        );
-    }
+    let (_, documented) = taxonomy_names();
+    let tags: BTreeSet<String> = every_event().iter().map(tag).collect();
+    let undocumented: Vec<&String> = tags.difference(&documented).collect();
+    assert!(
+        undocumented.is_empty(),
+        "event variants missing from the METRICS.md event taxonomy: {undocumented:?}"
+    );
+    let stale: Vec<&String> = documented.difference(&tags).collect();
+    assert!(
+        stale.is_empty(),
+        "events documented in docs/METRICS.md that no variant serializes as: {stale:?}"
+    );
+}
+
+#[test]
+fn a_recording_of_every_event_round_trips_through_json() {
+    let recording = FlightRecording {
+        schema_version: BLACKBOX_SCHEMA_VERSION,
+        verdict: "fell_back".to_string(),
+        degraded: true,
+        sampled: false,
+        request_id: "req-1".to_string(),
+        tenant: "acme".to_string(),
+        elapsed_secs: 0.5,
+        root: SpanNode {
+            name: "solve.subproblem".to_string(),
+            attrs: vec![("sub_id".to_string(), "0".to_string())],
+            start_secs: 0.0,
+            end_secs: 0.5,
+            children: Vec::new(),
+        },
+        events: every_event()
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| TimedEvent {
+                t_secs: i as f64 / 64.0,
+                event,
+            })
+            .collect(),
+        dropped_events: 0,
+        dropped_spans: 0,
+    };
+    let json = recording.to_json().unwrap();
+    assert_eq!(FlightRecording::from_json(&json).unwrap(), recording);
 }

@@ -43,7 +43,7 @@ fn three_zone_cluster() -> Problem {
 }
 
 /// The unsigned integer after `"name":` in a response body.
-fn field(body: &str, name: &str) -> u64 {
+fn json_u64(body: &str, name: &str) -> u64 {
     let (_, rest) = body.split_once(&format!("\"{name}\":")).expect(name);
     let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
     digits.parse().expect(name)
@@ -82,7 +82,7 @@ fn delta_counters_move_by_exactly_the_published_rounds_misses_and_hits() {
         );
         let (status, reply) = post(addr, "/delta?tenant=acme", &delta);
         assert_eq!(status, 200, "body: {reply}");
-        let (hits, misses) = (field(&reply, "hits"), field(&reply, "misses"));
+        let (hits, misses) = (json_u64(&reply, "hits"), json_u64(&reply, "misses"));
         assert!(misses >= 1, "the delta dirtied a subproblem: {reply}");
         expected = (expected.0 + misses, expected.1 + hits);
         assert_eq!(delta_counters(), expected, "after {reply}");

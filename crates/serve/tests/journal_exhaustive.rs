@@ -2,10 +2,12 @@
 //! byte-prefix of each tenant's newest segment, every newest-first partial
 //! clean-up of the segments a checkpoint superseded (with and without a
 //! checkpoint temp file left behind), and every single-bit flip of every
-//! journal file is recovered. Each case must come back as the state the
-//! writer held, or as a quarantine: never a panic, never `Empty` once a
-//! snapshot was written, never a restored placement that fails
-//! certification, and never a change to the other tenant's result.
+//! journal file is recovered. A prefix, and a flip in the newest segment,
+//! must recover exactly the state the writer held after the last record
+//! that ends before the damage. Every other case must come back as the
+//! state the writer held, or as a quarantine. None may panic, come back
+//! `Empty` once a snapshot was written, restore a placement that fails
+//! certification, or change the other tenant's result.
 
 #![allow(clippy::unwrap_used)]
 
@@ -260,23 +262,22 @@ fn damage_tenant(config: &WalConfig, d: usize, w: &Written, other: &str) -> (usi
     let (compacted_seg, newest_seg) = (&w.files[0], &w.files[1]);
     let (mut cases, mut bytes) = (0usize, 0usize);
 
+    // the state after the last record of the newest segment that ends at
+    // or before byte `at`
+    let intact_before = |at: usize| {
+        w.newest
+            .iter()
+            .rev()
+            .find(|(end, _)| *end <= at)
+            .map_or(w.compacted.as_str(), |(_, state)| state.as_str())
+    };
+
     // every byte-prefix of the newest segment recovers the state after
     // its last complete record
     for len in 0..=newest_seg.1.len() {
         fs::write(dir.join(&newest_seg.0), &newest_seg.1[..len]).unwrap();
-        let expected = w
-            .newest
-            .iter()
-            .rev()
-            .find(|(end, _)| *end <= len)
-            .map_or(&w.compacted, |(_, state)| state);
-        check(
-            config,
-            &format!("{} prefix {len}", TENANTS[d]),
-            d,
-            Some(expected),
-            other,
-        );
+        let case = format!("{} prefix {len}", TENANTS[d]);
+        check(config, &case, d, Some(intact_before(len)), other);
         cases += 1;
     }
 
@@ -318,17 +319,19 @@ fn damage_tenant(config: &WalConfig, d: usize, w: &Written, other: &str) -> (usi
     cases += 1;
     lay_out(&dir, &w.files);
 
-    // every single-bit flip of every file
+    // every single-bit flip of every file: a flip in the newest segment
+    // ends its replay at the damaged frame, exactly like a torn tail there
     for (name, original) in &w.files {
         let file = fs::OpenOptions::new()
             .write(true)
             .open(dir.join(name))
             .unwrap();
         for (i, byte) in original.iter().enumerate() {
+            let expected = (name == &newest_seg.0).then(|| intact_before(i));
             for bit in 0..8 {
                 file.write_at(&[byte ^ (1 << bit)], i as u64).unwrap();
                 let case = format!("{} flip {name} byte {i} bit {bit}", TENANTS[d]);
-                check(config, &case, d, None, other);
+                check(config, &case, d, expected, other);
                 cases += 1;
             }
             file.write_at(&[*byte], i as u64).unwrap();

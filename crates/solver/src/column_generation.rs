@@ -182,8 +182,15 @@ impl ColumnGeneration {
             }
         }
         if let Some(warm) = &self.warm {
-            let (hit, key) = (cache_hit, warm.key);
-            rasa_obs::flight::emit(|| rasa_obs::TraceEvent::cache_lookup(hit, "column_cache", key));
+            let key = warm.key;
+            rasa_obs::flight::emit(|| {
+                let cache = "column_cache".to_string();
+                if cache_hit {
+                    rasa_obs::TraceEvent::CacheHit { cache, key }
+                } else {
+                    rasa_obs::TraceEvent::CacheMiss { cache, key }
+                }
+            });
         }
 
         // ---- Algorithm 1 main loop ----
@@ -268,23 +275,16 @@ impl ColumnGeneration {
                     }
                 }
             }
-            {
-                let round = stats.rounds as u64;
-                let total_columns: u64 = patterns.iter().map(|ps| ps.len() as u64).sum();
-                let rc = if best_reduced_cost.is_finite() {
+            rasa_obs::flight::emit(|| rasa_obs::TraceEvent::CgPricingRound {
+                round: stats.rounds as u64,
+                columns_added: added_this_round,
+                total_columns: patterns.iter().map(|ps| ps.len() as u64).sum(),
+                best_reduced_cost: if best_reduced_cost.is_finite() {
                     best_reduced_cost
                 } else {
                     0.0 // no pricing MIP produced a column this round
-                };
-                rasa_obs::flight::emit(|| {
-                    rasa_obs::TraceEvent::cg_pricing_round(
-                        round,
-                        added_this_round,
-                        total_columns,
-                        rc,
-                    )
-                });
-            }
+                },
+            });
             if !added_any {
                 // no pricing MIP found a column; that is a proof only if
                 // every one of them finished its search

@@ -9,7 +9,7 @@
 use rasa_core::{FaultInjection, RasaConfig, RasaPipeline};
 use rasa_migrate::MigrateConfig;
 use rasa_model::MachineId;
-use rasa_obs::{EventKind, FlightConfig, FlightRecording, BLACKBOX_SCHEMA_VERSION};
+use rasa_obs::{FlightConfig, FlightRecording, TraceEvent, BLACKBOX_SCHEMA_VERSION};
 use rasa_sim::chaos::{run_chaos, ChaosEvent, ChaosSchedule};
 use rasa_trace::{generate, tiny_cluster};
 
@@ -82,16 +82,36 @@ fn chaos_machine_death_black_boxes_the_solve() {
         "solver span too shallow: depth {solver_depth}"
     );
 
-    // the injected panic forced the ladder: the transition event must name
-    // the rung walked away from
-    let transitions: Vec<_> = round.events_of(EventKind::FallbackTransition).collect();
+    // the injected panic forced the ladder: every transition walks down
+    // to a fallback algorithm or to the completion floor, and one leaves
+    // the panicking primary
+    let transitions: Vec<(u64, u64, &str)> = round
+        .events
+        .iter()
+        .filter_map(|e| match &e.event {
+            TraceEvent::FallbackTransition {
+                from_rung,
+                to_rung,
+                to,
+                ..
+            } => Some((*from_rung, *to_rung, to.as_str())),
+            _ => None,
+        })
+        .collect();
     assert!(
         !transitions.is_empty(),
         "no fallback-ladder transition recorded"
     );
+    for &(from_rung, to_rung, to) in &transitions {
+        assert!(to_rung > from_rung, "{from_rung} -> {to_rung} is not down");
+        assert!(
+            ["MIP", "CG", "POP", "GREEDY", "completion"].contains(&to),
+            "transition to {to:?} names no fallback"
+        );
+    }
     assert!(
-        transitions.iter().any(|e| e.field("to_rung").is_some()),
-        "transition events carry the target rung"
+        transitions.iter().any(|&(from_rung, _, _)| from_rung == 0),
+        "no transition leaves the primary rung"
     );
 
     let _ = std::fs::remove_dir_all(&dump_dir);
