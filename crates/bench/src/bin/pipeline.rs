@@ -18,9 +18,11 @@
 //! that A/B because their rounds run to the deadline.
 //!
 //! Exits 1 when a subproblem panicked, came back infeasible or fell back
-//! (any round, any scale), when one hit its deadline at `small`, when
-//! `simplex.pivots`, `bnb.nodes` or `cg.rounds` stayed at zero, or when the
-//! recorder's median costs more than 5 % and more than 5 ms.
+//! (any round, any scale), when one hit its deadline or stopped unproved at
+//! `small`, when a round of a `medium` run has more such subproblems than
+//! that run's ceiling in [`MEDIUM_CEILINGS`], when `simplex.pivots`,
+//! `bnb.nodes` or `cg.rounds` stayed at zero, or when the recorder's median
+//! costs more than 5 % and more than 5 ms.
 //! `RASA_FLIGHT_DIR` / `RASA_FLIGHT_SAMPLE` turn the recorder on for the
 //! main runs, so a degraded subproblem leaves its black box behind.
 
@@ -37,6 +39,18 @@ use std::time::{Duration, Instant};
 
 /// Rounds per (trace, selector) run on one cache.
 const ROUNDS: usize = 3;
+
+/// `(trace, selector, ceiling)`: the most subproblems of one round of a
+/// `medium` run that may end `deadline_expired` or `unproved` — the counts
+/// of EXPERIMENTS.md's ladder table, so a solver change that degrades a run
+/// fails instead of passing unseen. A run missing from the table may have
+/// none.
+const MEDIUM_CEILINGS: [(&str, &str, usize); 4] = [
+    ("S1-half", "heuristic", 0),
+    ("S1-half", "always-cg", 0),
+    ("S3-half", "heuristic", 1),
+    ("S3-half", "always-cg", 1),
+];
 
 #[derive(Serialize)]
 struct Run {
@@ -129,11 +143,21 @@ fn main() {
                     )
                 })
                 .collect();
+            let ceiling = (sc == Scale::Medium).then(|| {
+                MEDIUM_CEILINGS
+                    .iter()
+                    .find(|&&(trace, sel, _)| trace == name && sel == selector)
+                    .map_or(0, |&(_, _, ceiling)| ceiling)
+            });
             for (round, run) in rounds.iter().enumerate() {
+                let mut misses = 0;
                 for report in &run.subproblems {
                     let failed = match report.status {
                         SolveStatus::Ok => false,
-                        SolveStatus::DeadlineExpired => sc == Scale::Small,
+                        SolveStatus::DeadlineExpired | SolveStatus::Unproved => {
+                            misses += 1;
+                            sc == Scale::Small
+                        }
                         _ => true,
                     };
                     if failed {
@@ -143,6 +167,13 @@ fn main() {
                             report.status
                         ));
                     }
+                }
+                if let Some(ceiling) = ceiling.filter(|&ceiling| misses > ceiling) {
+                    failures.push(format!(
+                        "{name}/{selector} round {}: {misses} deadline_expired or \
+                         unproved, ceiling {ceiling}",
+                        round + 1
+                    ));
                 }
             }
             let cold = &rounds[0];

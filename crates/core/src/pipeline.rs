@@ -154,7 +154,8 @@ pub struct RasaRun {
 
 impl RasaRun {
     /// Errors from degraded subproblems, in subproblem order. Empty on a
-    /// fully healthy run.
+    /// fully healthy run, and for a subproblem that stopped
+    /// [`SolveStatus::Unproved`]: nothing failed there.
     pub fn errors(&self) -> Vec<RasaError> {
         self.subproblems
             .iter()
@@ -162,8 +163,8 @@ impl RasaRun {
             .collect()
     }
 
-    /// `true` when any subproblem needed the fallback ladder (or ran out
-    /// of deadline budget).
+    /// `true` when any subproblem needed the fallback ladder, ran out of
+    /// deadline budget or stopped unproved.
     pub fn is_degraded(&self) -> bool {
         self.subproblems.iter().any(|r| r.status.is_degraded())
     }

@@ -37,6 +37,11 @@ pub enum SolveStatus {
     /// available when the budget ran out (possibly partial, possibly from
     /// greedy completion alone).
     DeadlineExpired,
+    /// The primary algorithm stopped with budget left but without proving
+    /// its result (a node or iteration cap inside it fired); its valid
+    /// placement is kept. Nothing failed, so no error is reported, but the
+    /// run still counts as degraded.
+    Unproved,
     /// The primary algorithm panicked and no fallback pool member produced
     /// a valid result either; greedy completion supplied the placement.
     Panicked,
@@ -67,6 +72,7 @@ impl SolveStatus {
         match self {
             SolveStatus::Ok => "guard.status.ok",
             SolveStatus::DeadlineExpired => "guard.status.deadline_expired",
+            SolveStatus::Unproved => "guard.status.unproved",
             SolveStatus::Panicked => "guard.status.panicked",
             SolveStatus::Infeasible => "guard.status.infeasible",
             SolveStatus::FellBackTo(_) => "guard.status.fell_back",
@@ -243,9 +249,9 @@ pub fn guarded_schedule(
     let obs = rasa_obs::global();
     obs.inc(g.status.counter());
     let depth = match g.status {
-        // deadline exits keep the primary's (or completion's) result
-        // without walking the ladder; count them at the primary rung
-        SolveStatus::Ok | SolveStatus::DeadlineExpired => 0,
+        // deadline and unproved exits keep the primary's (or completion's)
+        // result without walking the ladder; count them at the primary rung
+        SolveStatus::Ok | SolveStatus::DeadlineExpired | SolveStatus::Unproved => 0,
         SolveStatus::FellBackTo(alg) => fallbacks
             .iter()
             .position(|&(a, _)| a == alg)
@@ -293,15 +299,18 @@ fn guarded_schedule_impl(
 
     let (status, error) = match run_rung(primary.1, problem, deadline) {
         Rung::Valid(outcome) => {
-            // a valid partial result under a live budget means the solver
-            // stopped on its deadline slice — keep its best incumbent
-            let status = if outcome.completed {
-                SolveStatus::Ok
+            // an unfinished valid result keeps its best incumbent; it is a
+            // deadline miss only if the deadline has in fact fired
+            let (status, error) = if outcome.completed {
+                (SolveStatus::Ok, None)
+            } else if deadline.expired() {
+                (
+                    SolveStatus::DeadlineExpired,
+                    Some(RasaError::DeadlineExpired { subproblem: index }),
+                )
             } else {
-                SolveStatus::DeadlineExpired
+                (SolveStatus::Unproved, None)
             };
-            let error =
-                (!outcome.completed).then_some(RasaError::DeadlineExpired { subproblem: index });
             return GuardedOutcome {
                 outcome,
                 status,
@@ -411,6 +420,31 @@ mod tests {
             );
             outcome.gained_affinity += 100.0;
             outcome
+        }
+    }
+
+    /// A scheduler that returns an empty placement it did not finish: at
+    /// once, or only after its deadline has fired when `waits` is set.
+    #[derive(Clone, Copy, Debug)]
+    struct UnfinishedScheduler {
+        waits: bool,
+    }
+
+    impl Scheduler for UnfinishedScheduler {
+        fn name(&self) -> &'static str {
+            "UNFINISHED"
+        }
+
+        fn schedule(&self, problem: &Problem, deadline: Deadline) -> ScheduleOutcome {
+            while self.waits && !deadline.expired() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            ScheduleOutcome::evaluate(
+                problem,
+                Placement::empty_for(problem),
+                Duration::ZERO,
+                false,
+            )
         }
     }
 
@@ -547,6 +581,23 @@ mod tests {
     }
 
     #[test]
+    fn unfinished_result_is_a_deadline_miss_only_once_the_deadline_fired() {
+        let p = pair_problem();
+        let stops = UnfinishedScheduler { waits: false };
+        let g = guarded_schedule(1, (PoolAlgorithm::Cg, &stops), &[], &p, Deadline::none());
+        assert_eq!(g.status, SolveStatus::Unproved);
+        assert!(g.error.is_none(), "nothing failed");
+        assert!(g.status.is_degraded());
+        assert!(!g.outcome.completed);
+
+        let waits = UnfinishedScheduler { waits: true };
+        let deadline = Deadline::after(Duration::from_millis(20));
+        let g = guarded_schedule(1, (PoolAlgorithm::Cg, &waits), &[], &p, deadline);
+        assert_eq!(g.status, SolveStatus::DeadlineExpired);
+        assert_eq!(g.error, Some(RasaError::DeadlineExpired { subproblem: 1 }));
+    }
+
+    #[test]
     fn lost_slot_outcome_is_empty_but_feasible() {
         let p = pair_problem();
         let g = GuardedOutcome::lost_slot(5, &p);
@@ -573,6 +624,7 @@ mod tests {
         assert!(!SolveStatus::Ok.is_degraded());
         for s in [
             SolveStatus::DeadlineExpired,
+            SolveStatus::Unproved,
             SolveStatus::Panicked,
             SolveStatus::Infeasible,
             SolveStatus::FellBackTo(PoolAlgorithm::Mip),
@@ -588,6 +640,7 @@ mod tests {
         let statuses = [
             SolveStatus::Ok,
             SolveStatus::DeadlineExpired,
+            SolveStatus::Unproved,
             SolveStatus::Panicked,
             SolveStatus::Infeasible,
             SolveStatus::FellBackTo(PoolAlgorithm::Mip),
@@ -597,6 +650,7 @@ mod tests {
             [
                 "ok",
                 "deadline_expired",
+                "unproved",
                 "panicked",
                 "infeasible",
                 "fell_back"

@@ -22,10 +22,12 @@
 //! whose reduced cost clears the acceptance tolerance rather than proving the
 //! most improving pattern, and only a group with no such pattern is searched
 //! to the end; a round whose master objective did not rise prices every group
-//! to its best pattern. When no group can price out a new pattern (or
-//! the deadline fires — `IsTerminate`), the master is re-solved as an
-//! integer program over the generated columns (`Round`), falling back to a
-//! greedy rounding if branch-and-bound cannot finish in time.
+//! to its best pattern. Rounds end when one adds no column (converged only if
+//! every pricing MIP finished its search), when the master LP fails, or when
+//! the deadline fires (`IsTerminate`); each pricing MIP runs under that
+//! deadline and `PRICING_MAX_NODES`. The master is then re-solved as an
+//! integer program over the generated columns (`Round`, `ROUNDING_MAX_NODES`),
+//! falling back to a greedy rounding if branch-and-bound cannot finish in time.
 
 use crate::column_cache::{CgWarmStart, PatternCounts};
 use crate::completion::complete_placement;
@@ -35,22 +37,18 @@ use rasa_lp::{Basis, Deadline, LpStatus, SimplexOptions};
 use rasa_mip::{MipModel, MipOptions, MipStatus};
 use rasa_model::{MachineGroup, Placement, Problem, ResourceVec, ServiceId, NUM_RESOURCES};
 use std::collections::{HashMap, HashSet};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Maximum pricing rounds (`while` iterations of Algorithm 1).
-const MAX_ROUNDS: usize = 60;
 /// Branch-and-bound node cap for a pricing MIP (kept small — a pricing MIP
 /// covers one machine).
 const PRICING_MAX_NODES: usize = 2_000;
-/// Wall-clock slice granted to each pricing MIP.
-const PRICING_SLICE: Duration = Duration::from_millis(500);
 /// Branch-and-bound node cap for the final integral rounding.
 const ROUNDING_MAX_NODES: usize = 20_000;
 /// Reduced-cost threshold for accepting a new pattern.
 const REDUCED_COST_TOL: f64 = 1e-6;
 
-/// Options for [`ColumnGeneration`]. The round cap, pricing and rounding
-/// limits and the reduced-cost threshold are constants of this module.
+/// Options for [`ColumnGeneration`]. The pricing and rounding node caps and
+/// the reduced-cost threshold are constants of this module.
 #[derive(Clone, Debug)]
 pub struct CgOptions {
     /// Run the completion pass afterwards.
@@ -195,16 +193,14 @@ impl ColumnGeneration {
 
         // ---- Algorithm 1 main loop ----
         // The master LP warm-starts each round from the previous round's
-        // final basis, remapped onto the grown column set.
+        // final basis, remapped onto the grown column set. Each round but the
+        // last adds a pattern not seen before, so the loop ends.
         let mut master_basis: Option<(Basis, Vec<usize>)> = None;
         let master_rows = groups.len() + active.len();
         let mut converged = false;
         let mut last_objective = f64::NEG_INFINITY;
         let (mut helper_rounds, mut pricing_helped) = (0u64, 0u64);
-        for _round in 0..MAX_ROUNDS {
-            if deadline.expired() {
-                break;
-            }
+        while !deadline.expired() {
             stats.rounds += 1;
             let counts_now: Vec<usize> = patterns.iter().map(Vec::len).collect();
             let warm_basis = master_basis
@@ -445,7 +441,6 @@ impl ColumnGeneration {
             mip.add_row_le(vec![(a, 1.0), (vb, -e.weight / db)], 0.0);
         }
 
-        let slice = deadline.min_with(PRICING_SLICE);
         let options = MipOptions {
             max_nodes: PRICING_MAX_NODES,
             ..MipOptions::default()
@@ -455,7 +450,7 @@ impl ColumnGeneration {
         } else {
             f64::INFINITY
         };
-        let sol = mip.solve_to_target(&options, slice, target);
+        let sol = mip.solve_to_target(&options, deadline, target);
         if !sol.has_incumbent() {
             return (sol.status, None);
         }
@@ -584,8 +579,8 @@ fn price_groups<T: Send>(
 
 /// Does a pricing round without a new column prove the master LP optimal?
 /// Only when every group was priced (`Some`) and every pricing MIP finished
-/// its search. One stopped by its slice, its node cap or the deadline may
-/// have missed an improving column.
+/// its search. One stopped by its node cap or the deadline may have missed
+/// an improving column.
 fn pricing_proved(verdicts: &[Option<MipStatus>]) -> bool {
     verdicts
         .iter()
@@ -888,6 +883,7 @@ fn greedy_round(
 mod tests {
     use super::*;
     use rasa_model::{validate, FeatureMask, ProblemBuilder, ResourceVec};
+    use std::time::Duration;
 
     fn pair_problem(weight: f64) -> Problem {
         let mut b = ProblemBuilder::new();
