@@ -19,22 +19,12 @@ use rasa_model::{MachineId, Placement, Problem, ResourceVec, ServiceId};
 use rasa_solver::{complete_placement, per_machine_cap, ScheduleOutcome, Scheduler};
 use std::time::Instant;
 
-/// The APPLSCI19 baseline.
-#[derive(Clone, Debug)]
+/// The APPLSCI19 baseline. Like every other algorithm here it finishes
+/// with the completion pass.
+#[derive(Clone, Debug, Default)]
 pub struct Applsci19 {
     /// RNG seed for the multilevel partitioner.
     pub seed: u64,
-    /// Run the completion pass afterwards (parity with other algorithms).
-    pub complete: bool,
-}
-
-impl Default for Applsci19 {
-    fn default() -> Self {
-        Applsci19 {
-            seed: 0,
-            complete: true,
-        }
-    }
 }
 
 impl Scheduler for Applsci19 {
@@ -68,9 +58,7 @@ impl Scheduler for Applsci19 {
         let affinity: Vec<usize> = graph.vertices_with_affinity();
         if affinity.is_empty() {
             let mut placement = Placement::empty_for(problem);
-            if self.complete {
-                complete_placement(problem, &mut placement);
-            }
+            complete_placement(problem, &mut placement);
             return ScheduleOutcome::evaluate(problem, placement, start.elapsed(), true);
         }
         // target parts: total affinity demand / planning capacity
@@ -164,9 +152,7 @@ impl Scheduler for Applsci19 {
                 }
             }
         }
-        if self.complete {
-            complete_placement(problem, &mut placement);
-        }
+        complete_placement(problem, &mut placement);
         let completed = !deadline.expired();
         ScheduleOutcome::evaluate(problem, placement, start.elapsed(), completed)
     }

@@ -18,17 +18,11 @@ pub struct Pop {
     pub parts: usize,
     /// RNG seed for the random split.
     pub seed: u64,
-    /// Run the completion pass afterwards (parity with RASA runs).
-    pub complete: bool,
 }
 
 impl Default for Pop {
     fn default() -> Self {
-        Pop {
-            parts: 8,
-            seed: 0,
-            complete: true,
-        }
+        Pop { parts: 8, seed: 0 }
     }
 }
 
@@ -38,7 +32,6 @@ impl Pop {
         Pop {
             parts: parts.max(1),
             seed,
-            complete: true,
         }
     }
 }
@@ -52,7 +45,7 @@ impl Scheduler for Pop {
         PopStrategy::new(PopOptions {
             parts: self.parts,
             seed: self.seed,
-            complete: self.complete,
+            complete: true,
             ..Default::default()
         })
         .schedule(problem, deadline)
@@ -105,12 +98,7 @@ mod tests {
         // objective (split, shard order, merge order and completion agree)
         let p = coupled_problem();
         for seed in [0u64, 7, 42] {
-            let base = Pop {
-                parts: 4,
-                seed,
-                complete: true,
-            }
-            .schedule(&p, Deadline::none());
+            let base = Pop { parts: 4, seed }.schedule(&p, Deadline::none());
             let rung = PopStrategy::new(PopOptions {
                 parts: 4,
                 seed,

@@ -23,8 +23,8 @@
 //! that run's ceiling in [`MEDIUM_CEILINGS`], when `simplex.pivots`,
 //! `bnb.nodes` or `cg.rounds` stayed at zero, or when the recorder's median
 //! costs more than 5 % and more than 5 ms.
-//! `RASA_FLIGHT_DIR` / `RASA_FLIGHT_SAMPLE` turn the recorder on for the
-//! main runs, so a degraded subproblem leaves its black box behind.
+//! `RASA_FLIGHT_DIR` turns the recorder on for the main runs, so a
+//! degraded subproblem leaves its black box behind.
 
 use rasa_bench::{print_table, save_json, scale, timeout_for, Scale};
 use rasa_core::{Deadline, RasaConfig, RasaPipeline, SelectorChoice, SolveCache, SolveStatus};

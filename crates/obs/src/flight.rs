@@ -439,8 +439,8 @@ impl Default for FlightConfig {
 
 /// The process-wide flight recorder behind [`recorder()`]. Disabled by
 /// default: recording costs nothing until something calls
-/// [`configure`](FlightRecorder::configure) (the bench and chaos binaries
-/// do, from the `RASA_FLIGHT_*` environment).
+/// [`configure`](FlightRecorder::configure) (the binaries do, from
+/// `RASA_FLIGHT_DIR`).
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
     enabled: AtomicBool,
@@ -475,33 +475,19 @@ impl FlightRecorder {
         self.set_enabled(true);
     }
 
-    /// Configure from the environment and enable if any variable is set:
-    ///
-    /// * `RASA_FLIGHT_DIR` — black-box dump directory;
-    /// * `RASA_FLIGHT_SAMPLE` — healthy-solve sampling period (1-in-N);
-    /// * `RASA_FLIGHT_MAX_DUMPS` — per-run dump cap (default 16).
+    /// Configure from the environment: when `RASA_FLIGHT_DIR` is set,
+    /// black-box degraded solves into that directory (no healthy-solve
+    /// sampling, the default dump cap) and enable recording.
     ///
     /// Returns `true` when recording ended up enabled.
     pub fn configure_from_env(&self) -> bool {
-        let dir = std::env::var("RASA_FLIGHT_DIR").ok().map(PathBuf::from);
-        let sample = std::env::var("RASA_FLIGHT_SAMPLE")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok());
-        let max_dumps = std::env::var("RASA_FLIGHT_MAX_DUMPS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok());
-        if dir.is_none() && sample.is_none() && max_dumps.is_none() {
+        let Some(dir) = std::env::var_os("RASA_FLIGHT_DIR") else {
             return self.enabled();
-        }
-        let mut cfg = FlightConfig {
-            dump_dir: dir,
-            sample_every: sample.unwrap_or(0),
-            ..FlightConfig::default()
         };
-        if let Some(m) = max_dumps {
-            cfg.max_dumps = m;
-        }
-        self.configure(cfg);
+        self.configure(FlightConfig {
+            dump_dir: Some(PathBuf::from(dir)),
+            ..FlightConfig::default()
+        });
         true
     }
 

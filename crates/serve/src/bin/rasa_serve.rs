@@ -18,8 +18,8 @@
 //! The bound address is printed as `listening on <addr>` once the socket
 //! is open (scripts parse this when binding port 0). SIGTERM or SIGINT
 //! initiates graceful drain; the process exits 0 after the drain report
-//! is printed. The flight recorder reads its `RASA_FLIGHT_*` environment
-//! configuration at startup, so black-box dumps work the same way as in
+//! is printed. The flight recorder reads its dump directory from
+//! `RASA_FLIGHT_DIR` at startup, so black-box dumps work the same way as in
 //! the batch CLI. The structured event log keeps the newest 512 entries,
 //! echoes `warn`/`error` entries to stderr, and is served back by
 //! `GET /debug/log?tail=N`.

@@ -22,7 +22,7 @@
 //!
 //! Every fault round is black-boxed by the flight recorder: dumps land in
 //! `RASA_FLIGHT_DIR` (default `target/chaos_blackbox/`), one JSON file per
-//! degraded recording, capped by `RASA_FLIGHT_MAX_DUMPS`.
+//! degraded recording, at most 16 per run.
 
 use rasa_migrate::MigrateConfig;
 use rasa_obs::FlightConfig;
@@ -31,6 +31,26 @@ use rasa_sim::corruption::run_corruption_campaign;
 use rasa_sim::crash::{locate_serve_bin, run_crash_campaign, CrashConfig};
 use rasa_solver::MipBased;
 use rasa_trace::{generate, tiny_cluster};
+use serde::Serialize;
+
+/// Write `report` as pretty JSON to `<dir>/report.json`, announcing the
+/// path on stdout; a failure to write is reported on stderr, not fatal.
+fn write_report(dir: &str, report: &impl Serialize) {
+    let out_dir = std::path::Path::new(dir);
+    if std::fs::create_dir_all(out_dir).is_ok() {
+        match serde_json::to_string_pretty(report) {
+            Ok(json) => {
+                let path = out_dir.join("report.json");
+                if let Err(e) = std::fs::write(&path, json) {
+                    eprintln!("could not write {}: {e}", path.display());
+                } else {
+                    println!("report written to {}", path.display());
+                }
+            }
+            Err(e) => eprintln!("could not serialize report: {e}"),
+        }
+    }
+}
 
 /// Run the data-corruption campaign and exit non-zero on any panic or
 /// uncertified placement.
@@ -54,20 +74,7 @@ fn corruption_main(mut args: impl Iterator<Item = String>) -> ! {
         "panics: {}; uncertified placements: {}",
         report.panics, report.uncertified
     );
-    let out_dir = std::path::Path::new("target/corruption_chaos");
-    if std::fs::create_dir_all(out_dir).is_ok() {
-        match serde_json::to_string_pretty(&report) {
-            Ok(json) => {
-                let path = out_dir.join("report.json");
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("could not write {}: {e}", path.display());
-                } else {
-                    println!("report written to {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("could not serialize report: {e}"),
-        }
-    }
+    write_report("target/corruption_chaos", &report);
     std::process::exit(if report.is_clean() { 0 } else { 1 });
 }
 
@@ -121,20 +128,7 @@ fn crash_main(mut args: impl Iterator<Item = String>) -> ! {
     for v in &report.violations {
         eprintln!("VIOLATION: {v}");
     }
-    let out_dir = std::path::Path::new("target/crash_chaos");
-    if std::fs::create_dir_all(out_dir).is_ok() {
-        match serde_json::to_string_pretty(&report) {
-            Ok(json) => {
-                let path = out_dir.join("report.json");
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("could not write {}: {e}", path.display());
-                } else {
-                    println!("report written to {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("could not serialize report: {e}"),
-        }
-    }
+    write_report("target/crash_chaos", &report);
     std::process::exit(if report.is_clean() { 0 } else { 1 });
 }
 
@@ -142,7 +136,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let first = args.next();
 
-    // black-box every fault round; RASA_FLIGHT_* overrides the default dir
+    // black-box every fault round; RASA_FLIGHT_DIR overrides the default dir
     if !rasa_obs::recorder().configure_from_env() {
         rasa_obs::recorder().configure(FlightConfig {
             dump_dir: Some("target/chaos_blackbox".into()),

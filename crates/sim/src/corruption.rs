@@ -15,6 +15,7 @@
 //! count → the identical corruption sequence, so any failure is replayable
 //! with `chaos corruption <seed> <rounds>`.
 
+use crate::chaos::SOLVE_BUDGET;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rasa_core::{certify_placement, Deadline, RasaPipeline, SolveCache};
@@ -25,10 +26,6 @@ use rasa_trace::persist::{load_problem, save_problem, PersistError};
 use rasa_trace::{generate, ClusterSpec};
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
-
-/// Wall-clock budget per pipeline solve inside a campaign round.
-const SOLVE_BUDGET: Duration = Duration::from_secs(2);
 
 /// One family of data corruption the campaign can inject.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -22,7 +22,8 @@
 //!   producing the normalized time series of Figs 11–13;
 //! * [`chaos`] — seeded deterministic fault schedules (correlated machine
 //!   deaths, mid-solve deaths, deadline starvation) with a per-step
-//!   invariant checker, generalizing the single-failure [`failover`] drill;
+//!   invariant checker; the crate's one machine-death executor, so a single
+//!   failure mid-migration is a two-event schedule;
 //! * [`corruption`] — seeded *data*-corruption chaos (NaN/Inf flips,
 //!   dangling references, truncated artifacts, poisoned cache entries)
 //!   asserting the pipeline's two-gate trust boundary: no panics, no
@@ -44,7 +45,6 @@ pub mod corruption;
 pub mod crash;
 pub mod cronjob;
 pub mod experiment;
-pub mod failover;
 pub mod network;
 pub mod soak;
 
@@ -54,6 +54,5 @@ pub use corruption::{run_corruption_campaign, CorruptionKind, CorruptionReport, 
 pub use crash::{locate_serve_bin, run_crash_campaign, CrashConfig, CrashReport, CrashRound};
 pub use cronjob::{CronJob, CronJobConfig, TickOutcome};
 pub use experiment::{run_production_experiment, ExperimentConfig, ExperimentReport, PairSeries};
-pub use failover::{execute_with_failure, execute_with_failures, FailoverReport};
 pub use network::{NetworkModel, NetworkModelError};
 pub use soak::{run_soak, SoakConfig, SoakReport};

@@ -1,15 +1,18 @@
 //! Failover drill: a machine dies while a RASA migration is executing.
-//! The executor loses the machine's containers, replans on the degraded
-//! cluster, and restores the SLA.
+//! The drill is a two-event chaos schedule: a deadline-starved round first
+//! moves the cluster off RASA's placement, then the next round's migration
+//! back toward it is cut short when the machine RASA loads most dies. The
+//! harness recreates the lost replicas on the surviving capacity and audits
+//! every step against the degraded cluster.
 //!
-//! Run with: `cargo run -p rasa-core --example failover_drill`
+//! Run with: `cargo run -p rasa-core --release --example failover_drill`
 
-use rasa_baselines::Original;
 use rasa_core::{Deadline, MigrateConfig, RasaConfig, RasaPipeline};
-use rasa_model::{validate, ContainerAssignment, MachineId, ResourceVec};
-use rasa_sim::execute_with_failure;
+use rasa_model::{validate, Machine, ResourceVec};
+use rasa_sim::{run_chaos, ChaosEvent, ChaosSchedule};
 use rasa_solver::Scheduler;
 use rasa_trace::{generate, tiny_cluster};
+use std::time::Duration;
 
 fn main() {
     let problem = generate(&tiny_cluster(9));
@@ -18,68 +21,58 @@ fn main() {
         problem.num_services(),
         problem.num_machines()
     );
-
-    // running state + optimized target + migration plan
-    let start = Original.schedule(&problem, Deadline::none()).placement;
-    let current = ContainerAssignment::materialize(&problem, &start);
     let pipeline = RasaPipeline::new(RasaConfig::default());
-    let (run, plan) = pipeline
-        .optimize_and_plan(
-            &problem,
-            &current,
-            Deadline::none(),
-            &MigrateConfig::default(),
-        )
-        .expect("plan");
-    println!(
-        "migration plan: {} moves in {} steps toward {:.1}% localization",
-        plan.total_moves(),
-        plan.steps.len(),
-        100.0 * run.outcome.normalized_gained_affinity
-    );
 
-    // drill: the busiest machine dies halfway through execution
-    let usage = run.outcome.placement.machine_usage(&problem);
-    let victim = MachineId(
-        usage
-            .iter()
-            .enumerate()
-            .max_by(|a, b| {
-                a.1.dominant_share(&problem.machines[a.0].capacity)
-                    .partial_cmp(&b.1.dominant_share(&problem.machines[b.0].capacity))
-                    .unwrap()
-            })
-            .map(|(i, _)| i as u32)
-            .unwrap(),
-    );
-    let fail_step = plan.steps.len() / 2;
-    println!("\n💥 injecting failure: {victim} dies after step {fail_step}");
+    // the victim: the machine RASA's own placement loads most
+    let rasa = pipeline.schedule(&problem, Deadline::after(Duration::from_secs(2)));
+    let usage = rasa.placement.machine_usage(&problem);
+    let share = |m: &Machine| usage[m.id.idx()].dominant_share(&m.capacity);
+    let victim = problem
+        .machines
+        .iter()
+        .max_by(|a, b| share(a).total_cmp(&share(b)))
+        .expect("the cluster has machines")
+        .id;
 
-    let mut state = current.clone();
-    let report = execute_with_failure(
-        &problem,
-        &mut state,
-        &plan,
-        &run.outcome.placement,
-        Some((fail_step, victim)),
-        &MigrateConfig::default(),
-    )
-    .expect("recovery");
-    println!(
-        "executed {} steps; lost {} containers; recovery recreated/moved {} in {} extra steps",
-        report.executed_steps, report.lost_containers, report.recovery_moves, report.recovery_steps
-    );
+    let schedule = ChaosSchedule {
+        seed: 9,
+        events: vec![
+            ChaosEvent::DeadlineStarvation,
+            ChaosEvent::CorrelatedFailure {
+                after_step: 2,
+                machines: vec![victim],
+            },
+        ],
+    };
+    for (i, e) in schedule.events.iter().enumerate() {
+        println!("  event {i}: {}", e.describe());
+    }
+    let report = run_chaos(&problem, &pipeline, &schedule, &MigrateConfig::default());
+    for (i, r) in report.rounds.iter().enumerate() {
+        println!(
+            "  round {i}: lost={} recreated={} moves={} alive={:.3}",
+            r.lost_containers, r.recreated, r.moves, r.alive_fraction
+        );
+    }
 
-    // verify: full SLA on the degraded cluster, nothing on the dead machine
-    let final_placement = state.to_placement();
+    // the burst landed mid-migration: the round had moved containers and
+    // the victim still hosted some
+    let burst = &report.rounds[1];
+    assert!(burst.moves > 0 && burst.lost_containers > 0, "{burst:?}");
+    // every step stayed feasible, and recovery went as far as the
+    // surviving capacity allows
+    assert!(report.is_clean(), "{:?}", report.violations);
+    assert!(report.fully_recovered);
+    let placement = &report.final_placement;
+    for svc in &problem.services {
+        assert_eq!(placement.count(svc.id, victim), 0);
+    }
     let mut degraded = problem.clone();
     degraded.machines[victim.idx()].capacity = ResourceVec::ZERO;
-    let violations = validate(&degraded, &final_placement, true);
+    let violations = validate(&degraded, placement, false);
     assert!(violations.is_empty(), "{violations:?}");
-    for svc in &problem.services {
-        assert_eq!(final_placement.count(svc.id, victim), 0);
-    }
     println!(
-        "\n✅ recovered: every service back at full replica count, {victim} empty, all constraints hold"
+        "\nrecovered: {victim} empty, {:.1}% of replicas alive, all constraints hold",
+        100.0 * burst.alive_fraction
     );
 }
