@@ -26,9 +26,9 @@ use rasa_partition::{
 };
 use rasa_select::{portfolio_features, PoolAlgorithm, SampleLog, SelectionSample};
 use rasa_solver::{
-    complete_placement, fan_out, solver_threads, wave_slice, CgOptions, CgWarmStart,
-    ColumnGeneration, GreedyScheduler, MipBased, MipBasedOptions, PopOptions, PopStrategy,
-    ScheduleOutcome, Scheduler,
+    complete_placement, fan_out, lend_idle_cores, solver_threads, wave_slice, CgOptions,
+    CgWarmStart, ColumnGeneration, GreedyScheduler, MipBased, MipBasedOptions, PopOptions,
+    PopStrategy, ScheduleOutcome, Scheduler,
 };
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -56,7 +56,8 @@ pub struct RasaConfig {
     /// session's clones of this config all feed one stream.
     pub sample_log: SampleLog,
     /// Solve subproblems on parallel threads (the paper solves each
-    /// subproblem independently, which is embarrassingly parallel).
+    /// subproblem independently, which is embarrassingly parallel), and let
+    /// column generation price a round's machine groups on idle cores.
     pub parallel: bool,
     /// Place trivial/leftover containers with the completion pass so the
     /// final mapping satisfies the SLA.
@@ -584,7 +585,9 @@ impl RasaPipeline {
     }
 
     /// Solve every pending job through the one fan-out: this thread plus a
-    /// helper per further job, up to the cores the process may use.
+    /// helper per further job, up to the cores the process may use. In a
+    /// `parallel` round each job may also borrow idle cores for its
+    /// column-generation pricing ([`lend_idle_cores`]).
     /// `solve_one` catches panics inside the guard, so one escaping it is
     /// already a second-order failure; it costs that job its slot (an empty
     /// placement the global completion pass repairs) and no other.
@@ -605,6 +608,7 @@ impl RasaPipeline {
             // the jobs actually being solved, not the full partition, and
             // no worker may starve the queue entries behind it
             let slice = wave_slice(deadline, pos, jobs.len(), workers);
+            let _lease = self.config.parallel.then(lend_idle_cores);
             catch_unwind(AssertUnwindSafe(|| solve_one(job, slice))).unwrap_or_else(|_| {
                 rasa_obs::global().inc("pipeline.lost_slots");
                 GuardedOutcome::lost_slot(job.index, &job.sub.problem)

@@ -118,8 +118,8 @@ impl ColumnGeneration {
     }
 
     /// [`Self::schedule_with_stats`]; `pinned_helpers` fixes the number of
-    /// pricing helpers per round instead of borrowing released solver
-    /// threads (tests only).
+    /// pricing helpers per round instead of borrowing idle solver threads
+    /// (tests only).
     fn run(
         &self,
         problem: &Problem,
@@ -229,9 +229,8 @@ impl ColumnGeneration {
             let mut added_this_round = 0u64;
             let mut best_reduced_cost = f64::NEG_INFINITY;
             // The pricing MIPs of a round are independent: they run on this
-            // thread plus whatever solver threads the burst has released,
-            // and merge in group order, so the result does not depend on
-            // how many helped.
+            // thread plus whatever idle cores it may borrow, and merge in
+            // group order, so the result does not depend on how many helped.
             let most_helpers = groups.len().saturating_sub(1);
             let borrowed = pinned_helpers
                 .is_none()

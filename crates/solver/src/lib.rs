@@ -35,7 +35,8 @@
 //!   [`fan_out`] — the one worker-pull primitive every parallel solve in
 //!   the repository goes through — with its [`wave_slice`] deadline split,
 //!   and the solver-thread gauge ([`SolverThread`]) that tells column
-//!   generation how many released cores its pricing round may borrow.
+//!   generation how many idle cores its pricing round may borrow — on a
+//!   thread a `parallel` pipeline round has marked ([`lend_idle_cores`]).
 
 pub mod column_cache;
 pub mod column_generation;
@@ -52,6 +53,6 @@ pub use formulation::{per_machine_cap, FormulationKind, RasaFormulation};
 pub use mip_algorithm::{MipBased, MipBasedOptions};
 pub use pop::{split_affinity_loss, split_services, PopOptions, PopStrategy};
 pub use scheduler::{
-    busy_solver_threads, fan_out, released_solver_threads, solver_threads, wave_slice,
-    ScheduleOutcome, Scheduler, SolverThread,
+    busy_solver_threads, fan_out, idle_solver_threads, lend_idle_cores, solver_threads, wave_slice,
+    BorrowedThreads, ScheduleOutcome, Scheduler, SolverThread,
 };

@@ -5,8 +5,10 @@
 use rasa_lp::Deadline;
 use rasa_model::{validate, FeatureMask, Problem, ProblemBuilder, ResourceVec};
 use rasa_solver::{
-    busy_solver_threads, released_solver_threads, solver_threads, ColumnGeneration, SolverThread,
+    busy_solver_threads, idle_solver_threads, lend_idle_cores, solver_threads, BorrowedThreads,
+    ColumnGeneration, SolverThread,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Eight services on a ring of affinities, four machine shapes: four
 /// pricing MIPs per column-generation round.
@@ -36,47 +38,91 @@ fn helped() -> u64 {
 }
 
 #[test]
-fn released_threads_are_what_the_burst_gave_back_and_cg_borrows_them() {
-    let cap = solver_threads() - 1;
-    assert_eq!((busy_solver_threads(), released_solver_threads()), (0, 0));
+fn idle_threads_are_cores_minus_busy_and_only_a_marked_thread_borrows_them() {
+    let cores = solver_threads();
+    assert_eq!((busy_solver_threads(), idle_solver_threads()), (0, cores));
 
-    // one solve at a time never has anything to borrow
+    // idle is what the busy threads leave of the cores, never below zero
     let first = SolverThread::enter();
-    assert_eq!((busy_solver_threads(), released_solver_threads()), (1, 0));
+    assert_eq!(
+        (busy_solver_threads(), idle_solver_threads()),
+        (1, cores - 1)
+    );
+    let crowd: Vec<_> = (0..cores).map(|_| SolverThread::enter()).collect();
+    assert_eq!(
+        (busy_solver_threads(), idle_solver_threads()),
+        (cores + 1, 0)
+    );
+    drop(crowd);
+    assert_eq!(
+        (busy_solver_threads(), idle_solver_threads()),
+        (1, cores - 1)
+    );
+
+    // an unmarked thread borrows nothing; a marked one takes
+    // min(want, idle), and what it holds counts as busy
+    assert_eq!(BorrowedThreads::up_to(cores).count(), 0);
+    {
+        let _lease = lend_idle_cores();
+        for want in [0, 1, cores] {
+            let borrowed = BorrowedThreads::up_to(want);
+            assert_eq!(borrowed.count(), want.min(cores - 1), "want={want}");
+            assert_eq!(busy_solver_threads(), 1 + borrowed.count());
+            assert_eq!(idle_solver_threads(), cores - 1 - borrowed.count());
+        }
+        assert_eq!(busy_solver_threads(), 1);
+    }
+    assert_eq!(
+        BorrowedThreads::up_to(cores).count(),
+        0,
+        "the lease ends with its guard"
+    );
+
+    // column generation borrows only on a marked thread, gives the cores
+    // back, and returns what it returned alone
     let p = four_group_problem();
     let cg = ColumnGeneration::new();
     let before = helped();
     let (alone, alone_stats) = cg.schedule_with_stats(&p, Deadline::none());
-    assert_eq!(helped(), before, "no released thread, no helper");
+    assert_eq!(helped(), before, "an unmarked solve prices alone");
     assert!(validate(&p, &alone.placement, true).is_empty());
-
-    // three more workers start and finish: their threads are released
-    let others: Vec<_> = (0..3).map(|_| SolverThread::enter()).collect();
-    assert_eq!((busy_solver_threads(), released_solver_threads()), (4, 0));
-    drop(others);
-    assert_eq!(busy_solver_threads(), 1);
-    assert_eq!(released_solver_threads(), 3.min(cap));
-
-    // column generation borrows them for its pricing rounds, gives them
-    // back, and returns what it returned alone
-    let (with_help, help_stats) = cg.schedule_with_stats(&p, Deadline::none());
+    let (with_help, help_stats) = {
+        let _lease = lend_idle_cores();
+        cg.schedule_with_stats(&p, Deadline::none())
+    };
     assert_eq!(help_stats, alone_stats);
     assert_eq!(with_help.placement, alone.placement);
     assert_eq!(
         helped() > before,
-        cap > 0,
-        "helpers price groups exactly when a core was released and exists"
+        cores > 1,
+        "helpers price groups exactly when an idle core exists"
     );
     assert_eq!(busy_solver_threads(), 1);
-    assert_eq!(released_solver_threads(), 3.min(cap));
 
-    // the burst ends when the last solver thread leaves: nothing carries
-    // over into the next one
+    // two borrowers racing for the idle cores never hold more than there
+    // are: `held` rises after a borrow and falls before its release, so it
+    // never exceeds what the gauge has handed out
+    let held = AtomicUsize::new(busy_solver_threads());
+    let most = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let _lease = lend_idle_cores();
+                for _ in 0..5_000 {
+                    let borrowed = BorrowedThreads::up_to(cores);
+                    let now = held.fetch_add(borrowed.count(), Ordering::SeqCst);
+                    most.fetch_max(now + borrowed.count(), Ordering::SeqCst);
+                    held.fetch_sub(borrowed.count(), Ordering::SeqCst);
+                }
+            });
+        }
+    });
+    let most = most.load(Ordering::SeqCst);
+    assert!(most <= cores, "{most} solver threads on {cores} cores");
+    assert_eq!(busy_solver_threads(), 1);
+
     drop(first);
-    assert_eq!((busy_solver_threads(), released_solver_threads()), (0, 0));
-    let next = SolverThread::enter();
-    assert_eq!(released_solver_threads(), 0);
-    drop(next);
+    assert_eq!((busy_solver_threads(), idle_solver_threads()), (0, cores));
 
     // the guard leaves on unwind too
     let unwound = std::panic::catch_unwind(|| {

@@ -1,16 +1,20 @@
-//! Pricing helpers at the pipeline level: column generation may price a
-//! round's machine groups on solver threads the round's other workers have
-//! already given back, and must produce exactly what it produces alone.
+//! Pricing helpers at the pipeline level: in a `parallel` round, column
+//! generation may price a round's machine groups on idle cores, and must
+//! produce exactly what it produces alone. Solves outside such a round
+//! price alone.
 //!
 //! The solver-thread gauge and the obs registry are process-wide, so every
 //! test here holds [`serial`] for its whole length.
 
 use rasa_core::{
-    guarded_schedule, Deadline, FaultInjection, PoolAlgorithm, RasaConfig, RasaPipeline,
-    ScheduleOutcome, Scheduler, SelectorChoice, SolveStatus,
+    guarded_schedule, AllocationSession, Deadline, EdgeUpdate, FaultInjection, PoolAlgorithm,
+    RasaConfig, RasaPipeline, ScheduleOutcome, Scheduler, SelectorChoice, SnapshotDelta,
+    SolveStatus,
 };
 use rasa_model::{validate, FeatureMask, Problem, ProblemBuilder, ResourceVec, Service, ServiceId};
-use rasa_solver::{busy_solver_threads, released_solver_threads, ColumnGeneration, MipBased};
+use rasa_solver::{
+    busy_solver_threads, idle_solver_threads, solver_threads, ColumnGeneration, MipBased,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -89,10 +93,14 @@ fn parallel_and_sequential_rounds_do_the_same_work() {
     }
 }
 
-/// Column generation, reporting what the gauge said while it ran.
+fn helped() -> u64 {
+    rasa_obs::global().snapshot().counter("cg.pricing_helped")
+}
+
+/// Column generation, reporting the most solver threads the gauge counted
+/// while it ran.
 struct GaugeProbe {
     inner: ColumnGeneration,
-    most_released: AtomicUsize,
     most_busy: AtomicUsize,
 }
 
@@ -103,8 +111,6 @@ impl Scheduler for GaugeProbe {
 
     fn schedule(&self, problem: &Problem, deadline: Deadline) -> ScheduleOutcome {
         let sample = || {
-            self.most_released
-                .fetch_max(released_solver_threads(), Ordering::Relaxed);
             self.most_busy
                 .fetch_max(busy_solver_threads(), Ordering::Relaxed);
         };
@@ -121,11 +127,11 @@ fn a_lone_guarded_solve_has_nothing_to_borrow() {
     let p = three_zone_cluster();
     let probe = GaugeProbe {
         inner: ColumnGeneration::new(),
-        most_released: AtomicUsize::new(0),
         most_busy: AtomicUsize::new(0),
     };
-    let helped = || rasa_obs::global().snapshot().counter("cg.pricing_helped");
     let before = helped();
+    // a guarded solve outside a `parallel` round: idle cores exist, but
+    // its thread is not marked to borrow them
     for index in 0..2 {
         let g = guarded_schedule(
             index,
@@ -138,8 +144,85 @@ fn a_lone_guarded_solve_has_nothing_to_borrow() {
         assert_eq!(busy_solver_threads(), 0);
     }
     assert_eq!(probe.most_busy.load(Ordering::Relaxed), 1);
-    assert_eq!(probe.most_released.load(Ordering::Relaxed), 0);
     assert_eq!(helped(), before);
+    // nor does any solve of a `parallel: false` round (a one-job session
+    // round at `parallel: false` is checked below)
+    let run = RasaPipeline::new(RasaConfig {
+        selector: SelectorChoice::AlwaysCg,
+        parallel: false,
+        ..Default::default()
+    })
+    .optimize(&p, None, Deadline::none());
+    assert!(run.subproblems.len() >= 3, "{:?}", run.subproblems);
+    assert_eq!(helped(), before);
+}
+
+/// A 50 % heavier weight on one affinity of the ten-service zone: the delta
+/// dirties that zone's subproblem and no other.
+fn zone0_delta(p: &Problem) -> SnapshotDelta {
+    let edge = p
+        .affinity_edges
+        .iter()
+        .find(|e| e.a.0 < 10 && e.b.0 < 10)
+        .expect("zone 0 has affinities");
+    SnapshotDelta {
+        edge_updates: vec![EdgeUpdate {
+            a: edge.a.0,
+            b: edge.b.0,
+            weight: edge.weight * 1.5,
+        }],
+        replica_updates: Vec::new(),
+    }
+}
+
+#[test]
+fn a_lone_dirty_subproblem_prices_on_idle_cores_and_does_the_same_work() {
+    let _serial = serial();
+    let p = three_zone_cluster();
+    let delta = zone0_delta(&p);
+    let counted = [
+        "simplex.pivots",
+        "bnb.nodes",
+        "cg.pricing_solves",
+        "cg.helper_rounds",
+    ];
+    let run = |parallel: bool| {
+        let mut session = AllocationSession::new(RasaConfig {
+            selector: SelectorChoice::AlwaysCg,
+            parallel,
+            ..Default::default()
+        });
+        session.apply_snapshot(&p);
+        session.resolve(Deadline::none()).expect("snapshot round");
+        session.apply_delta(&delta).expect("delta admits");
+        let before = rasa_obs::global().snapshot();
+        let round = session.resolve(Deadline::none()).expect("delta round");
+        let after = rasa_obs::global().snapshot();
+        assert_eq!(busy_solver_threads(), 0, "parallel={parallel}");
+        let cache = round.run.cache.expect("a session round keeps a cache");
+        assert_eq!(cache.misses, 1, "parallel={parallel}: {cache:?}");
+        let [pivots, nodes, pricing, helper_rounds] =
+            counted.map(|name| after.counter(name) - before.counter(name));
+        let subs: Vec<(f64, SolveStatus, bool)> = round
+            .run
+            .subproblems
+            .iter()
+            .map(|r| (r.gained_affinity, r.status, r.cache_hit))
+            .collect();
+        let work = (subs, [pivots, nodes, pricing], round.run.outcome.placement);
+        (work, helper_rounds)
+    };
+    let (sequential, none) = run(false);
+    assert_eq!(none, 0, "a parallel: false round prices alone");
+    assert!(sequential.1.iter().all(|&n| n > 0), "{:?}", sequential.1);
+    assert!(sequential.0.iter().all(|&(_, s, _)| s == SolveStatus::Ok));
+    let (parallel, helper_rounds) = run(true);
+    assert_eq!(parallel, sequential);
+    assert_eq!(
+        helper_rounds > 0,
+        solver_threads() > 1,
+        "the lone job borrows the idle core exactly when one exists"
+    );
 }
 
 /// A scheduler whose scoped helper thread panics, as a pricing helper
@@ -189,7 +272,11 @@ fn panics_leave_the_gauge_empty_and_reach_the_ladder() {
         assert!(run.is_degraded());
         assert!(validate(&p, &run.outcome.placement, true).is_empty());
         assert_eq!(busy_solver_threads(), 0, "parallel={parallel}");
-        assert_eq!(released_solver_threads(), 0, "parallel={parallel}");
+        assert_eq!(
+            idle_solver_threads(),
+            solver_threads(),
+            "parallel={parallel}"
+        );
     }
     let mip = MipBased::new();
     let g = guarded_schedule(
