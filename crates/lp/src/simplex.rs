@@ -1001,6 +1001,13 @@ pub(crate) fn solve_simplex_above(
         stats.dual_iterations,
         usize::from(stats.warm_accepted),
         usize::from(stats.warm_rejected),
+        // out of pivots, not out of time: the deadline stops with the same
+        // status, and a singular refactorization stops short of the cap
+        usize::from(
+            sol.status == LpStatus::IterationLimit
+                && sol.iterations >= options.max_iterations
+                && !deadline.expired(),
+        ),
     ];
     for (counter, value) in counters().iter().zip(values) {
         counter.add(value as u64);
@@ -1010,10 +1017,10 @@ pub(crate) fn solve_simplex_above(
 
 /// The `simplex.*` counters, in the order [`solve_simplex_above`] flushes
 /// them. Branch-and-bound fires a solve every few microseconds, so the
-/// handles are resolved once and each flush is fourteen lock-free adds
-/// rather than fourteen trips through the registry's name map.
-fn counters() -> &'static [Arc<Counter>; 14] {
-    static HANDLES: OnceLock<[Arc<Counter>; 14]> = OnceLock::new();
+/// handles are resolved once and each flush is fifteen lock-free adds
+/// rather than fifteen trips through the registry's name map.
+fn counters() -> &'static [Arc<Counter>; 15] {
+    static HANDLES: OnceLock<[Arc<Counter>; 15]> = OnceLock::new();
     HANDLES.get_or_init(|| {
         [
             "simplex.solves",
@@ -1030,6 +1037,7 @@ fn counters() -> &'static [Arc<Counter>; 14] {
             "simplex.dual_iterations",
             "simplex.warm_accepted",
             "simplex.warm_rejected",
+            "simplex.iteration_limit",
         ]
         .map(|name| rasa_obs::global().counter(name))
     })

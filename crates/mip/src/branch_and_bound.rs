@@ -117,36 +117,28 @@ impl PackedBasis {
 
 /// The integer variable to branch on, or `None` when the point is
 /// integral. Among the integer variables whose fractionality
-/// `min(v − ⌊v⌋, ⌈v⌉ − v)` exceeds [`INT_TOL`], the candidates are those
-/// within `INT_TOL` of the largest; of these the one with the largest
-/// objective weight `|c_j|` wins, then the more fractional, then the lowest
-/// index. Dual-simplex vertices put many variables near x.5 with
-/// fractionalities that differ only by rounding error, and a zero-cost one
-/// among them moves the bound least.
+/// `f_j = min(v − ⌊v⌋, ⌈v⌉ − v)` exceeds [`INT_TOL`], the one with the
+/// largest score `|c_j| × f_j` wins, then the more fractional, then the
+/// lowest index — a cheap stand-in for pseudo-cost branching (Achterberg,
+/// Koch & Martin, "Branching rules revisited", 2005): a variable's branches
+/// can move the bound by about its objective weight times the distance it
+/// must travel. When every candidate costs 0 all scores are 0 and the most
+/// fractional variable is taken.
 fn pick_branch_var(model: &MipModel, x: &[f64]) -> Option<usize> {
-    let fractional = |(j, (&is_int, &v)): (usize, (&bool, &f64))| {
-        let frac = (v - v.round()).abs();
-        (is_int && frac > INT_TOL).then_some((j, frac))
-    };
-    let candidates = || {
-        model
-            .is_integer
-            .iter()
-            .zip(x)
-            .enumerate()
-            .filter_map(fractional)
-    };
-    let most = candidates().map(|(_, frac)| frac).reduce(f64::max)?;
-    let weight = |j: usize| model.lp.objective_of(rasa_lp::VarId(j)).abs();
-    candidates()
-        .filter(|&(_, frac)| frac >= most - INT_TOL)
-        .max_by(|&(i, fi), &(j, fj)| {
-            weight(i)
-                .total_cmp(&weight(j))
-                .then(fi.total_cmp(&fj))
-                .then(j.cmp(&i))
+    model
+        .is_integer
+        .iter()
+        .zip(x)
+        .enumerate()
+        .filter_map(|(j, (&is_int, &v))| {
+            let frac = (v - v.round()).abs();
+            let weight = model.lp.objective_of(rasa_lp::VarId(j)).abs();
+            (is_int && frac > INT_TOL).then_some((j, frac, weight * frac))
         })
-        .map(|(j, _)| j)
+        .max_by(|&(i, fi, si), &(j, fj, sj)| {
+            si.total_cmp(&sj).then(fi.total_cmp(&fj)).then(j.cmp(&i))
+        })
+        .map(|(j, _, _)| j)
 }
 
 /// LP diving: repeatedly solve the relaxation, pin every integer variable
@@ -708,24 +700,30 @@ mod tests {
     }
 
     #[test]
-    fn branch_var_breaks_near_ties_by_objective() {
+    fn branch_var_maximises_objective_weight_times_fractionality() {
         let mut m = MipModel::new();
-        m.add_int_var(0.0, 10.0, 0.0);
-        m.add_int_var(0.0, 10.0, -2.0);
         m.add_int_var(0.0, 10.0, 1.0);
+        m.add_int_var(0.0, 10.0, -4.0);
+        m.add_int_var(0.0, 10.0, 2.0);
         m.add_var(0.0, 10.0, 9.0);
-        // 0.5 and 1.5 + 5e-7 (fractionality 0.5 − 5e-7) tie within INT_TOL:
-        // the costlier variable wins although it is the less fractional
-        assert_eq!(pick_branch_var(&m, &[0.5, 1.5 + 5e-7, 0.0, 0.0]), Some(1));
-        // more fractional by more than INT_TOL beats any objective weight
-        assert_eq!(pick_branch_var(&m, &[0.5, 1.3, 0.0, 0.0]), Some(0));
-        // equal |c| and fractionality: the lowest index
+        // |c| × frac: 1 × 0.5 = 0.5 against 4 × 0.25 = 1 — the costlier,
+        // less fractional variable wins
+        assert_eq!(pick_branch_var(&m, &[0.5, 1.25, 0.0, 0.0]), Some(1));
+        // equal products (1 × 0.5 = 2 × 0.25): the more fractional wins
+        assert_eq!(pick_branch_var(&m, &[0.5, 1.0, 2.25, 0.0]), Some(0));
+        // equal products and fractionalities: the lowest index
         let mut even = MipModel::new();
         even.add_int_var(0.0, 10.0, 3.0);
         even.add_int_var(0.0, 10.0, -3.0);
         assert_eq!(pick_branch_var(&even, &[4.5, 0.5]), Some(0));
+        // every candidate costs 0: all scores are 0, the most fractional wins
+        let mut free = MipModel::new();
+        free.add_int_var(0.0, 10.0, 0.0);
+        free.add_int_var(0.0, 10.0, 0.0);
+        assert_eq!(pick_branch_var(&free, &[0.2, 1.4]), Some(1));
         // a continuous variable is never a candidate, whatever its weight
         assert_eq!(pick_branch_var(&m, &[0.5, 2.0, 0.5, 0.5]), Some(2));
+        // an integral point has nothing to branch on
         assert_eq!(pick_branch_var(&m, &[1.0, 2.0, 3.0, 0.5]), None);
     }
 

@@ -17,10 +17,10 @@
 //! * **an objective target** ([`MipModel::solve_to_target`]): the search
 //!   stops, `Feasible`, at the first incumbent above it — column-generation
 //!   pricing needs *an* improving pattern, not the best one,
-//! * best-bound node selection; branching on the costliest variable among
-//!   the near-most-fractional ones, every node re-solved from its parent's
-//!   basis by dual simplex, plus LP rounding and diving heuristics to find
-//!   early incumbents,
+//! * best-bound node selection; branching on the integer variable with the
+//!   largest objective weight times fractionality `|c_j| × f_j`, every node
+//!   re-solved from its parent's basis by dual simplex, plus LP rounding and
+//!   diving heuristics to find early incumbents,
 //! * proof of optimality within a relative gap tolerance.
 //!
 //! ## Example

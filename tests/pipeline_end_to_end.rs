@@ -176,10 +176,11 @@ fn column_generation_converges_on_a_degenerate_master() {
 
 #[test]
 fn a_stop_without_a_deadline_is_unproved_not_a_deadline_miss() {
-    // tiny-19's column generation ends on a round that adds no column while
-    // some pricing MIPs stopped at their node cap: not a proof, but no
-    // deadline fired either.
-    let problem = generate(&tiny_cluster(19));
+    // medium-23's column generation ends on a round that adds no column
+    // while some pricing MIPs stopped at their node cap: not a proof, but no
+    // deadline fired either. The node cap, not a clock, ends those MIPs, so
+    // the stop is deterministic.
+    let problem = medium_cluster(23);
     let pipeline = RasaPipeline::new(RasaConfig {
         selector: SelectorChoice::AlwaysCg,
         ..Default::default()
